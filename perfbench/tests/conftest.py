@@ -1,0 +1,14 @@
+"""Make the benchmark package and the program under test importable.
+
+Run from the root of the repository:
+
+    python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
