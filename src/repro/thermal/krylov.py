@@ -341,9 +341,11 @@ class AmgSolver:
     hierarchy construction happens in the constructor so the steady
     cache can account it exactly like an LU/ILU setup, and each
     :meth:`solve` costs a handful of V-cycle-preconditioned BiCGSTAB
-    sweeps.  On the Poisson-like conductance matrices the iteration
-    count is nearly size-independent, which is what makes the tier
-    near-O(n) where ILU iteration counts grow with the grid side.
+    sweeps.  The iteration count grows only slowly with the grid: a
+    cold 4-tier liquid solve takes 12, 12 and 22 iterations at 50, 100
+    and 200 cells per level, once the finest level line-smooths the
+    coolant rows (19, 36 and 78 with point Jacobi alone).  ILU
+    iteration counts grow much faster with the grid side.
 
     Parameters
     ----------

@@ -1099,7 +1099,8 @@ class CompactThermalModel:
         )
         self._steady_amg_solvers[key] = solver
         if len(self._steady_amg_solvers) > self._max_steady_factors:
-            self._steady_amg_solvers.popitem(last=False)
+            evicted, _ = self._steady_amg_solvers.popitem(last=False)
+            self._steady_warm.pop(evicted, None)
         return solver
 
     def _steady_amg(
@@ -1453,13 +1454,24 @@ class CompactThermalModel:
     # energy bookkeeping
     # ------------------------------------------------------------------
 
-    def heat_removed_by_coolant(self, field: TemperatureField) -> float:
+    def heat_removed_by_coolant(
+        self, field: TemperatureField, flow_ml_min: Optional[float] = None
+    ) -> float:
         """Heat carried out by the coolant in a given state [W].
 
         Single-phase cavities carry out ``mdot cp (T_outlet - T_inlet)``
         per row; two-phase cavities absorb through their saturation
         anchors.  At steady state the sum equals the injected power
         (energy conservation, verified by the test suite).
+
+        Parameters
+        ----------
+        field:
+            The temperature state.
+        flow_ml_min:
+            Optional uniform flow override, as passed to
+            :meth:`steady_state`; the stored (possibly per-cavity) flow
+            state applies when omitted.
         """
         total = 0.0
         for level, element in enumerate(self.stack.elements):
@@ -1478,7 +1490,11 @@ class CompactThermalModel:
                     TWO_PHASE_ANCHOR_W_PER_K * (view - anchor).sum()
                 )
             else:
-                c = self._capacity_rate_per_row(self._flows[element.name])
+                c = self._capacity_rate_per_row(
+                    self._flows[element.name]
+                    if flow_ml_min is None
+                    else flow_ml_min
+                )
                 if c > 0.0:
                     outlet = view[:, -1]
                     total += float(

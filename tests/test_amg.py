@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.geometry import CoolingMode, build_3d_mpsoc
+from repro.geometry import Cavity, CoolingMode, build_3d_mpsoc
 from repro.obs.metrics import get_registry
 from repro.thermal import CompactThermalModel
 from repro.thermal.amg import (
     AmgOptions,
     AmgPreconditioner,
     algebraic_aggregates,
-    amg_flavor,
+    coolant_rows,
     geometric_aggregates,
-    have_pyamg,
 )
 from repro.thermal.diagnostics import FactorizationError
 from repro.thermal.krylov import AmgSolver
@@ -104,8 +103,7 @@ def test_amg_options_validation(kwargs):
 # ---------------------------------------------------------------------------
 
 
-def test_scipy_hierarchy_coarsens_to_the_limit(monkeypatch):
-    monkeypatch.setenv("REPRO_AMG", "scipy")
+def test_scipy_hierarchy_coarsens_to_the_limit():
     stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
     model = CompactThermalModel(stack, nx=24, ny=20)
     options = AmgOptions(coarse_limit=200)
@@ -116,7 +114,6 @@ def test_scipy_hierarchy_coarsens_to_the_limit(monkeypatch):
         n_extra=1 if model.grid.has_sink_node else 0,
     )
     sizes = list(pre.level_sizes)
-    assert pre.flavor == "scipy"
     assert sizes[0] == model.grid.size
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
     assert sizes[-1] <= options.coarse_limit
@@ -124,8 +121,7 @@ def test_scipy_hierarchy_coarsens_to_the_limit(monkeypatch):
     assert 1.0 <= pre.operator_complexity < 2.0
 
 
-def test_hierarchy_is_deterministic(monkeypatch):
-    monkeypatch.setenv("REPRO_AMG", "scipy")
+def test_hierarchy_is_deterministic():
     stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
     model = CompactThermalModel(stack, nx=16, ny=12)
     A = model.system_matrix()
@@ -135,19 +131,18 @@ def test_hierarchy_is_deterministic(monkeypatch):
     )
     one = AmgPreconditioner(A, AmgOptions(coarse_limit=100), **kwargs)
     two = AmgPreconditioner(A, AmgOptions(coarse_limit=100), **kwargs)
+    assert one.line_unknowns > 0  # the coolant line smoother is exercised
     b = np.linspace(0.0, 1.0, A.shape[0])
     assert np.array_equal(one.cycle(b), two.cycle(b))
 
 
-def test_grid_shape_mismatch_is_a_factorization_error(monkeypatch):
-    monkeypatch.setenv("REPRO_AMG", "scipy")
+def test_grid_shape_mismatch_is_a_factorization_error():
     A = _poisson_1d(64)
     with pytest.raises(FactorizationError):
         AmgPreconditioner(A, AmgOptions(coarse_limit=8), grid_shape=(2, 4, 4))
 
 
-def test_algebraic_path_without_grid_shape(monkeypatch):
-    monkeypatch.setenv("REPRO_AMG", "scipy")
+def test_algebraic_path_without_grid_shape():
     A = _poisson_1d(4096)
     pre = AmgPreconditioner(A, AmgOptions(coarse_limit=64))
     assert pre.level_sizes[-1] <= 64
@@ -161,26 +156,92 @@ def test_algebraic_path_without_grid_shape(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# flavor forcing
+# coolant line smoother
 # ---------------------------------------------------------------------------
 
 
-def test_forced_scipy_flavor(monkeypatch):
-    monkeypatch.setenv("REPRO_AMG", "scipy")
-    assert amg_flavor() == "scipy"
+def _grid_kwargs(model):
+    return dict(
+        grid_shape=(model.grid.levels, model.grid.ny, model.grid.nx),
+        n_extra=1 if model.grid.has_sink_node else 0,
+    )
 
 
-def test_forced_pyamg_without_package_raises(monkeypatch):
-    if have_pyamg():
-        pytest.skip("pyamg installed; the forced path cannot fail here")
-    monkeypatch.setenv("REPRO_AMG", "pyamg")
-    with pytest.raises(FactorizationError, match="pyamg"):
-        amg_flavor()
+def test_coolant_rows_are_the_single_phase_cavity_rows():
+    model = CompactThermalModel(
+        build_3d_mpsoc(4, CoolingMode.LIQUID), nx=9, ny=7
+    )
+    shape = _grid_kwargs(model)["grid_shape"]
+    cavity_levels = [
+        level
+        for level, element in enumerate(model.stack.elements)
+        if isinstance(element, Cavity)
+    ]
+    assert len(cavity_levels) == 3
+    expected = np.concatenate(
+        [level * model.grid.ny + np.arange(model.grid.ny) for level in cavity_levels]
+    )
+    assert np.array_equal(coolant_rows(model.system_matrix(), shape), expected)
+    # Conduction alone is symmetric: no lines without advection.
+    for stack in (
+        build_3d_mpsoc(2, CoolingMode.AIR),
+        build_3d_mpsoc(2, two_phase=True),
+    ):
+        other = CompactThermalModel(stack, nx=9, ny=7)
+        rows = coolant_rows(
+            other.system_matrix(), _grid_kwargs(other)["grid_shape"]
+        )
+        assert rows.size == 0
 
 
-def test_default_flavor_matches_availability(monkeypatch):
-    monkeypatch.delenv("REPRO_AMG", raising=False)
-    assert amg_flavor() == ("pyamg" if have_pyamg() else "scipy")
+def test_line_smoother_cuts_cold_iterations():
+    """A cold 4-tier liquid solve at 60x60 cells per level took 23
+    BiCGSTAB iterations with point-Jacobi smoothing alone."""
+    stack = build_3d_mpsoc(4, CoolingMode.LIQUID)
+    registry = get_registry()
+    results = {}
+    for solver in ("amg", "direct"):
+        model = CompactThermalModel(stack, nx=60, ny=60, solver=solver)
+        model.set_flow(32.3)
+        powers = {ref: 2.0 for ref in model.block_order}
+        results[solver] = model.steady_state(powers).values
+        if solver == "amg":
+            iterations = model.last_steady_diagnostics.iterations
+            assert model.last_steady_diagnostics.method == "bicgstab+amg"
+            assert registry.gauge("solver.amg.line_unknowns").value == (
+                3 * 60 * 60
+            )
+    assert iterations <= 16
+    assert np.max(np.abs(results["amg"] - results["direct"])) < 1e-6
+
+
+def test_air_cooled_stack_keeps_the_point_smoother():
+    model = CompactThermalModel(
+        build_3d_mpsoc(2, CoolingMode.AIR), nx=40, ny=40, solver="amg"
+    )
+    model.steady_state({ref: 2.0 for ref in model.block_order})
+    assert get_registry().gauge("solver.amg.line_unknowns").value == 0
+    assert model.last_steady_diagnostics.iterations == 8
+
+
+def test_singular_coolant_line_is_a_factorization_error():
+    # Grid (1, 2, 8): two x-rows of 8 cells.  Upwind-skewed couplings
+    # (-1.5 upstream, -1.0 downstream) mark both rows as coolant lines.
+    n = 16
+    upstream = np.full(n - 1, -1.5)
+    downstream = np.full(n - 1, -1.0)
+    upstream[7] = downstream[7] = 0.0  # no coupling across the row end
+    diagonal = np.full(n, 3.0)
+    diagonal[0] = upstream[0] = 0.0  # an empty first column: zero pivot
+    A = sparse.diags(
+        [upstream, diagonal, downstream], (-1, 0, 1), format="csr"
+    )
+    registry = get_registry()
+    start = registry.snapshot()
+    with pytest.raises(FactorizationError, match="line"):
+        AmgPreconditioner(A, AmgOptions(coarse_limit=4), grid_shape=(1, 2, 8))
+    delta = registry.delta_since(start)
+    assert delta["solver.amg.setup_failures"]["value"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +281,18 @@ def test_amg_solver_cache_and_eviction(liquid_stack_2tier):
     assert model.last_steady_diagnostics.iterations == 0
     assert model.evict_steady_factor()  # drops the cached hierarchy
     assert not model.evict_steady_factor()
+
+
+def test_amg_eviction_drops_the_warm_start(liquid_stack_2tier):
+    model = CompactThermalModel(
+        liquid_stack_2tier, nx=12, ny=10, solver="amg", max_steady_factors=8
+    )
+    powers = {ref: 2.0 for ref in model.block_order}
+    for flow in range(10, 22):  # 12 distinct flow states
+        model.steady_state(powers, float(flow))
+    assert len(model._steady_amg_solvers) == 8
+    # One warm-start vector per cached hierarchy, none for evicted ones.
+    assert model._steady_warm.keys() == model._steady_amg_solvers.keys()
 
 
 def test_amg_setup_telemetry(liquid_stack_2tier):

@@ -29,6 +29,16 @@ def test_liquid_steady_state_conserves_energy(liquid_model_coarse, liquid_stack_
     assert removed == pytest.approx(sum(powers.values()), rel=1e-9)
 
 
+def test_energy_closes_under_a_flow_override(liquid_stack_2tier):
+    model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
+    # The solve runs at 15 ml/min; the model keeps its stored 32.3.
+    powers = {ref: 2.0 for ref in model.block_order}
+    field = model.steady_state(powers, 15.0)
+    removed = model.heat_removed_by_coolant(field, 15.0)
+    removed += model.heat_removed_by_sink(field)
+    assert removed == pytest.approx(sum(powers.values()), rel=1e-9)
+
+
 def test_air_steady_state_conserves_energy(air_model_coarse, air_stack_2tier):
     powers = core_powers(air_stack_2tier)
     field = air_model_coarse.steady_state(powers)
