@@ -12,8 +12,9 @@ allocation overhead cancels out of the crossover comparison.  The
 output justifies both limits in :mod:`repro.thermal.krylov`: below the
 crossover the SuperLU factorisation wins on wall time
 (``DIRECT_NODE_LIMIT``); above it the AMG-preconditioned BiCGSTAB
-beats plain ILU+BiCGSTAB at every measured size (``AMG_NODE_LIMIT ==
-DIRECT_NODE_LIMIT``, leaving the ILU tier as the guarded fallback).
+beats plain ILU+BiCGSTAB at every measured size, so ``"auto"`` goes
+straight from direct to AMG and the ILU tier serves as its guarded
+fallback.
 Direct LU is skipped above ``DIRECT_MAX_SIZE`` — its fill-in at
 300x300 per level already exceeds the 2 GB class, and the point of the
 raw-speed tier is exactly that nobody should factorise a 500x500
@@ -39,7 +40,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.thermal.krylov import amg_node_limit, direct_node_limit
+from repro.thermal.krylov import direct_node_limit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_thermal.json"
@@ -215,7 +216,6 @@ def sweep(sizes=SIZES, timeout=TIMEOUT_S, verbose=False):
         "crossover_nodes": crossover_nodes,
         "amg_crossover_nodes": amg_crossover_nodes,
         "direct_node_limit": direct_node_limit(),
-        "amg_node_limit": amg_node_limit(),
         "curves": curves,
     }
 
@@ -279,8 +279,7 @@ def main(argv=None):
     print(
         f"direct->iterative crossover at {cross} nodes, "
         f"iterative->amg at {amg_cross} nodes "
-        f"(DIRECT_NODE_LIMIT={summary['direct_node_limit']}, "
-        f"AMG_NODE_LIMIT={summary['amg_node_limit']})"
+        f"(DIRECT_NODE_LIMIT={summary['direct_node_limit']})"
     )
 
 

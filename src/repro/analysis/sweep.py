@@ -675,9 +675,7 @@ def _install_payload_from_shm(name: str) -> None:
     _install_shared_payload(payload)
 
 
-def _resolve_shared_simulator(
-    ref: SharedJobRef, cache_dir: Optional[str] = None
-) -> SystemSimulator:
+def _resolve_shared_simulator(ref: SharedJobRef) -> SystemSimulator:
     """Build one job's simulator from the shared payload + model cache."""
     payload = _shared_payload
     if payload is None:
@@ -692,17 +690,7 @@ def _resolve_shared_simulator(
         # stay valid because they are keyed by flow signature.
         model.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
     if ref.scenario is not None:
-        rom_store = None
-        if model is None and cache_dir is not None:
-            # A spawn worker building its own "rom" model can at least
-            # load the serialized basis instead of re-running the
-            # offline build (fork workers inherit it via COW pages).
-            from ..thermal.rom import RomStore
-
-            rom_store = RomStore(cache_dir)
-        simulator = build_simulator(
-            payload.scenarios[ref.scenario], model=model, rom_store=rom_store
-        )
+        simulator = build_simulator(payload.scenarios[ref.scenario], model=model)
     else:
         simulator = SystemSimulator(
             payload.stacks[ref.stack],
@@ -748,10 +736,10 @@ def _run_shared_job_inner(
         cached = cache.get(scenario)
         if cached is not None:
             return cached
-        result = _resolve_shared_simulator(ref, cache_dir).run()
+        result = _resolve_shared_simulator(ref).run()
         cache.put(scenario, result)
         return result
-    return _resolve_shared_simulator(ref, cache_dir).run()
+    return _resolve_shared_simulator(ref).run()
 
 
 def _build_shared_payload(
@@ -816,32 +804,20 @@ def _build_shared_payload(
 
 
 def _prewarm_shared_models(
-    payload: SharedSweepPayload,
-    refs: Sequence[SharedJobRef],
-    cache_dir: Optional[str] = None,
+    payload: SharedSweepPayload, refs: Sequence[SharedJobRef]
 ) -> None:
     """Assemble one model per distinct (stack, grid) before forking.
 
     Fork workers then inherit the assembled conductance/advection
-    matrices, injection operators and the warm steady factor through
-    copy-on-write pages instead of re-assembling per worker.  For
-    ``"rom"`` scenarios the reduced basis is built (or loaded from the
-    cache directory) here too, so every worker shares one set of
-    projected operators zero-copy instead of paying the offline build
-    per process.
+    matrices, injection operators and the warm operator of the steady
+    chain's first rung (LU factor or AMG hierarchy) through
+    copy-on-write pages instead of re-assembling per worker.
     """
-    rom_store = None
-    if cache_dir is not None:
-        from ..thermal.rom import RomStore
-
-        rom_store = RomStore(cache_dir)
     for ref in refs:
         if ref.model_key in _shared_models:
             continue
         if ref.scenario is not None:
-            model = build_model(
-                payload.scenarios[ref.scenario], rom_store=rom_store
-            )
+            model = build_model(payload.scenarios[ref.scenario])
         else:
             kwargs = payload.kwargs[ref.kwargs]
             model = CompactThermalModel(
@@ -850,15 +826,7 @@ def _prewarm_shared_models(
                 ny=int(kwargs.get("ny", DEFAULT_NY)),
             )
         model.injection_operator()
-        backend = model.steady_backend()
-        if backend == "rom":
-            model.ensure_rom()
-        elif backend == "direct":
-            model.steady_factor(None)
-        elif backend == "amg":
-            model.steady_amg_solver(None)
-        elif backend == "iterative":
-            model.steady_krylov_solver(None)
+        model.steady_operator()
         _shared_models[ref.model_key] = model
 
 
@@ -930,11 +898,7 @@ def run_simulations_shared(
         if context.get_start_method() == "fork":
             _install_shared_payload(payload)
             try:
-                _prewarm_shared_models(
-                    payload,
-                    refs,
-                    None if cache_dir is None else str(cache_dir),
-                )
+                _prewarm_shared_models(payload, refs)
                 with ProcessPoolExecutor(
                     max_workers=processes, mp_context=context
                 ) as pool:

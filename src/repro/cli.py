@@ -48,6 +48,7 @@ from .scenario import (
     run_scenario,
 )
 from .scenario.spec import REFRIGERANT_CHOICES
+from .thermal.krylov import SOLVER_CHOICES
 from .twophase import HotSpotTestVehicle
 from .workload import paper_workload_suite, save_trace_csv
 
@@ -1091,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "direct", "iterative", "amg", "rom"),
+        choices=SOLVER_CHOICES,
         help="solver backend of the steady/transient measurements "
         "(default: auto; seed-baseline speedups only apply to auto)",
     )

@@ -29,7 +29,6 @@ from .spec import (
     FaultSpec,
     FlowFaultSpec,
     PolicySpec,
-    RomSpec,
     Scenario,
     ScenarioError,
     SensorFaultSpec,
@@ -48,7 +47,6 @@ __all__ = [
     "FlowFaultSpec",
     "PolicySpec",
     "ResultCache",
-    "RomSpec",
     "Runner",
     "Scenario",
     "ScenarioError",

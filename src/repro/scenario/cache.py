@@ -51,21 +51,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        self._rom_store = None
-
-    @property
-    def rom_store(self):
-        """Sibling :class:`~repro.thermal.rom.RomStore` under this root.
-
-        Serialized ROM bases live next to the result pickles so one
-        ``REPRO_CACHE_DIR`` override (or explicit root) relocates both,
-        and ``clear()`` wipes both.
-        """
-        if self._rom_store is None:
-            from ..thermal.rom import RomStore
-
-            self._rom_store = RomStore(self.root)
-        return self._rom_store
 
     def key(self, scenario: Scenario) -> str:
         """Cache key: content hash + the code version that computed it."""

@@ -223,44 +223,12 @@ def build_faults(spec: Optional[FaultSpec]):
     return FaultSet(sensor_faults=sensors, flow_faults=flows, actuator_lag=lag)
 
 
-def rom_options(scenario: Scenario):
-    """The :class:`~repro.thermal.rom.RomOptions` a scenario implies.
-
-    ``None`` unless the scenario selects the ``"rom"`` backend.  An
-    absent nested ``RomSpec`` means the library defaults.
-    """
-    solver: SolverSpec = scenario.solver
-    if solver.backend != "rom":
-        return None
-    from ..thermal.rom import RomOptions
-
-    spec = solver.rom
-    if spec is None:
-        return RomOptions()
-    return RomOptions(
-        max_modes=spec.modes,
-        energy_tol=spec.energy_tol,
-        flow_points=spec.flow_points,
-        transient_snapshots=spec.transient_snapshots,
-        sketch_size=spec.sketch,
-        safety=spec.safety,
-        tolerance_k=spec.tolerance_k,
-        validation_queries=spec.validation,
-    )
-
-
 def build_model(
     scenario: Scenario,
     *,
     stack: Optional[StackDesign] = None,
-    rom_store=None,
 ) -> CompactThermalModel:
-    """The compact thermal model a scenario's stack + solver spec define.
-
-    On the ``"rom"`` backend the model carries the scenario's ROM
-    budget and — when a ``rom_store`` is supplied — persists/reuses the
-    serialized basis under the scenario's :meth:`Scenario.model_hash`.
-    """
+    """The compact thermal model a scenario's stack + solver spec define."""
     solver: SolverSpec = scenario.solver
     cooling = None
     cooling_spec = scenario.stack.cooling_backend
@@ -284,9 +252,6 @@ def build_model(
             drop_tol=solver.drop_tol,
             fill_factor=solver.fill_factor,
         ),
-        rom=rom_options(scenario),
-        rom_store=rom_store,
-        rom_key=scenario.model_hash() if solver.backend == "rom" else None,
         cooling=cooling,
     )
 
@@ -312,20 +277,17 @@ def build_simulator(
     scenario: Scenario,
     *,
     model: Optional[CompactThermalModel] = None,
-    rom_store=None,
 ) -> SystemSimulator:
     """Wire a scenario into a ready-to-run :class:`SystemSimulator`.
 
     A pre-assembled ``model`` (shared fan-out workers cache one per
     :meth:`Scenario.model_hash`) supplies the stack as well — the hash
-    guarantees it was built from an identical stack spec.  An optional
-    ``rom_store`` lets a freshly built ``"rom"`` model reuse an
-    on-disk basis instead of rebuilding it.
+    guarantees it was built from an identical stack spec.
     """
     scenario.validate()
     stack = model.stack if model is not None else build_stack(scenario.stack)
     if model is None:
-        model = build_model(scenario, stack=stack, rom_store=rom_store)
+        model = build_model(scenario, stack=stack)
     return SystemSimulator(
         stack,
         build_policy(scenario.policy),
@@ -380,17 +342,8 @@ class Runner:
         self.last_manifest: Optional[dict] = None
 
     def build_simulator(self) -> SystemSimulator:
-        """The fully-wired simulator this runner would execute.
-
-        With a cache attached, a ``"rom"`` scenario persists its basis
-        in the cache directory, so repeated runner constructions pay
-        the offline build exactly once per ``model_hash``.
-        """
-        return build_simulator(
-            self.scenario,
-            model=self._model,
-            rom_store=self.cache.rom_store if self.cache is not None else None,
-        )
+        """The fully-wired simulator this runner would execute."""
+        return build_simulator(self.scenario, model=self._model)
 
     def run(self) -> SimulationResult:
         """Run (or fetch from cache) and return the result."""

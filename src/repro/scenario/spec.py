@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .. import constants
+from ..thermal.krylov import SOLVER_CHOICES
 
 SCHEMA_VERSION = 1
 """Bumped on incompatible spec-format changes; part of the hash."""
@@ -39,7 +40,7 @@ COOLING_CHOICES = ("air", "liquid")
 WORKLOAD_SOURCES = ("suite", "generator")
 SUITE_WORKLOADS = ("web", "database", "multimedia", "max-utilisation")
 GENERATOR_WORKLOADS = SUITE_WORKLOADS + ("idle",)
-SOLVER_BACKENDS = ("auto", "direct", "iterative", "amg", "rom")
+SOLVER_BACKENDS = SOLVER_CHOICES
 SENSOR_FAULT_KINDS = ("dead", "stuck", "noisy")
 FLOW_FAULT_KINDS = ("pump-degradation", "clogged-cavity", "dryout")
 COOLING_BACKEND_CHOICES = ("single_phase_liquid", "air_sink", "two_phase")
@@ -178,7 +179,7 @@ class CoolingSpec:
     Nested (optionally) inside :class:`StackSpec`; an absent block
     keeps the legacy behaviour — and the serialized payload, so
     ``content_hash`` / ``model_hash`` of pre-existing specs stay
-    byte-identical (the same None-drop rule as ``solver.rom``).
+    byte-identical (see :func:`_stack_plain`).
 
     Attributes
     ----------
@@ -469,78 +470,13 @@ class PolicySpec:
 
 
 @dataclass(frozen=True)
-class RomSpec:
-    """Reduced-order fast-path configuration (``solver.backend="rom"``).
-
-    Mirrors the offline-build knobs of
-    :class:`repro.thermal.rom.RomOptions`; every field feeds the basis
-    construction and therefore the scenario's ``model_hash`` — two
-    scenarios with different ROM budgets never share a serialized
-    basis.
-    """
-
-    modes: int = 128
-    energy_tol: float = 1e-12
-    flow_points: int = 7
-    transient_snapshots: int = 10
-    sketch: int = 16
-    safety: float = 8.0
-    tolerance_k: float = 0.5
-    validation: int = 12
-
-    def __post_init__(self) -> None:
-        if self.modes < 1:
-            raise ScenarioError(f"modes: must be >= 1, got {self.modes!r}")
-        _check_positive(self.energy_tol, "energy_tol")
-        if self.flow_points < 1:
-            raise ScenarioError(
-                f"flow_points: must be >= 1, got {self.flow_points!r}"
-            )
-        if self.transient_snapshots < 1:
-            raise ScenarioError(
-                f"transient_snapshots: must be >= 1, "
-                f"got {self.transient_snapshots!r}"
-            )
-        if self.sketch < 1:
-            raise ScenarioError(f"sketch: must be >= 1, got {self.sketch!r}")
-        if self.safety < 1.0:
-            raise ScenarioError(
-                f"safety: must be >= 1, got {self.safety!r}"
-            )
-        _check_positive(self.tolerance_k, "tolerance_k")
-        if self.validation < 1:
-            raise ScenarioError(
-                f"validation: must be >= 1, got {self.validation!r}"
-            )
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "solver.rom") -> "RomSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs: Dict[str, Any] = {
-            name: _typed(data, name, (int,), path, default=getattr(cls, name))
-            for name in (
-                "modes", "flow_points", "transient_snapshots", "sketch",
-                "validation",
-            )
-        }
-        for name in ("energy_tol", "safety", "tolerance_k"):
-            kwargs[name] = _typed(
-                data, name, (float,), path, default=getattr(cls, name)
-            )
-        return _build(cls, kwargs, path)
-
-
-@dataclass(frozen=True)
 class SolverSpec:
     """Thermal solver backend, grid resolution and tolerances.
 
     Mirrors :class:`repro.thermal.model.CompactThermalModel` /
     :class:`repro.thermal.krylov.KrylovOptions` defaults; ``backend``
-    moves the PR-3 direct/iterative selection into the spec.  Backend
-    ``"rom"`` enables the certified reduced-order fast path; its
-    offline-build budget lives in the nested :class:`RomSpec` (optional
-    — the defaults match the paper's 4-tier benchmark).
+    is one of :data:`repro.thermal.krylov.SOLVER_CHOICES` (``"auto"``,
+    ``"direct"``, ``"iterative"`` or ``"amg"``).
     """
 
     backend: str = "auto"
@@ -551,15 +487,9 @@ class SolverSpec:
     maxiter: int = 2000
     drop_tol: float = 1e-3
     fill_factor: float = 4.0
-    rom: Optional[RomSpec] = None
 
     def __post_init__(self) -> None:
         _check_choice(self.backend, SOLVER_BACKENDS, "backend")
-        if self.rom is not None and self.backend != "rom":
-            raise ScenarioError(
-                f"rom: ROM options require backend='rom', "
-                f"got backend={self.backend!r}"
-            )
         if self.nx < 2 or self.ny < 2:
             raise ScenarioError(
                 f"nx/ny: grid resolution must be >= 2, "
@@ -597,12 +527,6 @@ class SolverSpec:
             kwargs[name] = _typed(
                 data, name, (float,), path, default=getattr(cls, name)
             )
-        rom_data = data.get("rom")
-        kwargs["rom"] = (
-            None
-            if rom_data is None
-            else RomSpec.from_dict(rom_data, f"{path}.rom")
-        )
         return _build(cls, kwargs, path)
 
 
@@ -822,25 +746,11 @@ def _to_plain(value: Any) -> Any:
     return value
 
 
-def _solver_plain(solver: "SolverSpec") -> Dict[str, Any]:
-    """``_to_plain`` for the solver, omitting an unset ``rom`` block.
-
-    Dropping the ``None`` placeholder keeps the serialized payload —
-    and therefore ``content_hash`` / ``model_hash`` — byte-identical
-    to specs written before the ROM backend existed, so on-disk result
-    caches survive the upgrade.
-    """
-    data = _to_plain(solver)
-    if data.get("rom") is None:
-        data.pop("rom", None)
-    return data
-
-
 def _stack_plain(stack: "StackSpec") -> Dict[str, Any]:
     """``_to_plain`` for the stack, omitting an unset cooling backend.
 
-    Same None-drop rule as :func:`_solver_plain`: specs written before
-    the pluggable cooling layer keep byte-identical ``content_hash`` /
+    Dropping the ``None`` placeholder keeps specs written before the
+    pluggable cooling layer at byte-identical ``content_hash`` /
     ``model_hash``, so cached results and shared fan-out models survive
     the upgrade.
     """
@@ -927,7 +837,7 @@ class Scenario:
             "stack": _stack_plain(self.stack),
             "workload": _to_plain(self.workload),
             "policy": _to_plain(self.policy),
-            "solver": _solver_plain(self.solver),
+            "solver": _to_plain(self.solver),
             "control": _to_plain(self.control),
             "faults": _faults_plain(self.faults)
             if self.faults is not None
@@ -1044,7 +954,7 @@ class Scenario:
             {
                 "schema_version": SCHEMA_VERSION,
                 "stack": _stack_plain(self.stack),
-                "solver": _solver_plain(self.solver),
+                "solver": _to_plain(self.solver),
             },
             sort_keys=True,
             separators=(",", ":"),

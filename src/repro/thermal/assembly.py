@@ -25,12 +25,6 @@ The loop-built reference implementation in
 derives each phase's edge list with explicit Python loops, feeds it to
 the shared builder phase by phase, and reproduces the production
 matrices exactly.
-
-The two reduction loops (diagonal scatter-add, nonzero-diagonal
-gather) dispatch through :mod:`repro.thermal.jit`: numba-compiled when
-numba is installed and ``REPRO_JIT`` is not ``"0"``, the numpy
-primitives otherwise.  Both paths accumulate in the same order, so the
-assembled matrices are bitwise identical either way.
 """
 
 from __future__ import annotations
@@ -39,8 +33,6 @@ from typing import List
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-
-from .jit import accumulate_diagonal, gather_nonzero
 
 
 class ConductanceBuilder:
@@ -111,13 +103,18 @@ class ConductanceBuilder:
         )
 
     def diagonal(self) -> np.ndarray:
-        """The accumulated diagonal (one ordered sequential sum per cell)."""
+        """The accumulated diagonal (one ordered sequential sum per cell).
+
+        ``np.bincount`` with weights adds ``w[k]`` into ``out[idx[k]]``
+        for ``k = 0..n-1``, one float add at a time: the sequential
+        in-emission-order sum the determinism contract relies on.
+        """
         if not self._diag_idx:
             return np.zeros(self.n)
-        return accumulate_diagonal(
+        return np.bincount(
             np.concatenate(self._diag_idx),
-            np.concatenate(self._diag_val),
-            self.n,
+            weights=np.concatenate(self._diag_val),
+            minlength=self.n,
         )
 
     def to_csr(self) -> csr_matrix:
@@ -129,10 +126,10 @@ class ConductanceBuilder:
         internal sort order.
         """
         diag = self.diagonal()
-        keep, keep_vals = gather_nonzero(diag)
+        keep = np.flatnonzero(diag).astype(np.int32)
         row = np.concatenate(self._rows + [keep])
         col = np.concatenate(self._cols + [keep])
-        val = np.concatenate(self._vals + [keep_vals])
+        val = np.concatenate(self._vals + [diag[keep]])
         matrix = coo_matrix(
             (val, (row, col)), shape=(self.n, self.n)
         ).tocsr()

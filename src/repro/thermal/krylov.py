@@ -16,12 +16,15 @@ LU preconditioner with a nonsymmetric Krylov method shines:
   last steady solve at the same flow point) cut the iteration count to
   a handful on the closed-loop and sweep hot paths.
 
-:func:`choose_backend` implements the automatic direct↔iterative
-selection; :class:`KrylovSolver` packages one preconditioned operator
-so the steady and transient paths cache it exactly like they cache LU
-factors.  Non-convergence raises
-:class:`~repro.thermal.diagnostics.IterativeConvergenceError`, which
-the tiered solve paths catch to fall back to the guarded direct LU.
+:func:`choose_backend` resolves a request to one of three tiers: the
+direct LU, ILU-preconditioned BiCGSTAB (:class:`KrylovSolver`) or
+AMG-preconditioned BiCGSTAB (:class:`AmgSolver`); ``"auto"`` picks
+direct up to :data:`DIRECT_NODE_LIMIT` nodes and AMG above it.  Both
+solver classes package one preconditioned operator so the steady and
+transient paths cache them exactly like LU factors.  Non-convergence
+raises :class:`~repro.thermal.diagnostics.IterativeConvergenceError`,
+which the steady chain (amg -> iterative -> direct) and the transient
+stepper catch to fall back to the next rung.
 """
 
 from __future__ import annotations
@@ -42,57 +45,44 @@ from .diagnostics import FactorizationError, IterativeConvergenceError
 logger = logging.getLogger(__name__)
 
 DIRECT_NODE_LIMIT = 75_000
-"""Node count above which ``"auto"`` leaves the direct path.
+"""Node count above which ``"auto"`` leaves the direct path for AMG.
 
 Calibrated on the 4-tier stack (see
 ``benchmarks/bench_solver_crossover.py``): on a *cold single* solve
-ILU+BiCGSTAB already wins at 50x50 per level (30k nodes) and is ~2x
-faster at 100x100 (120k nodes) with a fraction of the memory.  The
-limit is deliberately higher than that cold crossover because the
-closed-loop and sweep paths amortise one cached LU over many repeated
-solves, where direct stays ahead until fill-in memory dominates.
-Override with the ``REPRO_DIRECT_NODE_LIMIT`` environment variable.
+the Krylov tiers already win at 50x50 per level (30k nodes) and are
+many times faster at 100x100 (120k nodes) with a fraction of the
+memory.  The limit is deliberately higher than that cold crossover
+because the closed-loop and sweep paths amortise one cached LU over
+many repeated solves, where direct stays ahead until fill-in memory
+dominates.  Override with the ``REPRO_DIRECT_NODE_LIMIT`` environment
+variable.
 """
 
-AMG_NODE_LIMIT = DIRECT_NODE_LIMIT
-"""Node count above which ``"auto"`` prefers AMG over plain ILU.
-
-The extended crossover sweep (``benchmarks/bench_solver_crossover.py``,
-curves in ``BENCH_thermal.json``) shows the AMG-preconditioned solve
-beating ILU+BiCGSTAB at every size above the direct limit — 8x at
-100x100 per level and widening with the grid — so by default the
-iterative ILU tier has no ``"auto"`` window of its own and serves as
-the guarded fallback of the AMG tier (amg -> iterative -> direct).
-Raise ``REPRO_AMG_NODE_LIMIT`` above ``REPRO_DIRECT_NODE_LIMIT`` to
-re-open an ILU window between the two for A/B experiments.
-"""
-
-SOLVER_CHOICES = ("auto", "direct", "iterative", "amg", "rom")
+SOLVER_CHOICES = ("auto", "direct", "iterative", "amg")
 """Accepted solver-backend selections.
 
 ``"amg"`` runs BiCGSTAB preconditioned by an algebraic-multigrid
 V-cycle (see :mod:`repro.thermal.amg`) — the raw-speed tier for large
 steady grids, with a guarded fallback chain amg -> iterative ->
-direct.  ``"rom"`` selects the certified reduced-order fast path (see
-:mod:`repro.thermal.rom`): queries inside the snapshot trust region are
-served in microseconds from the projected system, everything else falls
-through to the exact backend that ``"auto"`` would have chosen.
+direct.  ``"iterative"`` runs ILU-preconditioned BiCGSTAB (guarded by
+the direct LU); ``"auto"`` resolves by size in :func:`choose_backend`.
 """
 
 _ENV_WARNED: Set[str] = set()
 
 
-def _env_node_limit(name: str, default: int) -> int:
-    """Parse a node-limit environment override.
+def direct_node_limit() -> int:
+    """The direct-tier threshold, honouring ``REPRO_DIRECT_NODE_LIMIT``.
 
     A malformed value must not silently vanish into the default: it is
     counted (``solver.env.invalid``), traced and logged once per
     process so a typo in a job script shows up in telemetry instead of
     quietly mis-tiering every solve.
     """
+    name = "REPRO_DIRECT_NODE_LIMIT"
     raw = os.environ.get(name)
     if raw is None:
-        return default
+        return DIRECT_NODE_LIMIT
     try:
         return max(0, int(raw))
     except ValueError:
@@ -104,91 +94,40 @@ def _env_node_limit(name: str, default: int) -> int:
                 "default %d",
                 name,
                 raw,
-                default,
+                DIRECT_NODE_LIMIT,
             )
             get_tracer().event(
                 "solver.env.invalid", variable=name, value=raw
             )
-        return default
+        return DIRECT_NODE_LIMIT
 
 
-def direct_node_limit() -> int:
-    """The direct-tier threshold, honouring the env override."""
-    return _env_node_limit("REPRO_DIRECT_NODE_LIMIT", DIRECT_NODE_LIMIT)
-
-
-def amg_node_limit() -> int:
-    """The AMG-tier threshold, honouring the env override."""
-    return _env_node_limit("REPRO_AMG_NODE_LIMIT", AMG_NODE_LIMIT)
-
-
-def estimate_direct_factor_bytes(n_nodes: int, nnz: int) -> int:
-    """Rough memory estimate of a sparse LU factorisation [bytes].
-
-    Fill-in for these 7-point-stencil stacks grows like the bandwidth
-    of the nested-dissection separators — empirically ~``nnz *
-    sqrt(n) / 40`` nonzeros across the 50x50..300x300 range — times 12
-    bytes per stored entry (value + index).  Order-of-magnitude only;
-    used to explain the auto selection in logs and docs, not to gate
-    allocations.
-    """
-    fill = max(1.0, np.sqrt(float(n_nodes)) / 40.0)
-    return int(nnz * fill * 12)
-
-
-def choose_backend(
-    requested: str,
-    n_nodes: int,
-    node_limit: Optional[int] = None,
-) -> str:
+def choose_backend(requested: str, n_nodes: int) -> str:
     """Resolve a solver request to a concrete backend tier.
 
     Parameters
     ----------
     requested:
-        ``"auto"``, ``"direct"``, ``"iterative"``, ``"amg"`` or
-        ``"rom"``.  Explicit requests pass through (``"rom"`` is a
-        tier of its own — its *exact fallback* backend is resolved
-        separately via :func:`exact_fallback_backend`); ``"auto"``
-        picks by problem size: direct at or below the direct node
-        limit, ILU+BiCGSTAB up to the (by default empty) iterative
-        window, AMG-preconditioned BiCGSTAB above it.
+        ``"auto"``, ``"direct"``, ``"iterative"`` or ``"amg"``.
+        Explicit requests pass through; ``"auto"`` picks by problem
+        size: direct at or below :func:`direct_node_limit`, AMG above
+        it (AMG beats ILU at every measured size, so plain ILU serves
+        only as the AMG tier's guarded fallback).
     n_nodes:
         Problem size (grid nodes).
-    node_limit:
-        Direct-tier threshold override; defaults to
-        :func:`direct_node_limit`.
     """
     if requested not in SOLVER_CHOICES:
         raise ValueError(
             f"unknown solver {requested!r}; choose from {SOLVER_CHOICES}"
         )
     if requested != "auto":
-        _count_selection(requested)
-        return requested
-    limit = direct_node_limit() if node_limit is None else node_limit
-    if n_nodes <= limit:
+        resolved = requested
+    elif n_nodes <= direct_node_limit():
         resolved = "direct"
-    elif n_nodes <= max(limit, amg_node_limit()):
-        resolved = "iterative"
     else:
         resolved = "amg"
     _count_selection(resolved)
     return resolved
-
-
-def exact_fallback_backend(
-    n_nodes: int, node_limit: Optional[int] = None
-) -> str:
-    """The exact backend a rejected ROM query falls back to.
-
-    The ROM's fallback chain reuses the ``"auto"`` size rule: rom ->
-    amg (itself guarded by iterative then direct) above the node
-    limit, rom -> direct below it.  Counted as a regular selection so
-    the `solver.backend_selected.*` counters reflect what actually
-    ran.
-    """
-    return choose_backend("auto", n_nodes, node_limit)
 
 
 _SELECTION_COUNTERS: dict = {}

@@ -45,7 +45,6 @@ equivalence tests assert both paths agree bit for bit.  Phase order
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict, namedtuple
 from typing import Dict, List, Optional, Tuple
 
@@ -87,29 +86,7 @@ from .krylov import (
     KrylovOptions,
     KrylovSolver,
     choose_backend,
-    exact_fallback_backend,
 )
-
-LU_CACHE_SIZE_ENV = "REPRO_LU_CACHE_SIZE"
-"""Environment override of the steady/transient LU cache capacities.
-
-One positive integer applied to both the model's steady-factor cache
-(default 8 entries) and each transient stepper's factor cache (default
-16 entries).  Explicit constructor arguments always win over the
-environment.  Invalid or non-positive values are ignored.
-"""
-
-
-def lu_cache_size(default: int) -> int:
-    """Resolve an LU cache capacity, honouring ``REPRO_LU_CACHE_SIZE``."""
-    raw = os.environ.get(LU_CACHE_SIZE_ENV)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
 
 DEFAULT_AMBIENT_K = celsius_to_kelvin(46.0)
 """Default air ambient [K].
@@ -145,6 +122,21 @@ COLAMD ordering — measured ~1.7x faster factorisation and ~1.8x
 faster triangular solves on the 2-tier stack at the default grid.
 """
 
+STEADY_CHAINS: Dict[str, Tuple[str, ...]] = {
+    "amg": ("amg", "iterative", "direct"),
+    "iterative": ("iterative", "direct"),
+    "direct": ("direct",),
+}
+"""The guarded steady-solve chain of each resolved backend.
+
+Every rung but the last is a warm-started Krylov solve; a rung that
+fails to set up, converge or meet the residual guard hands the same
+right-hand side to the next one, ending at the guarded direct LU.
+"""
+
+_RUNG_METHODS = {"amg": AmgSolver.method, "iterative": KrylovSolver.method}
+"""``SolverDiagnostics.method`` of a solve accepted on each Krylov rung."""
+
 # TWO_PHASE_ANCHOR_W_PER_K moved to repro.cooling with the backend
 # layer; the import above keeps this module's historical re-export for
 # blockmodel.py and tests/reference_assembly.py.
@@ -164,37 +156,20 @@ class CompactThermalModel:
     inlet_temperature:
         Coolant inlet temperature [K] (liquid mode).
     max_steady_factors:
-        Upper bound on cached steady-solve LU factorisations (LRU).
-        ``None`` (the default) resolves to 8, overridable through the
-        ``REPRO_LU_CACHE_SIZE`` environment variable.
+        Upper bound on cached steady-solve operators per tier (LRU):
+        LU factorisations, ILU preconditioners and AMG hierarchies.
     solver:
         Steady-solve backend: ``"direct"`` (sparse LU), ``"iterative"``
         (ILU-preconditioned BiCGSTAB with warm starts and a guarded
         direct fallback), ``"amg"`` (algebraic-multigrid-preconditioned
         BiCGSTAB — the raw-speed tier for large grids, guarded by the
-        fallback chain amg -> iterative -> direct), ``"rom"`` (the
-        certified reduced-order fast path of :mod:`repro.thermal.rom`,
-        falling back to the exact auto-resolved backend whenever the
-        certified error bound or the snapshot trust region rejects a
-        query) or ``"auto"`` (direct below
+        fallback chain amg -> iterative -> direct; see
+        :data:`STEADY_CHAINS`) or ``"auto"`` (direct up to
         :data:`repro.thermal.krylov.DIRECT_NODE_LIMIT` nodes, AMG
-        above — large grids stay out of LU fill-in memory; see
-        :func:`repro.thermal.krylov.choose_backend` for the tunable
-        ILU window between the two).
+        above — large grids stay out of LU fill-in memory).
     krylov:
         Tuning of the iterative path; defaults to
         :class:`~repro.thermal.krylov.KrylovOptions`.
-    rom:
-        Build plan of the reduced-order fast path (only read when
-        ``solver="rom"``); defaults to
-        :class:`~repro.thermal.rom.RomOptions`.
-    rom_store:
-        Optional store with ``get(key)``/``put(key, basis)`` (e.g.
-        :class:`~repro.thermal.rom.store.RomStore`) so the offline
-        basis build is paid once per stack.
-    rom_key:
-        Store key of this model's basis (scenario runs pass their
-        ``model_hash``); without it the store is not consulted.
     cooling:
         Run-time cooling configuration
         (:class:`~repro.cooling.CoolingConfig`).  The default static
@@ -211,17 +186,12 @@ class CompactThermalModel:
         ny: int = 20,
         ambient: float = DEFAULT_AMBIENT_K,
         inlet_temperature: float = DEFAULT_INLET_K,
-        max_steady_factors: Optional[int] = None,
+        max_steady_factors: int = 8,
         guard: Optional[SolverGuard] = None,
         solver: str = "auto",
         krylov: Optional[KrylovOptions] = None,
-        rom: Optional[object] = None,
-        rom_store: Optional[object] = None,
-        rom_key: Optional[str] = None,
         cooling: Optional[CoolingConfig] = None,
     ) -> None:
-        if max_steady_factors is None:
-            max_steady_factors = lu_cache_size(8)
         if max_steady_factors < 1:
             raise ValueError("cache must hold at least one factorisation")
         self.guard = guard if guard is not None else SolverGuard()
@@ -268,29 +238,27 @@ class CompactThermalModel:
         )
         self._g_steady_maxsize.set(self._max_steady_factors)
         self._g_steady_currsize.set(0)
-        # Reduced-order fast-path state (solver="rom"), built lazily on
-        # the first query or loaded from the store.
-        self._rom_options = rom
-        self._rom_store = rom_store
-        self._rom_key = rom_key
-        self._rom: Optional[object] = None
-        self._c_rom_fallback = registry.counter("rom.fallback")
-        # Iterative-path state, keyed like the LU cache: one
-        # ILU-preconditioned operator per flow state, plus the last
-        # solution at that state as the warm-start guess.  The AMG tier
-        # keeps its (much more expensive to set up) hierarchies in a
-        # third cache under the same keys and shares the warm starts.
-        self._steady_krylov: "OrderedDict[object, KrylovSolver]" = OrderedDict()
-        self._steady_amg_solvers: "OrderedDict[object, AmgSolver]" = (
-            OrderedDict()
-        )
+        # Krylov-rung state, keyed like the LU cache: one
+        # preconditioned operator per (tier, flow state) — ILU
+        # preconditioners and AMG hierarchies in one LRU per tier —
+        # plus the last solution at each flow state as the warm-start
+        # guess, shared by both tiers.
+        self._steady_ops: Dict[str, "OrderedDict[object, object]"] = {
+            "amg": OrderedDict(),
+            "iterative": OrderedDict(),
+        }
         self._steady_warm: Dict[object, np.ndarray] = {}
-        self._c_fallback_amg = registry.counter(
-            "solver.fallback.amg_to_iterative"
-        )
-        self._c_fallback_iterative = registry.counter(
-            "solver.fallback.iterative_to_direct"
-        )
+        # Counted and traced when a Krylov rung hands over to the next.
+        self._rung_fallbacks = {
+            "amg": (
+                registry.counter("solver.fallback.amg_to_iterative"),
+                "amg.fallback",
+            ),
+            "iterative": (
+                registry.counter("solver.fallback.iterative_to_direct"),
+                "krylov.fallback",
+            ),
+        }
         # Cooling backends: one per cavity, dispatched on the cavity
         # type.  Dynamic two-phase backends (and their grid levels) are
         # collected during assembly; their moving saturation anchors
@@ -1002,12 +970,14 @@ class CompactThermalModel:
         same key.
         """
         key = self._steady_key(flow_ml_min)
-        dropped_lu = self._steady_factors.pop(key, None) is not None
-        dropped_ilu = self._steady_krylov.pop(key, None) is not None
-        dropped_amg = self._steady_amg_solvers.pop(key, None) is not None
+        dropped = [self._steady_factors.pop(key, None) is not None]
+        dropped += [
+            cache.pop(key, None) is not None
+            for cache in self._steady_ops.values()
+        ]
         self._steady_warm.pop(key, None)
         self._g_steady_currsize.set(len(self._steady_factors))
-        return dropped_lu or dropped_ilu or dropped_amg
+        return any(dropped)
 
     def steady_cache_info(self) -> CacheInfo:
         """Hit/miss statistics of the steady-factor cache."""
@@ -1026,8 +996,8 @@ class CompactThermalModel:
         warm-start guesses.
         """
         self._steady_factors.clear()
-        self._steady_krylov.clear()
-        self._steady_amg_solvers.clear()
+        for cache in self._steady_ops.values():
+            cache.clear()
         self._steady_warm.clear()
         self._steady_hits.reset()
         self._steady_misses.reset()
@@ -1038,132 +1008,91 @@ class CompactThermalModel:
 
         ``"auto"`` resolves by problem size (see
         :func:`repro.thermal.krylov.choose_backend`); explicit
-        ``"direct"`` / ``"iterative"`` requests pass through.
+        ``"direct"`` / ``"iterative"`` / ``"amg"`` requests pass
+        through.  It names the first rung of the steady chain.
         """
         return choose_backend(self.solver, self.grid.size)
 
-    def steady_krylov_solver(
-        self, flow_ml_min: Optional[float] = None
-    ) -> KrylovSolver:
-        """Cached ILU-preconditioned operator of ``A(f)``.
+    def steady_operator(
+        self, tier: Optional[str] = None, flow_ml_min: Optional[float] = None
+    ):
+        """Cached solve operator of one steady rung for ``A(f)``.
 
-        The iterative twin of :meth:`steady_factor`: keyed by the same
-        flow signatures, bounded by the same LRU budget, and therefore
-        equally immune to stale entries after flow changes.
+        ``tier`` defaults to :meth:`steady_backend`, the first rung of
+        this model's chain, so one call warms whatever a steady solve
+        tries first.  ``"direct"`` returns :meth:`steady_factor`;
+        ``"iterative"`` an ILU-preconditioned
+        :class:`~repro.thermal.krylov.KrylovSolver`; ``"amg"`` an
+        :class:`~repro.thermal.krylov.AmgSolver` whose hierarchy setup
+        is handed the grid extents so the pure-scipy builder
+        aggregates geometrically (see :mod:`repro.thermal.amg`).
+        Krylov operators are keyed by the same flow signatures as the
+        LU factors and bounded per tier by the same LRU budget; an
+        evicted flow state also loses its warm-start guess.
         """
+        if tier is None:
+            tier = self.steady_backend()
+        if tier == "direct":
+            return self.steady_factor(flow_ml_min)
         key = self._steady_key(flow_ml_min)
-        solver = self._steady_krylov.get(key)
+        cache = self._steady_ops[tier]
+        solver = cache.get(key)
         if solver is not None:
-            self._steady_krylov.move_to_end(key)
+            cache.move_to_end(key)
             self._steady_hits.inc()
             self._g_steady_hits.inc()
             return solver
         self._steady_misses.inc()
         self._g_steady_misses.inc()
-        solver = KrylovSolver(
-            self.system_matrix(flow_ml_min), self.krylov_options
-        )
-        self._steady_krylov[key] = solver
-        if len(self._steady_krylov) > self._max_steady_factors:
-            evicted, _ = self._steady_krylov.popitem(last=False)
+        matrix = self.system_matrix(flow_ml_min)
+        if tier == "amg":
+            solver = AmgSolver(
+                matrix,
+                self.krylov_options,
+                grid_shape=(self.grid.levels, self.grid.ny, self.grid.nx),
+                n_extra=1 if self.grid.has_sink_node else 0,
+            )
+        else:
+            solver = KrylovSolver(matrix, self.krylov_options)
+        cache[key] = solver
+        if len(cache) > self._max_steady_factors:
+            evicted, _ = cache.popitem(last=False)
             self._steady_warm.pop(evicted, None)
         return solver
 
-    def steady_amg_solver(
-        self, flow_ml_min: Optional[float] = None
-    ) -> AmgSolver:
-        """Cached AMG-preconditioned operator of ``A(f)``.
+    def _krylov_rung(
+        self, tier: str, q: np.ndarray, flow_ml_min: Optional[float]
+    ) -> Tuple[Optional[np.ndarray], Optional[int], Optional[float]]:
+        """One warm-started Krylov solve of the steady chain.
 
-        The raw-speed twin of :meth:`steady_krylov_solver`: keyed by
-        the same flow signatures and bounded by the same LRU budget.
-        The hierarchy setup is handed the grid extents so the
-        pure-scipy builder aggregates geometrically (see
-        :mod:`repro.thermal.amg`); per-level operators are then reused
-        by every solve at that flow state — across a whole sweep when
-        the model is shared through the fan-out prewarm.
-        """
-        key = self._steady_key(flow_ml_min)
-        solver = self._steady_amg_solvers.get(key)
-        if solver is not None:
-            self._steady_amg_solvers.move_to_end(key)
-            self._steady_hits.inc()
-            self._g_steady_hits.inc()
-            return solver
-        self._steady_misses.inc()
-        self._g_steady_misses.inc()
-        solver = AmgSolver(
-            self.system_matrix(flow_ml_min),
-            self.krylov_options,
-            grid_shape=(self.grid.levels, self.grid.ny, self.grid.nx),
-            n_extra=1 if self.grid.has_sink_node else 0,
-        )
-        self._steady_amg_solvers[key] = solver
-        if len(self._steady_amg_solvers) > self._max_steady_factors:
-            evicted, _ = self._steady_amg_solvers.popitem(last=False)
-            self._steady_warm.pop(evicted, None)
-        return solver
-
-    def _steady_amg(
-        self, q: np.ndarray, flow_ml_min: Optional[float]
-    ) -> Tuple[Optional[np.ndarray], Optional[int]]:
-        """One AMG steady solve; ``(None, iterations)`` on failure.
-
-        Mirrors :meth:`_steady_iterative`: warm-starts from the last
-        solution at the same flow state, evicts the hierarchy on
-        non-convergence or an out-of-tolerance residual, and reports
-        failure so the caller drops to the ILU tier of the
-        amg -> iterative -> direct chain.
+        Returns ``(values, iterations, residual)`` with ``values`` set
+        to ``None`` on failure; ``iterations`` counts this rung's own
+        solve only (``None`` when its operator could not be set up).
+        A non-convergent or out-of-tolerance solve evicts the operator
+        (it may have been built from a poisoned matrix) and its warm
+        start, so the next solve at that flow state starts clean.
         """
         key = self._steady_key(flow_ml_min)
         try:
-            solver = self.steady_amg_solver(flow_ml_min)
+            solver = self.steady_operator(tier, flow_ml_min)
         except FactorizationError:
-            return None, None
+            return None, None, None
+        before = solver.iterations_total
         try:
             values, iterations = solver.solve(q, x0=self._steady_warm.get(key))
         except IterativeConvergenceError:
-            self._steady_amg_solvers.pop(key, None)
-            self._steady_warm.pop(key, None)
-            return None, solver.iterations_total
-        if self.guard.residual_tolerance is not None:
+            values, iterations = None, solver.iterations_total - before
+        residual = None
+        if values is not None and self.guard.residual_tolerance is not None:
             residual = relative_residual(solver.matrix, values, q)
             if residual > self.guard.residual_tolerance:
-                self._steady_amg_solvers.pop(key, None)
-                self._steady_warm.pop(key, None)
-                return None, iterations
-        self._steady_warm[key] = values
-        return values, iterations
-
-    def _steady_iterative(
-        self, q: np.ndarray, flow_ml_min: Optional[float]
-    ) -> Tuple[Optional[np.ndarray], Optional[int]]:
-        """One iterative steady solve; ``(None, iterations)`` on failure.
-
-        Warm-starts from the last solution at the same flow state.  A
-        non-convergent or out-of-tolerance solve evicts the
-        preconditioner (it may have been built from a poisoned matrix)
-        and reports failure so the caller falls back to the guarded
-        direct path.
-        """
-        key = self._steady_key(flow_ml_min)
-        try:
-            solver = self.steady_krylov_solver(flow_ml_min)
-        except FactorizationError:
-            return None, None
-        try:
-            values, iterations = solver.solve(q, x0=self._steady_warm.get(key))
-        except IterativeConvergenceError:
-            self._steady_krylov.pop(key, None)
+                values = None
+        if values is None:
+            self._steady_ops[tier].pop(key, None)
             self._steady_warm.pop(key, None)
-            return None, solver.iterations_total
-        if self.guard.residual_tolerance is not None:
-            residual = relative_residual(solver.matrix, values, q)
-            if residual > self.guard.residual_tolerance:
-                self._steady_krylov.pop(key, None)
-                self._steady_warm.pop(key, None)
-                return None, iterations
+            return None, iterations, residual
         self._steady_warm[key] = values
-        return values, iterations
+        return values, iterations, residual
 
     def steady_state(
         self,
@@ -1172,11 +1101,16 @@ class CompactThermalModel:
     ) -> TemperatureField:
         """Steady-state temperature field for constant block powers.
 
-        The backend follows :meth:`steady_backend`: large grids run
-        AMG-preconditioned BiCGSTAB (warm-started per flow state) and
-        drop down the guarded chain amg -> iterative -> direct on
-        failure; small grids run the direct LU outright.  Either way
-        the solve is guarded per ``self.guard``: non-finite solutions
+        Walks the chain :data:`STEADY_CHAINS` names for
+        :meth:`steady_backend`: large grids run AMG-preconditioned
+        BiCGSTAB (warm-started per flow state) and drop to ILU, then to
+        the direct LU, when a rung fails; small grids run the direct
+        LU outright.  Each hop is counted
+        (``solver.fallback.amg_to_iterative`` /
+        ``solver.fallback.iterative_to_direct``) and traced
+        (``amg.fallback`` / ``krylov.fallback``), and the accepted
+        solve's ``iterations`` sum the Krylov rungs it tried.  The
+        direct rung is guarded per ``self.guard``: non-finite solutions
         evict the (poisoned) cached factor, one refactorised retry is
         attempted, and a persistent failure raises
         :class:`~repro.thermal.diagnostics.NonFiniteFieldError`.  The
@@ -1189,196 +1123,56 @@ class CompactThermalModel:
         with tracer.span(
             "thermal.steady_solve", backend=backend, nodes=self.grid.size
         ):
-            if backend == "rom":
-                field = self._steady_rom(block_powers, flow_ml_min)
-                if field is not None:
-                    return field
-                # Certified bound or trust region rejected the query:
-                # fall through to the exact backend the "auto" rule
-                # picks (rom -> amg/iterative -> direct above the node
-                # limit, rom -> direct below it).  The exact path is
-                # byte-for-byte the non-rom code below, so fallback
-                # results are bitwise identical to a plain exact model.
-                backend = exact_fallback_backend(self.grid.size)
-            amg_fallback = False
+            q = self.power_vector(block_powers) + self.boundary_rhs(flow_ml_min)
             # Dynamic two-phase anchors enter as a pure rhs delta; the
             # matrix (and every cached factor/preconditioner) is
             # untouched, and the branch is never taken on legacy paths.
             cooling = self.cooling_rhs()
-            if backend == "amg":
-                q = self.power_vector(block_powers) + self.boundary_rhs(
-                    flow_ml_min
+            if cooling is not None:
+                q = q + cooling
+            chain = STEADY_CHAINS[backend]
+            iterations: Optional[int] = None
+            amg_fallback = False
+            for tier in chain[:-1]:
+                values, rung_iterations, residual = self._krylov_rung(
+                    tier, q, flow_ml_min
                 )
-                if cooling is not None:
-                    q = q + cooling
-                values, iterations = self._steady_amg(q, flow_ml_min)
+                if rung_iterations is not None:
+                    iterations = (iterations or 0) + rung_iterations
                 if values is not None:
-                    residual = None
-                    if self.guard.residual_tolerance is not None:
-                        residual = relative_residual(
-                            self.system_matrix(flow_ml_min), values, q
-                        )
                     diagnostics = SolverDiagnostics(
                         kind="steady",
                         residual_norm=residual,
                         finite=True,
-                        method="bicgstab+amg",
-                        iterations=iterations,
-                    )
-                    self.last_steady_diagnostics = diagnostics
-                    self.steady_stats.record(diagnostics)
-                    return TemperatureField(self.grid, values)
-                # First hop of the guarded chain: the ILU tier answers
-                # exactly like a plain solver="iterative" model would.
-                self._c_fallback_amg.inc()
-                tracer.event(
-                    "amg.fallback", kind="steady", iterations=iterations
-                )
-                amg_fallback = True
-                backend = "iterative"
-            if backend == "iterative":
-                q = self.power_vector(block_powers) + self.boundary_rhs(
-                    flow_ml_min
-                )
-                if cooling is not None:
-                    q = q + cooling
-                values, iterations = self._steady_iterative(q, flow_ml_min)
-                if values is not None:
-                    residual = None
-                    if self.guard.residual_tolerance is not None:
-                        residual = relative_residual(
-                            self.system_matrix(flow_ml_min), values, q
-                        )
-                    diagnostics = SolverDiagnostics(
-                        kind="steady",
-                        residual_norm=residual,
-                        finite=True,
-                        method="bicgstab",
+                        method=_RUNG_METHODS[tier],
                         iterations=iterations,
                         fallback_to_iterative=amg_fallback,
                     )
                     self.last_steady_diagnostics = diagnostics
                     self.steady_stats.record(diagnostics)
                     return TemperatureField(self.grid, values)
-                self._c_fallback_iterative.inc()
-                tracer.event(
-                    "krylov.fallback", kind="steady", iterations=iterations
-                )
-                return self._steady_direct(
-                    q,
-                    flow_ml_min,
-                    fallback=True,
-                    iterations=iterations,
-                    amg_fallback=amg_fallback,
-                )
-            factor = self.steady_factor(flow_ml_min)
-            q = self.power_vector(block_powers) + self.boundary_rhs(flow_ml_min)
-            if cooling is not None:
-                q = q + cooling
-            return self._steady_direct(q, flow_ml_min, factor=factor)
-
-    # ------------------------------------------------------------------
-    # reduced-order fast path (solver="rom")
-    # ------------------------------------------------------------------
-
-    def ensure_rom(self):
-        """The (lazily built or store-loaded) reduced query engine.
-
-        The offline build costs seconds of exact solves per stack; with
-        a ``rom_store`` and ``rom_key`` it is paid once and the
-        serialized basis is reused by every later model of the same
-        ``model_hash``.
-        """
-        if self._rom is not None:
-            return self._rom
-        from .rom import ReducedThermalModel, RomOptions, build_rom_basis
-
-        basis = None
-        if self._rom_store is not None and self._rom_key:
-            basis = self._rom_store.get(self._rom_key)
-            if basis is not None and not basis.matches(self):
-                basis = None
-        if basis is None:
-            options = self._rom_options
-            if options is None:
-                options = RomOptions()
-            basis = build_rom_basis(self, options)
-            if self._rom_store is not None and self._rom_key:
-                self._rom_store.put(self._rom_key, basis)
-        self._rom = ReducedThermalModel(basis)
-        return self._rom
-
-    def rom_flow(
-        self, flow_ml_min: Optional[float]
-    ) -> Tuple[Optional[float], float]:
-        """Resolve a steady/transient flow request for the ROM.
-
-        Returns ``(flow, capacity_rate)``; ``flow`` is ``None`` when
-        the per-cavity flows are unequal (out of the ROM trust region)
-        while the model still has single-phase cavities.
-        """
-        if not self._flows:
-            return None, 0.0
-        flow = (
-            flow_ml_min if flow_ml_min is not None else self._uniform_flow()
-        )
-        if flow is None:
-            return None, 0.0
-        return flow, self._capacity_rate_per_row(flow)
-
-    def _steady_rom(
-        self,
-        block_powers: Dict[BlockRef, float],
-        flow_ml_min: Optional[float],
-    ) -> Optional[TemperatureField]:
-        """One certified reduced steady solve, or ``None`` to fall back."""
-        from .rom import RomRejection
-
-        tracer = get_tracer()
-        rom = self.ensure_rom()
-        packed = self.pack_powers(block_powers)
-        flow, rate = self.rom_flow(flow_ml_min)
-        try:
-            with tracer.span("rom.solve", kind="steady"):
-                if self._b_cooling is not None:
-                    # Moving saturation anchors sit outside the basis'
-                    # calibrated (static-anchor) snapshot space.
-                    raise RomRejection(
-                        "two-phase-anchor",
-                        "dynamic two-phase anchors moved the boundary "
-                        "source outside the calibrated ROM basis",
-                    )
-                if self._flows and flow is None:
-                    rom.check_flow(None)  # raises RomRejection, counted
-                values, bound = rom.steady_values(
-                    packed, flow, capacity_rate=rate if self._flows else None
-                )
-        except RomRejection as rejection:
-            self._c_rom_fallback.inc()
-            tracer.event(
-                "rom.fallback", kind="steady", reason=rejection.reason
+                counter, event = self._rung_fallbacks[tier]
+                counter.inc()
+                tracer.event(event, kind="steady", iterations=rung_iterations)
+                amg_fallback = amg_fallback or tier == "amg"
+            return self._steady_direct(
+                q,
+                flow_ml_min,
+                fallback=len(chain) > 1,
+                iterations=iterations,
+                amg_fallback=amg_fallback,
             )
-            return None
-        self.last_steady_diagnostics = SolverDiagnostics(
-            kind="steady",
-            residual_norm=bound,
-            finite=True,
-            method="rom",
-        )
-        return TemperatureField(self.grid, values)
 
     def _steady_direct(
         self,
         q: np.ndarray,
         flow_ml_min: Optional[float],
-        factor: Optional[object] = None,
         fallback: bool = False,
         iterations: Optional[int] = None,
         amg_fallback: bool = False,
     ) -> TemperatureField:
-        """The guarded direct-LU steady solve (also the Krylov fallback)."""
-        if factor is None:
-            factor = self.steady_factor(flow_ml_min)
+        """The guarded direct-LU steady solve (the chain's last rung)."""
+        factor = self.steady_factor(flow_ml_min)
         values = factor.solve(q)
         evictions = 0
         if self.guard.check_finite and not np.all(np.isfinite(values)):

@@ -45,21 +45,14 @@ from .diagnostics import (
 from ..obs.metrics import Counter, get_registry
 from ..obs.trace import get_tracer
 from .field import TemperatureField
-from .krylov import (
-    KrylovOptions,
-    KrylovSolver,
-    choose_backend,
-    exact_fallback_backend,
-)
+from .krylov import KrylovOptions, KrylovSolver, choose_backend
 from .model import (
     SPLU_OPTIONS,
     BlockRef,
     CacheInfo,
     CompactThermalModel,
     FlowSignature,
-    lu_cache_size,
 )
-from .rom import RomRejection
 
 FactorKey = Tuple[FlowSignature, float]
 """Cache key of one factorisation: ``(flow signature, dt)``."""
@@ -92,27 +85,19 @@ class TransientStepper:
         ``model.steady_state(...)``.
     max_cached_factors:
         Upper bound on retained LU factorisations (LRU eviction).
-        Defaults to 16, overridable process-wide with the
-        ``REPRO_LU_CACHE_SIZE`` environment variable (an explicit
-        argument always wins).
     guard:
         Numerical-guard configuration; defaults to the model's.
     solver:
         Backend selection (``"auto"`` / ``"direct"`` / ``"iterative"``
-        / ``"amg"`` / ``"rom"``); defaults to the model's.  The
-        ``"amg"`` steady tier shares the iterative transient path (the
-        ``C/dt`` shift already makes ILU-BiCGSTAB converge in a few
-        iterations, so a per-``(flow, dt)`` hierarchy would be wasted
-        setup).  The iterative path
-        solves ``(C/dt + A(f))`` with ILU-preconditioned BiCGSTAB
-        warm-started from the previous state — the dominant-diagonal
-        ``C/dt`` makes these systems converge in a handful of
-        iterations — and falls back to the guarded direct LU on
-        non-convergence.  The ``"rom"`` path advances a certified
-        reduced state (see :mod:`repro.thermal.rom`) and transparently
-        falls back to the exact backend — re-synchronising the reduced
-        state afterwards — whenever the error bound or trust region
-        rejects a step.
+        / ``"amg"``); defaults to the model's.  The ``"amg"`` steady
+        tier shares the iterative transient path (the ``C/dt`` shift
+        already makes ILU-BiCGSTAB converge in a few iterations, so a
+        per-``(flow, dt)`` hierarchy would be wasted setup).  The
+        iterative path solves ``(C/dt + A(f))`` with ILU-preconditioned
+        BiCGSTAB warm-started from the previous state — the
+        dominant-diagonal ``C/dt`` makes these systems converge in a
+        handful of iterations — and falls back to the guarded direct LU
+        on non-convergence.
     krylov:
         Iterative-path tuning; defaults to the model's.
 
@@ -129,14 +114,12 @@ class TransientStepper:
         model: CompactThermalModel,
         dt: float,
         initial: TemperatureField,
-        max_cached_factors: Optional[int] = None,
+        max_cached_factors: int = 16,
         guard: Optional[SolverGuard] = None,
         solver: Optional[str] = None,
         krylov: Optional[KrylovOptions] = None,
     ) -> None:
         dt = validate_positive_scalar(dt, "dt")
-        if max_cached_factors is None:
-            max_cached_factors = lu_cache_size(16)
         if max_cached_factors < 1:
             raise ValueError("cache must hold at least one factorisation")
         self.model = model
@@ -177,13 +160,7 @@ class TransientStepper:
             float(self._max_cached)
         )
         self._g_currsize = registry.gauge("thermal.transient_cache.currsize")
-        self._c_rom_steps = registry.counter("rom.transient_steps")
         self._c_over_dt = model.capacitance / self.dt
-        # Reduced-order transient state (backend "rom"): created lazily
-        # on the first rom step and invalidated whenever an exact
-        # fallback step advances the full-order state without it.
-        self._reduced = None
-        self._exact_backend: Optional[str] = None
 
     def _c_over(self, dt: float) -> np.ndarray:
         if dt == self.dt:
@@ -217,14 +194,8 @@ class TransientStepper:
 
     @property
     def backend(self) -> str:
-        """The resolved backend (``"direct"``/``"iterative"``/``"rom"``)."""
+        """The resolved backend (``"direct"``/``"iterative"``/``"amg"``)."""
         return self._backend
-
-    def _exact(self) -> str:
-        """The exact backend behind the rom tier (lazily resolved)."""
-        if self._exact_backend is None:
-            self._exact_backend = exact_fallback_backend(self.model.grid.size)
-        return self._exact_backend
 
     def factor_entry(self, dt: Optional[float] = None) -> FactorEntry:
         """The cached ``(LU factor, boundary rhs, system matrix)`` entry.
@@ -304,85 +275,10 @@ class TransientStepper:
         The fast path for callers that already hold powers in the
         model's canonical :meth:`CompactThermalModel.block_order`: the
         nodal vector is one spmv on the precomputed injection operator.
-        On the ``"rom"`` backend the step stays entirely in the reduced
-        space when the certified bound and trust region admit it;
-        rejected steps fall back to the exact path below, which is
-        byte-for-byte the non-rom code, so fallback states are bitwise
-        identical to a plain exact stepper's.
         """
-        if self._backend == "rom":
-            state = self._rom_step(packed_powers)
-            if state is not None:
-                return state
         return self.step_with_power_vector(
             self.model.power_vector_packed(packed_powers)
         )
-
-    def _rom_step(
-        self, packed_powers: np.ndarray
-    ) -> Optional[TemperatureField]:
-        """One certified reduced step, or ``None`` to fall back.
-
-        The reduced stepper is synchronised from the current full-order
-        state on first use and after every exact fallback step; its
-        certification raises *before* the reduced state is committed,
-        so a rejected step leaves both representations untouched.
-        """
-        model = self.model
-        operator = model.injection_operator()
-        if packed_powers.shape != (operator.shape[1],):
-            raise ValueError(
-                f"packed powers have shape {packed_powers.shape}, "
-                f"expected ({operator.shape[1]},)"
-            )
-        validate_finite_array(
-            packed_powers, "packed block powers", non_negative=True
-        )
-        tracer = get_tracer()
-        try:
-            rom = model.ensure_rom()
-            flow, rate = model.rom_flow(None)
-            with tracer.span("rom.solve", kind="transient"):
-                if model.cooling_rhs() is not None:
-                    # Moving saturation anchors sit outside the basis'
-                    # calibrated (static-anchor) snapshot space.
-                    raise RomRejection(
-                        "two-phase-anchor",
-                        "dynamic two-phase anchors moved the boundary "
-                        "source outside the calibrated ROM basis",
-                    )
-                if model._flows and flow is None:
-                    rom.check_flow(None)  # raises RomRejection, counted
-                reduced = self._reduced
-                if reduced is None:
-                    rom.check_flow(flow if model._flows else None)
-                    reduced = rom.stepper(self.dt, self.state.values)
-                bound = reduced.step_packed(
-                    packed_powers,
-                    flow,
-                    capacity_rate=rate if model._flows else None,
-                )
-        except RomRejection as rejection:
-            self._reduced = None
-            model._c_rom_fallback.inc()
-            tracer.event(
-                "rom.fallback", kind="transient", reason=rejection.reason
-            )
-            return None
-        self._reduced = reduced
-        self.time += self.dt
-        self.state = TemperatureField(model.grid, reduced.values(), self.time)
-        self._c_steps.inc()
-        self._c_rom_steps.inc()
-        self.last_diagnostics = SolverDiagnostics(
-            kind="transient",
-            residual_norm=bound,
-            finite=True,
-            dt=self.dt,
-            dt_effective=self.dt,
-            method="rom",
-        )
-        return self.state
 
     def _attempt(
         self, values: np.ndarray, power: np.ndarray, dt: float
@@ -397,16 +293,11 @@ class TransientStepper:
         """
         iterations: Optional[int] = None
         fell_back = False
-        backend = self._backend
         # Dynamic two-phase anchors contribute a pure rhs delta: the
         # (C/dt + A) factor caches stay valid while the saturation
         # field moves, and legacy paths never take the branch.
         cooling = self.model.cooling_rhs()
-        if backend == "rom":
-            # A rejected rom step lands here; it runs on whatever exact
-            # backend the "auto" size rule picks for this grid.
-            backend = self._exact()
-        if backend in ("iterative", "amg"):
+        if self._backend in ("iterative", "amg"):
             # The C/dt shift makes transient systems strongly
             # diagonally dominant: ILU-BiCGSTAB converges in a handful
             # of iterations, so an AMG hierarchy per (flow, dt) key
@@ -455,9 +346,6 @@ class TransientStepper:
     def step_with_power_vector(self, power: np.ndarray) -> TemperatureField:
         """Advance one guarded time step with a pre-built power vector."""
         tracer = get_tracer()
-        # Any exact step advances the full-order state past the reduced
-        # one; drop it so the next rom step re-synchronises.
-        self._reduced = None
         with tracer.span("thermal.transient_step") as span:
             state = self._guarded_step(power)
             self._c_steps.inc()
@@ -585,11 +473,6 @@ class TransientStepper:
         if duration < 0.0:
             raise ValueError("duration must be non-negative")
         steps = int(round(duration / self.dt))
-        if self._backend == "rom":
-            packed = self.model.pack_powers(block_powers)
-            for _ in range(steps):
-                self.step_packed(packed)
-            return self.state
         power = self.model.power_vector(block_powers)
         for _ in range(steps):
             self.step_with_power_vector(power)

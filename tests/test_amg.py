@@ -290,9 +290,9 @@ def test_amg_eviction_drops_the_warm_start(liquid_stack_2tier):
     powers = {ref: 2.0 for ref in model.block_order}
     for flow in range(10, 22):  # 12 distinct flow states
         model.steady_state(powers, float(flow))
-    assert len(model._steady_amg_solvers) == 8
+    assert len(model._steady_ops["amg"]) == 8
     # One warm-start vector per cached hierarchy, none for evicted ones.
-    assert model._steady_warm.keys() == model._steady_amg_solvers.keys()
+    assert model._steady_warm.keys() == model._steady_ops["amg"].keys()
 
 
 def test_amg_setup_telemetry(liquid_stack_2tier):

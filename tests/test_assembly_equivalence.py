@@ -99,3 +99,46 @@ def test_injection_matches_per_block_spreading():
         expected[cells] += powers[ref] / cells.size
     produced = model.power_vector(powers)
     np.testing.assert_allclose(produced, expected, rtol=1e-15, atol=0.0)
+
+
+def test_builder_accumulates_the_diagonal_in_input_order():
+    """Each cell's diagonal is the sequential sum of its contributions
+    in emission order, bitwise against a Python loop: float addition is
+    not associative, so any reordering of the reduction would show.
+    The reference assembly shares the builder, so only this test pins
+    the accumulation order itself."""
+    rng = np.random.default_rng(7)
+    n = 257
+    builder = ConductanceBuilder(n)
+    expected = np.zeros(n)
+    i, j = rng.integers(0, n, size=(2, 1000))
+    g = rng.normal(scale=1e3, size=1000)
+    builder.add_edges(i, j, g)
+    for endpoints in (i, j):
+        for cell, weight in zip(endpoints, g):
+            expected[cell] += weight
+    for _ in range(10):
+        cells = rng.integers(0, n, size=1000)
+        weights = rng.normal(scale=1e3, size=1000)
+        builder.add_diagonal(cells, weights)
+        for cell, weight in zip(cells, weights):
+            expected[cell] += weight
+    assert np.array_equal(builder.diagonal(), expected)  # bitwise
+
+
+def test_builder_gathers_the_nonzero_diagonal():
+    """``to_csr`` stores exactly the nonzero diagonal entries, in index
+    order, with their accumulated values; an empty builder stores none."""
+    rng = np.random.default_rng(8)
+    n = 500
+    values = np.where(rng.random(n) < 0.4, 0.0, rng.normal(size=n))
+    builder = ConductanceBuilder(n)
+    builder.add_diagonal(np.arange(n), values)
+    matrix = builder.to_csr()
+    expected = [k for k in range(n) if values[k] != 0.0]
+    assert np.array_equal(matrix.indices, expected)
+    assert np.array_equal(matrix.data, values[expected])
+    assert np.array_equal(np.diff(matrix.indptr), values != 0.0)
+    empty = ConductanceBuilder(4)
+    assert np.array_equal(empty.diagonal(), np.zeros(4))
+    assert empty.to_csr().nnz == 0

@@ -11,22 +11,18 @@ from repro.thermal.diagnostics import (
     IterativeConvergenceError,
 )
 from repro.thermal.krylov import (
-    AMG_NODE_LIMIT,
     DIRECT_NODE_LIMIT,
     SOLVER_CHOICES,
     AmgSolver,
-    amg_node_limit,
+    KrylovOptions,
     choose_backend,
     direct_node_limit,
-    exact_fallback_backend,
 )
-from repro.thermal.rom import RomOptions
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_DIRECT_NODE_LIMIT", raising=False)
-    monkeypatch.delenv("REPRO_AMG_NODE_LIMIT", raising=False)
 
 
 @pytest.mark.parametrize(
@@ -35,9 +31,8 @@ def _clean_env(monkeypatch):
         (1, "direct"),
         (DIRECT_NODE_LIMIT - 1, "direct"),
         (DIRECT_NODE_LIMIT, "direct"),
-        # AMG_NODE_LIMIT defaults to DIRECT_NODE_LIMIT, so the ILU tier
-        # has no auto window of its own: above the limit auto goes
-        # straight to the raw-speed tier.
+        # The ILU tier has no auto window of its own: above the limit
+        # auto goes straight to the raw-speed tier.
         (DIRECT_NODE_LIMIT + 1, "amg"),
         (10 * DIRECT_NODE_LIMIT, "amg"),
     ],
@@ -46,7 +41,7 @@ def test_auto_tier_pinned_at_the_node_limit(n_nodes, expected):
     assert choose_backend("auto", n_nodes) == expected
 
 
-@pytest.mark.parametrize("backend", ["direct", "iterative", "amg", "rom"])
+@pytest.mark.parametrize("backend", ["direct", "iterative", "amg"])
 @pytest.mark.parametrize("n_nodes", [1, DIRECT_NODE_LIMIT, 10**9])
 def test_explicit_requests_pass_through(backend, n_nodes):
     assert backend in SOLVER_CHOICES
@@ -57,12 +52,11 @@ def test_explicit_requests_pass_through(backend, n_nodes):
     "override,n_nodes,expected",
     [
         ("100", 100, "direct"),
-        # Between the lowered direct limit and the default AMG limit
-        # the ILU window is open.
-        ("100", 101, "iterative"),
-        ("0", 1, "iterative"),
+        # Above the lowered direct limit auto goes straight to AMG.
+        ("100", 101, "amg"),
+        ("0", 1, "amg"),
         ("0", 0, "direct"),
-        ("-5", 1, "iterative"),  # negative clamps to 0
+        ("-5", 1, "amg"),  # negative clamps to 0
         ("junk", DIRECT_NODE_LIMIT, "direct"),  # malformed -> default
         ("junk", DIRECT_NODE_LIMIT + 1, "amg"),
     ],
@@ -82,24 +76,6 @@ def test_direct_node_limit_reads_env(monkeypatch):
     assert direct_node_limit() == DIRECT_NODE_LIMIT
 
 
-def test_amg_node_limit_defaults_and_reads_env(monkeypatch):
-    assert AMG_NODE_LIMIT == DIRECT_NODE_LIMIT
-    assert amg_node_limit() == AMG_NODE_LIMIT
-    monkeypatch.setenv("REPRO_AMG_NODE_LIMIT", "123456")
-    assert amg_node_limit() == 123456
-    monkeypatch.setenv("REPRO_AMG_NODE_LIMIT", "banana")
-    assert amg_node_limit() == AMG_NODE_LIMIT
-
-
-def test_amg_node_limit_reopens_the_ilu_window(monkeypatch):
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "100")
-    monkeypatch.setenv("REPRO_AMG_NODE_LIMIT", "1000")
-    assert choose_backend("auto", 100) == "direct"
-    assert choose_backend("auto", 500) == "iterative"
-    assert choose_backend("auto", 1000) == "iterative"
-    assert choose_backend("auto", 1001) == "amg"
-
-
 def test_malformed_env_limit_is_counted(monkeypatch):
     registry = get_registry()
     start = registry.snapshot()
@@ -112,63 +88,9 @@ def test_malformed_env_limit_is_counted(monkeypatch):
     assert delta["solver.env.invalid"]["value"] >= 2
 
 
-@pytest.mark.parametrize(
-    "n_nodes,expected",
-    [
-        (DIRECT_NODE_LIMIT, "direct"),
-        (DIRECT_NODE_LIMIT + 1, "amg"),
-    ],
-)
-def test_rom_exact_fallback_follows_the_auto_rule(n_nodes, expected):
-    assert exact_fallback_backend(n_nodes) == expected
-
-
-def test_rom_exact_fallback_honours_env(monkeypatch):
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "10")
-    assert exact_fallback_backend(11) == "iterative"
-    assert exact_fallback_backend(10) == "direct"
-
-
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown solver"):
         choose_backend("quantum", 100)
-
-
-def test_rom_chain_falls_back_to_iterative_then_direct(monkeypatch):
-    """rom -> iterative -> direct: an out-of-trust rom query on a grid
-    above the (env-lowered) node limit runs the Krylov path, whose own
-    direct fallback remains behind it."""
-    stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
-    opts = RomOptions(
-        flow_points=3,
-        max_modes=24,
-        validation_queries=2,
-        transient_calibration_steps=4,
-        transient_snapshots=3,
-    )
-    model = CompactThermalModel(stack, nx=12, ny=10, solver="rom", rom=opts)
-    reference = CompactThermalModel(stack, nx=12, ny=10, solver="iterative")
-    powers = {
-        ref: 2.0 for ref in model.block_order
-    }
-    model.set_flow(5.0)  # below the trained range -> rom rejects
-    reference.set_flow(5.0)
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "1")
-    field = model.steady_state(powers)
-    assert model.last_steady_diagnostics.method == "bicgstab"
-    expected = reference.steady_state(powers)
-    assert np.array_equal(field.values, expected.values)
-
-    # With the limit back at the default the same rejected query lands
-    # on the direct LU instead.
-    monkeypatch.delenv("REPRO_DIRECT_NODE_LIMIT")
-    direct = CompactThermalModel(stack, nx=12, ny=10, solver="direct")
-    direct.set_flow(5.0)
-    field = model.steady_state(powers)
-    assert model.last_steady_diagnostics.method == "direct"
-    assert np.array_equal(
-        field.values, direct.steady_state(powers).values
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,4 +172,53 @@ def test_amg_chain_falls_back_to_iterative_then_direct(monkeypatch, failure):
     assert delta["solver.fallback.amg_to_iterative"]["value"] == 1
     assert delta["solver.fallback.iterative_to_direct"]["value"] == 1
     expected = reference.steady_state(powers)
+    assert np.array_equal(field.values, expected.values)
+
+
+# ---------------------------------------------------------------------------
+# iteration accounting across the rungs of one solve
+# ---------------------------------------------------------------------------
+
+
+def _starve(model, tier):
+    """Give the cached operator of one rung a one-iteration budget."""
+    model.steady_operator(tier).options = KrylovOptions(maxiter=1)
+
+
+def test_failed_rung_reports_its_own_iterations():
+    """A rung that fails after earlier solves at the same flow reports
+    the iterations of its failed solve, not the cumulative total of
+    its cached operator."""
+    stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
+    model = CompactThermalModel(stack, nx=12, ny=10, solver="iterative")
+    for scale in (1.0, 2.0, 3.0):
+        model.steady_state({ref: scale for ref in model.block_order})
+    before = model.steady_stats.krylov_iterations
+    assert before > 1
+    _starve(model, "iterative")
+    model.steady_state({ref: 4.0 for ref in model.block_order})
+    diagnostics = model.last_steady_diagnostics
+    assert diagnostics.method == "direct"
+    assert diagnostics.fallback_to_direct
+    assert diagnostics.iterations == 1
+    assert model.steady_stats.krylov_iterations == before + 1
+
+
+def test_accepted_solve_sums_the_iterations_of_every_rung_tried():
+    """amg fails after one iteration, ILU converges: the accepted solve
+    counts both rungs.  (On coarser grids the AMG hierarchy solves
+    almost exactly and converges within its first iteration.)"""
+    stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
+    model = CompactThermalModel(stack, nx=30, ny=30, solver="amg")
+    reference = CompactThermalModel(stack, nx=30, ny=30, solver="iterative")
+    powers = {ref: 2.0 for ref in model.block_order}
+    _starve(model, "amg")
+    field = model.steady_state(powers)
+    expected = reference.steady_state(powers)
+    diagnostics = model.last_steady_diagnostics
+    assert diagnostics.method == "bicgstab"
+    assert diagnostics.fallback_to_iterative
+    ilu_iterations = reference.last_steady_diagnostics.iterations
+    assert diagnostics.iterations == 1 + ilu_iterations
+    assert model.steady_stats.krylov_iterations == 1 + ilu_iterations
     assert np.array_equal(field.values, expected.values)

@@ -26,19 +26,17 @@ def _powers(model, seed=7):
 
 def test_choose_backend_auto_threshold(monkeypatch):
     monkeypatch.delenv("REPRO_DIRECT_NODE_LIMIT", raising=False)
-    monkeypatch.delenv("REPRO_AMG_NODE_LIMIT", raising=False)
     assert choose_backend("auto", DIRECT_NODE_LIMIT) == "direct"
-    # AMG_NODE_LIMIT defaults to DIRECT_NODE_LIMIT, so auto jumps
-    # straight to the raw-speed tier above the direct limit.
+    # Auto jumps straight to the raw-speed tier above the direct limit.
     assert choose_backend("auto", DIRECT_NODE_LIMIT + 1) == "amg"
     # Explicit requests are never overridden by the size heuristic.
     assert choose_backend("direct", 10**9) == "direct"
     assert choose_backend("iterative", 10) == "iterative"
     monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "100")
     assert direct_node_limit() == 100
-    # Lowering only the direct limit re-opens the ILU window up to the
-    # (still default) AMG limit.
-    assert choose_backend("auto", 101) == "iterative"
+    # Lowering the direct limit moves the AMG tier down with it; plain
+    # ILU is never an auto tier.
+    assert choose_backend("auto", 101) == "amg"
     # A malformed override falls back to the compiled-in limit.
     monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "junk")
     assert direct_node_limit() == DIRECT_NODE_LIMIT

@@ -206,46 +206,22 @@ def test_pack_powers_validates_and_accumulates():
 
 
 # ---------------------------------------------------------------------------
-# configurable LU cache sizes (REPRO_LU_CACHE_SIZE)
+# configurable LU cache sizes
 # ---------------------------------------------------------------------------
 
 
-def test_lu_cache_size_env_overrides_defaults(monkeypatch):
+def test_lu_cache_size_explicit_argument_wins():
     from repro.obs.metrics import get_registry
-    from repro.thermal.model import LU_CACHE_SIZE_ENV, lu_cache_size
 
-    monkeypatch.delenv(LU_CACHE_SIZE_ENV, raising=False)
-    assert lu_cache_size(8) == 8
-    monkeypatch.setenv(LU_CACHE_SIZE_ENV, "3")
-    assert lu_cache_size(8) == 3 and lu_cache_size(16) == 3
-
-    model = _model()
-    assert model.steady_cache_info().maxsize == 3
-    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
-    assert stepper.cache_info().maxsize == 3
-    registry = get_registry()
-    assert registry.gauge("thermal.steady_cache.maxsize").value == 3
-    assert registry.gauge("thermal.transient_cache.maxsize").value == 3
-
-
-def test_lu_cache_size_explicit_argument_wins(monkeypatch):
-    from repro.thermal.model import LU_CACHE_SIZE_ENV
-
-    monkeypatch.setenv(LU_CACHE_SIZE_ENV, "3")
     model = _model(max_steady_factors=5)
     assert model.steady_cache_info().maxsize == 5
     stepper = TransientStepper(
         model, 0.1, model.uniform_field(300.0), max_cached_factors=7
     )
     assert stepper.cache_info().maxsize == 7
-
-
-@pytest.mark.parametrize("raw", ["0", "-2", "junk", ""])
-def test_lu_cache_size_rejects_bad_env(monkeypatch, raw):
-    from repro.thermal.model import LU_CACHE_SIZE_ENV, lu_cache_size
-
-    monkeypatch.setenv(LU_CACHE_SIZE_ENV, raw)
-    assert lu_cache_size(8) == 8
+    registry = get_registry()
+    assert registry.gauge("thermal.steady_cache.maxsize").value == 5
+    assert registry.gauge("thermal.transient_cache.maxsize").value == 7
 
 
 def test_cache_occupancy_gauges_track_inserts_and_evictions():

@@ -218,6 +218,32 @@ def test_scenario_error_is_value_error():
     assert issubclass(ScenarioError, ValueError)
 
 
+def test_rom_backend_spec_fails_loudly(tmp_path):
+    """Specs written for the removed reduced-order backend must not run
+    on some other backend: parsing and ``repro run`` both name the
+    field."""
+    from repro.cli import main
+
+    data = _scenario().to_dict()
+    data["solver"]["backend"] = "rom"
+    message = r"scenario\.solver\.backend: unknown value 'rom'; choose from"
+    with pytest.raises(ScenarioError, match=message):
+        Scenario.from_dict(data)
+    spec = tmp_path / "rom.json"
+    spec.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match=message):
+        main(["run", str(spec)])
+
+
+def test_rom_options_block_fails_loudly():
+    data = _scenario().to_dict()
+    data["solver"]["rom"] = {"modes": 64}
+    with pytest.raises(
+        ScenarioError, match=r"scenario\.solver\.rom: unknown field"
+    ):
+        Scenario.from_dict(data)
+
+
 # -- cross-field validation -------------------------------------------------
 
 
