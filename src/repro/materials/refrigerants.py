@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from scipy.optimize import brentq
-
 UNIVERSAL_GAS_CONSTANT = 8.314462618
 """Molar gas constant [J/(mol K)]."""
 
@@ -58,6 +56,11 @@ def fit_antoine(
     tuple
         ``(A, B, C)`` such that ``log10(P[bar]) = A - B / (T + C)`` passes
         exactly through all three points.
+
+    Three points fix ``C`` in closed form: with ``y = log10(P)`` and
+    ``r = (y1 - y2) / (y1 - y3)``, the form gives
+    ``r = (t1 - t2)(t3 + C) / ((t1 - t3)(t2 + C))``, which is linear in
+    ``C``.
     """
     if len(points) != 3:
         raise ValueError("exactly three anchor points are required")
@@ -67,15 +70,18 @@ def fit_antoine(
     if min(p1, p2, p3) <= 0.0:
         raise ValueError("anchor pressures must be positive")
     y1, y2, y3 = (math.log10(p) for p in (p1, p2, p3))
-
-    def residual(c: float) -> float:
-        lhs = (y1 - y2) * (1.0 / (t3 + c) - 1.0 / (t1 + c))
-        rhs = (y1 - y3) * (1.0 / (t2 + c) - 1.0 / (t1 + c))
-        return lhs - rhs
-
-    lo = -t1 + 1.0
-    hi = 300.0
-    c = brentq(residual, lo, hi, xtol=1e-10)
+    if y1 == y3:
+        raise ValueError("anchor points admit no Antoine fit")
+    r = (y1 - y2) / (y1 - y3)
+    denominator = r * (t1 - t3) - (t1 - t2)
+    if denominator == 0.0:
+        raise ValueError("anchor points admit no Antoine fit")
+    c = ((t1 - t2) * t3 - r * (t1 - t3) * t2) / denominator
+    if t1 + c <= 0.0:
+        raise ValueError(
+            f"Antoine fit puts the pole at T = {-c:.6g} K, above the "
+            "lowest anchor"
+        )
     b = (y1 - y2) / (1.0 / (t2 + c) - 1.0 / (t1 + c))
     a = y1 + b / (t1 + c)
     return a, b, c

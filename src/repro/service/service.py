@@ -1,10 +1,16 @@
 """The scenario-job service: store + supervisor + protocol, one loop.
 
 ``repro serve --root DIR`` runs one :class:`ScenarioJobService`.  The
-asyncio loop does three things: answer protocol requests, tick the
+asyncio loop does three things: answer protocol requests, drive the
 supervisor (reap finished workers, dispatch pending jobs), and react
 to signals — SIGTERM/SIGINT trigger a graceful drain (finish in-flight
 jobs, re-enqueue the rest through the WAL) and a clean exit 0.
+
+The supervisor runs on events: a submit or cancel, a message or EOF
+on a worker's result pipe, and the end of a retry's backoff each wake
+the loop at once.  The ``poll_interval_s`` tick is left for what only a
+clock can see: stale heartbeats, per-job deadlines, breaker cooldowns,
+gauges and metric samples.
 
 Durability is layered beneath: every accepted job is in the
 :class:`~repro.service.jobs.JobStore`'s WAL before the submit response
@@ -140,10 +146,10 @@ class ScenarioJobService:
         self.drain_timeout_s = float(drain_timeout_s)
         self.started_at = time.time()
         # The asyncio.Event is created inside serve() (py3.9 binds an
-        # Event to the loop current at construction); this flag covers
-        # stop requests that arrive before the loop exists.
+        # Event to the loop current at construction); the flag also
+        # covers stop requests that arrive before the loop exists.
         self._stop_requested = False
-        self._stop: Optional[asyncio.Event] = None
+        self._wake: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server = ProtocolServer(self.address, self.handle_request)
         self._thread: Optional[threading.Thread] = None
@@ -155,13 +161,18 @@ class ScenarioJobService:
         self._c_requests.inc()
         op = request.get("op")
         if op == "submit":
-            return self._op_submit(request)
+            response = self._op_submit(request)
+            if response.get("disposition") == "new":
+                self._wake_loop()
+            return response
         if op == "status":
             return {"ok": True, "job": self._job_view(request)}
         if op == "result":
             return self._op_result(request)
         if op == "cancel":
-            return self._op_cancel(request)
+            response = self._op_cancel(request)
+            self._wake_loop()  # a killed worker frees its slot
+            return response
         if op == "jobs":
             return {
                 "ok": True,
@@ -392,14 +403,28 @@ class ScenarioJobService:
         if (
             self._loop is not None
             and self._loop.is_running()
-            and self._stop is not None
+            and self._wake is not None
         ):
-            self._loop.call_soon_threadsafe(self._stop.set)
+            self._loop.call_soon_threadsafe(self._wake.set)
+
+    def _wake_loop(self) -> None:
+        """Run a supervision pass soon (called on the loop thread)."""
+        if self._wake is not None:
+            self._wake.set()
+
+    def _hook_supervisor(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Point the supervisor's event hooks at this loop."""
+        wake = self._wake.set
+        self.supervisor.watch = lambda fd: loop.add_reader(fd, wake)
+        self.supervisor.unwatch = loop.remove_reader
+        self.supervisor.wake_at = lambda t: loop.call_later(
+            max(0.0, t - time.monotonic()), wake
+        )
 
     def _install_signal_handlers(self, loop) -> None:
         try:
-            loop.add_signal_handler(signal.SIGTERM, self._stop.set)
-            loop.add_signal_handler(signal.SIGINT, self._stop.set)
+            loop.add_signal_handler(signal.SIGTERM, self.request_stop)
+            loop.add_signal_handler(signal.SIGINT, self.request_stop)
         except (NotImplementedError, RuntimeError, ValueError):
             # Not the main thread (tests) or an exotic platform; the
             # service is still stoppable through request_stop().
@@ -408,10 +433,9 @@ class ScenarioJobService:
     async def serve(self) -> None:
         """Run until stopped; drains gracefully on SIGTERM/SIGINT."""
         self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        if self._stop_requested:
-            self._stop.set()
+        self._wake = asyncio.Event()
         self._install_signal_handlers(self._loop)
+        self._hook_supervisor(self._loop)
         await self._server.start()
         # The always-on event log: every span/event the service emits
         # or ingests (including worker telemetry stitched per job) goes
@@ -431,12 +455,21 @@ class ScenarioJobService:
             requeued=self.store.recovery.requeued,
         )
         try:
-            while not self._stop.is_set():
-                self.supervisor.tick()
-                self._sample_metrics()
+            next_tick = time.monotonic()
+            while not self._stop_requested:
+                self._wake.clear()
+                self.supervisor.poll()
+                self.supervisor.dispatch_pending()
+                now = time.monotonic()
+                if now >= next_tick:
+                    # Only a clock sees these; a burst of events must
+                    # not rescan the job table once per event.
+                    self.supervisor.update_gauges()
+                    self._sample_metrics()
+                    next_tick = now + self.poll_interval_s
                 try:
                     await asyncio.wait_for(
-                        self._stop.wait(), timeout=self.poll_interval_s
+                        self._wake.wait(), timeout=next_tick - now
                     )
                 except asyncio.TimeoutError:
                     pass

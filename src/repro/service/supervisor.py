@@ -30,6 +30,13 @@ Failure policy, in order of escalation:
 let in-flight jobs finish (bounded), re-enqueue whatever could not —
 the WAL already holds every pending job, so "checkpoint the rest" is
 free.
+
+The supervisor needs no event loop: :meth:`Supervisor.tick` called on
+a clock finds every outcome by polling.  A loop that wants to react to
+events instead sets the hooks ``watch``/``unwatch`` (a worker's result
+pipe, at dispatch and at reap) and ``wake_at`` (a retry's backoff end)
+and runs :meth:`Supervisor.poll` and :meth:`Supervisor.dispatch_pending`
+whenever one fires (DESIGN.md section 13).
 """
 
 from __future__ import annotations
@@ -37,11 +44,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..analysis.sweep import jittered_delay
 from ..obs import capture_telemetry, is_obs_payload
@@ -65,6 +73,10 @@ HEARTBEAT_INTERVAL_S = 0.2
 
 TEST_DELAY_ENV = "REPRO_SERVICE_TEST_DELAY_S"
 """Chaos hook: seconds a worker sleeps before solving (see tests/chaos.py)."""
+
+EXIT_GRACE_S = 1.0
+"""Seconds a worker gets to exit, after its outcome or a terminate,
+before it is killed."""
 
 
 def scenario_class(scenario: Scenario) -> str:
@@ -119,6 +131,12 @@ def worker_main(
     collapsed stacks there; hot frames ride back in the ``done``
     message.
     """
+    # A forked worker inherits the service loop's signal set-up: a
+    # no-op SIGTERM handler, and the wakeup fd through which that loop
+    # learns of signals.  Undo both, so terminate() ends the worker and
+    # a signal sent to the worker never stops the service.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     send_lock = threading.Lock()
     stop = threading.Event()
     if trace_id:
@@ -311,6 +329,10 @@ class _Running:
     # must cover the worker's whole run, not the parent's bookkeeping.
     started_wall: float = 0.0
     outcome: Optional[dict] = None
+    # The outcome is journaled; the worker may still be exiting.
+    journaled: bool = False
+    # The worker closed its end of the pipe: it has exited or is exiting.
+    eof: bool = False
 
 
 @dataclass
@@ -321,12 +343,22 @@ class DrainReport:
     requeued: List[str] = field(default_factory=list)
 
 
+def _ignore(_value: float) -> None:
+    """Default event hook: without a loop, :meth:`Supervisor.tick` polls."""
+
+
 class Supervisor:
     """Drive the worker pool over a :class:`JobStore`'s queue.
 
-    Single-threaded asyncio: :meth:`tick` (dispatch + poll) is called
-    from the service loop, so every store mutation happens on the loop
-    thread and the WAL sees a serialised history.
+    Single-threaded: :meth:`poll` and :meth:`dispatch_pending` are
+    called from the service loop, so every store mutation happens on
+    the loop thread and the WAL sees a serialised history.
+
+    Event hooks (no-ops until a loop sets them): ``watch(fd)`` and
+    ``unwatch(fd)`` receive each worker's result-pipe descriptor at
+    dispatch and at reap, ``wake_at(t)`` the ``time.monotonic()``
+    instant a retry's backoff ends.  The loop wakes on them and calls
+    :meth:`poll` then :meth:`dispatch_pending`.
     """
 
     def __init__(
@@ -356,6 +388,9 @@ class Supervisor:
         self.draining = False
         self._running: Dict[str, _Running] = {}
         self._not_before: Dict[str, float] = {}
+        self.watch: Callable[[int], None] = _ignore
+        self.unwatch: Callable[[int], None] = _ignore
+        self.wake_at: Callable[[float], None] = _ignore
         self._context = multiprocessing.get_context()
         registry = get_registry()
         self._c_dispatched = registry.counter("service.jobs.dispatched")
@@ -401,6 +436,8 @@ class Supervisor:
         )
         process.start()
         child_conn.close()
+        self.watch(parent_conn.fileno())
+        self._not_before.pop(job.job_id, None)
         self.store.jobs[job.job_id].worker_pid = process.pid
         now = time.monotonic()
         self._running[job.job_id] = _Running(
@@ -431,7 +468,7 @@ class Supervisor:
 
     def dispatch_pending(self) -> int:
         """Start as many eligible pending jobs as free slots allow."""
-        if self.draining:
+        if self.draining or len(self._running) >= self.max_workers:
             return 0
         started = 0
         now = time.monotonic()
@@ -440,6 +477,8 @@ class Supervisor:
                 break
             if self._not_before.get(job.job_id, 0.0) > now:
                 continue
+            if job.job_id in self._running:
+                continue  # the failed attempt's worker is still exiting
             if not self.breaker.allow(scenario_class(job.scenario)):
                 continue
             self._dispatch(job)
@@ -455,6 +494,7 @@ class Supervisor:
                     return
                 message = handle.conn.recv()
             except (EOFError, BrokenPipeError, OSError):
+                handle.eof = True
                 return
             kind = message.get("kind")
             if kind == "hb":
@@ -467,20 +507,24 @@ class Supervisor:
                 handle.last_heartbeat = time.monotonic()
                 handle.last_heartbeat_wall = time.time()
 
-    def _reap(self, handle: _Running) -> None:
+    def _reap(self, handle: _Running) -> Optional[int]:
+        """Close the pipe, join (or kill) the worker; returns its exit code."""
+        self.unwatch(handle.conn.fileno())
         try:
             handle.conn.close()
         except OSError:
             pass
-        handle.process.join(timeout=1.0)
+        handle.process.join(timeout=EXIT_GRACE_S)
         if handle.process.is_alive():
             handle.process.kill()
-            handle.process.join(timeout=1.0)
+            handle.process.join(timeout=EXIT_GRACE_S)
+        exitcode = handle.process.exitcode
         try:
             handle.process.close()
         except (ValueError, AttributeError):
             pass
         del self._running[handle.job_id]
+        return exitcode
 
     def _kill(self, handle: _Running) -> None:
         try:
@@ -491,10 +535,10 @@ class Supervisor:
 
     def _schedule_retry(self, job: Job) -> None:
         self._c_retries.inc()
-        self._not_before[job.job_id] = time.monotonic() + self.retry.delay(
-            job.attempts, self.rng
-        )
+        not_before = time.monotonic() + self.retry.delay(job.attempts, self.rng)
+        self._not_before[job.job_id] = not_before
         self.store.transition(job.job_id, JobState.PENDING)
+        self.wake_at(not_before)
 
     def _finish_success(self, handle: _Running, outcome: dict) -> None:
         job = self.store.jobs[handle.job_id]
@@ -551,15 +595,12 @@ class Supervisor:
             if self.watchdog is not None:
                 self.watchdog.observe(backend, solve_wall)
         self.breaker.record_success(scenario_class(job.scenario))
-        self._reap(handle)
         self.store.transition(job.job_id, JobState.DONE)
-        self._not_before.pop(job.job_id, None)
         self._c_done.inc()
 
     def _finish_error(self, handle: _Running, outcome: dict) -> None:
         job = self.store.jobs[handle.job_id]
         error = f"{outcome.get('error_type')}: {outcome.get('message')}"
-        self._reap(handle)
         if job.attempts >= self.retry.max_attempts:
             self._c_failed.inc()
             self.store.transition(job.job_id, JobState.FAILED, error=error)
@@ -586,9 +627,11 @@ class Supervisor:
             pid=job.worker_pid,
         )
 
-    def _finish_death(self, handle: _Running, reason: str) -> None:
+    def _finish_death(self, handle: _Running) -> None:
+        """The worker closed its pipe or exited without an outcome."""
         job = self.store.jobs[handle.job_id]
         key = scenario_class(job.scenario)
+        reason = f"exitcode {self._reap(handle)}"
         self._c_worker_deaths.inc()
         self.breaker.record_death(key)
         get_tracer().event(
@@ -598,7 +641,6 @@ class Supervisor:
             scenario_class=key,
         )
         self._emit_worker_killed(handle, job, reason)
-        self._reap(handle)
         if job.attempts >= self.retry.max_attempts:
             self._c_quarantined.inc()
             self.store.transition(
@@ -626,26 +668,28 @@ class Supervisor:
         now = time.monotonic()
         for handle in list(self._running.values()):
             self._drain_messages(handle)
-            if handle.outcome is not None:
-                if handle.outcome.get("kind") == "done":
-                    self._finish_success(handle, handle.outcome)
-                else:
-                    self._finish_error(handle, handle.outcome)
-                continue
-            if not handle.process.is_alive():
+            alive = handle.process.is_alive()
+            if handle.outcome is None and not alive:
                 # One last look: the worker may have sent its outcome
                 # between the drain above and its exit.
                 self._drain_messages(handle)
-                if handle.outcome is not None:
+            if handle.outcome is not None:
+                if not handle.journaled:
                     if handle.outcome.get("kind") == "done":
                         self._finish_success(handle, handle.outcome)
                     else:
                         self._finish_error(handle, handle.outcome)
-                else:
-                    self._finish_death(
-                        handle,
-                        f"exitcode {handle.process.exitcode}",
-                    )
+                    handle.journaled = True
+                # The outcome is journaled on its message; the worker
+                # is joined once its pipe reports EOF, so the loop does
+                # not wait on its exit.
+                if handle.eof or not alive:
+                    self._reap(handle)
+                elif now - handle.last_heartbeat > EXIT_GRACE_S:
+                    self._kill(handle)
+                continue
+            if handle.eof or not alive:
+                self._finish_death(handle)
                 continue
             if (
                 self.timeout_s is not None
@@ -664,7 +708,7 @@ class Supervisor:
                 )
 
     def tick(self) -> None:
-        """One service-loop step: reap finished work, start new work."""
+        """One clock-driven pass: reap finished work, start new work."""
         self.poll()
         self.dispatch_pending()
         self.update_gauges()

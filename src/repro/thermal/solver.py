@@ -308,8 +308,15 @@ class TransientStepper:
                 rhs = self._c_over(dt) * values + power + boundary
                 if cooling is not None:
                     rhs = rhs + cooling
+                before = solver.iterations_total
                 solution, iterations = solver.solve(rhs, x0=values)
-            except (FactorizationError, IterativeConvergenceError):
+            except FactorizationError:
+                self._evict_krylov(dt)
+                fell_back = True
+            except IterativeConvergenceError:
+                # The failed rung's own work counts, as in the steady
+                # chain's Krylov rung.
+                iterations = solver.iterations_total - before
                 self._evict_krylov(dt)
                 fell_back = True
             else:

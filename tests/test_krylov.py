@@ -141,3 +141,25 @@ def test_transient_nonconvergence_falls_back_to_direct():
     starved.step_packed(packed)
     assert starved.stats.fallbacks_to_direct >= 1
     assert np.array_equal(starved.state.values, reference.state.values)
+
+
+def test_failed_transient_rung_reports_its_own_iterations():
+    model = CompactThermalModel(build_3d_mpsoc(2), nx=12, ny=10)
+    powers = _powers(model)
+    initial = model.steady_state(powers)
+    packed = model.pack_powers({ref: p * 2.0 for ref, p in powers.items()})
+    stepper = TransientStepper(model, 0.1, initial, solver="iterative")
+    stepper.step_packed(packed)
+    first = stepper.last_diagnostics.iterations
+    assert first > 1
+    assert stepper.stats.krylov_iterations == first
+    # Starve the cached operator: one sweep cannot reach rtol=1e-14, so
+    # the step falls back to LU after exactly one iteration of its own.
+    ((solver, _),) = stepper._krylov.values()
+    solver.options = KrylovOptions(maxiter=1, rtol=1e-14)
+    stepper.step_packed(packed)
+    diagnostics = stepper.last_diagnostics
+    assert diagnostics.fallback_to_direct
+    assert diagnostics.method == "direct"
+    assert diagnostics.iterations == 1
+    assert stepper.stats.krylov_iterations == first + 1

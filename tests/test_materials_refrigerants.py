@@ -1,6 +1,10 @@
 """Refrigerant saturation-property correlations."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +98,51 @@ def test_fit_antoine_rejects_bad_input():
         fit_antoine(((300.0, 1.0), (290.0, 2.0), (310.0, 3.0)))
     with pytest.raises(ValueError):
         fit_antoine(((300.0, 1.0), (310.0, 2.0)))
+    with pytest.raises(ValueError, match="no Antoine fit"):
+        fit_antoine(((300.0, 1.0), (310.0, 2.0), (320.0, 1.0)))
+    # Exact points of log10(P) = 1 - 1 / (T - 305): the pole sits
+    # between the first two anchors.
+    pole = tuple(
+        (t, 10.0 ** (1.0 - 1.0 / (t - 305.0))) for t in (300.0, 310.0, 320.0)
+    )
+    with pytest.raises(ValueError, match="pole"):
+        fit_antoine(pole)
+
+
+@pytest.mark.parametrize("refrigerant", list(REFRIGERANTS.values()))
+def test_closed_form_antoine_matches_a_bracketed_root(refrigerant):
+    from scipy.optimize import brentq
+
+    (t1, p1), (t2, p2), (t3, p3) = refrigerant.saturation_anchors
+    y1, y2, y3 = (math.log10(p) for p in (p1, p2, p3))
+
+    def residual(c):
+        return (y1 - y2) * (1.0 / (t3 + c) - 1.0 / (t1 + c)) - (y1 - y3) * (
+            1.0 / (t2 + c) - 1.0 / (t1 + c)
+        )
+
+    root = brentq(residual, -t1 + 1.0, 300.0, xtol=1e-12)
+    _, _, c = fit_antoine(refrigerant.saturation_anchors)
+    assert c == pytest.approx(root, abs=1e-9)
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # The refrigerant constants are fitted at import; a root finder
+    # there would load scipy.optimize for every `repro submit`.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, repro.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_out_of_range_temperature_rejected():
