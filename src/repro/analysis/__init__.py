@@ -6,8 +6,6 @@ from .sweep import (
     JobFailure,
     SteadyCase,
     SteadySweep,
-    SharedJobRef,
-    SharedSweepPayload,
     SimulationJob,
     SweepOutcome,
     TransientSweep,
@@ -17,7 +15,6 @@ from .sweep import (
     resilient_fan_out,
     run_simulations,
     run_simulations_resilient,
-    run_simulations_shared,
 )
 from .reliability import (
     ThermalCycle,
@@ -35,8 +32,6 @@ __all__ = [
     "JobFailure",
     "SteadyCase",
     "SteadySweep",
-    "SharedJobRef",
-    "SharedSweepPayload",
     "SimulationJob",
     "SweepOutcome",
     "TransientSweep",
@@ -46,7 +41,6 @@ __all__ = [
     "resilient_fan_out",
     "run_simulations",
     "run_simulations_resilient",
-    "run_simulations_shared",
     "PAPER_CLAIMS",
     "Claim",
     "within_band",

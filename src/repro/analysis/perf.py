@@ -94,21 +94,16 @@ def bench_transient_sweep(
 
 
 def bench_fanout_setup(n_jobs: int = 6) -> Dict[str, float]:
-    """Per-job setup overhead: plain jobs vs the shared-payload path.
+    """Per-job setup overhead: a fresh model per job vs the sweep's shared one.
 
-    Plain :func:`repro.analysis.sweep.run_simulations` pays one job
-    pickle round-trip plus a full thermal-model assembly per job; the
-    shared path ships an index triple and reuses the worker's cached
-    model.  Measured in-process (the costs are identical inside pool
-    workers) over jobs at the default grid resolution.
+    "plain" is what a job costs without model sharing, as in a spawn
+    worker: one pickle round-trip of the job plus a full thermal-model
+    assembly.  "shared" is what a simulation sweep pays per job, serial
+    or in a fork worker: the job arrives without pickling and reuses
+    the one model the sweep assembled for its stack and grid.  Measured
+    in-process over jobs at the default grid resolution.
     """
-    from repro.analysis.sweep import (
-        SimulationJob,
-        _build_shared_payload,
-        _clear_shared_payload,
-        _install_shared_payload,
-        _resolve_shared_simulator,
-    )
+    from repro.analysis.sweep import SimulationJob, _SweepModels
 
     policy = next(p for p in paper_policies() if p.name == "LC_LB")
     stack = build_3d_mpsoc(2, policy.cooling)
@@ -118,28 +113,23 @@ def bench_fanout_setup(n_jobs: int = 6) -> Dict[str, float]:
         for index in range(n_jobs)
     ]
 
-    def plain_setup(job: SimulationJob) -> SystemSimulator:
-        clone = pickle.loads(pickle.dumps(job))
+    def setup(job: SimulationJob, model=None) -> SystemSimulator:
         return SystemSimulator(
-            clone.stack, clone.policy, clone.trace, **clone.kwargs
+            job.stack, job.policy, job.trace, model=model, **job.kwargs
         )
 
-    plain_setup(jobs[0])  # warm imports and lazy grid caches
+    setup(jobs[0])  # warm imports and lazy grid caches
     start = time.perf_counter()
     for job in jobs:
-        plain_setup(job)
+        setup(pickle.loads(pickle.dumps(job)))
     plain_ms = (time.perf_counter() - start) / n_jobs * 1e3
 
-    payload, refs = _build_shared_payload(jobs)
-    _install_shared_payload(payload)
-    try:
-        _resolve_shared_simulator(refs[0])  # one assembly, then cached
-        start = time.perf_counter()
-        for ref in refs:
-            _resolve_shared_simulator(pickle.loads(pickle.dumps(ref)))
-        shared_ms = (time.perf_counter() - start) / n_jobs * 1e3
-    finally:
-        _clear_shared_payload()
+    models = _SweepModels(jobs[:1] + jobs, None)
+    setup(jobs[0], models.model(jobs[0]))  # one assembly, then shared
+    start = time.perf_counter()
+    for job in jobs:
+        setup(job, models.model(job))
+    shared_ms = (time.perf_counter() - start) / n_jobs * 1e3
     return {
         "fanout_setup_plain_ms": plain_ms,
         "fanout_setup_shared_ms": shared_ms,

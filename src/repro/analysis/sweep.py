@@ -1,6 +1,6 @@
 """Reusable sweep engine for design-space and policy studies.
 
-Three layers, from cheapest to heaviest:
+The layers, from cheapest to heaviest:
 
 * :class:`SteadySweep` — batched steady-state solves over one thermal
   model.  Cases are grouped by flow state so each distinct ``A(f)`` is
@@ -14,48 +14,39 @@ Three layers, from cheapest to heaviest:
   batched power injection and one multi-right-hand-side triangular
   solve; the trajectories are bitwise identical to per-trace
   :meth:`~repro.thermal.solver.TransientStepper.step_packed` loops.
-* :func:`fan_out` — map a function over independent design points,
-  serially by default or across a ``concurrent.futures`` process pool.
-* :class:`SimulationJob` / :func:`run_simulations` — closed-loop
-  :class:`~repro.core.simulator.SystemSimulator` runs as picklable
-  jobs, fanned out with the same helper.  Every (stack, policy,
-  workload) combination is independent, which is what makes the
-  benchmark grids embarrassingly parallel.  A job is either a bundle
-  of live objects (legacy) or a declarative
-  :class:`~repro.scenario.Scenario` — every fan-out below accepts
-  scenarios (or bare :class:`Scenario` instances) directly, and
-  scenario-backed jobs can be served from the hash-keyed on-disk
-  result cache (``cache_dir=...``) so repeated sweep points are never
-  recomputed.
+* One job engine for independent work items:
+  :func:`resilient_fan_out` runs them serially or each in a worker
+  process of its own, with retries, per-job timeouts and crash
+  isolation; :func:`fan_out` is its strict form, which raises on the
+  first failure.
+* :class:`SimulationJob` / :func:`run_simulations` /
+  :func:`run_simulations_resilient` — closed-loop
+  :class:`~repro.core.simulator.SystemSimulator` runs as jobs of that
+  engine.  Every (stack, policy, workload) combination is
+  independent, which is what makes the benchmark grids embarrassingly
+  parallel.  A job is either a bundle of live objects (legacy) or a
+  declarative :class:`~repro.scenario.Scenario`; scenario-backed jobs
+  can be served from the hash-keyed on-disk result cache
+  (``cache_dir=...``) so repeated sweep points are never recomputed.
 
-Process pools pay a fork + pickle cost per job, so they only win when
-each job runs for seconds (closed-loop simulations, fine-grid steady
-maps) — the benchmark harness keeps them opt-in via
-``REPRO_BENCH_PROCESSES``.  :func:`run_simulations_shared` removes
-most of that tax: job components are deduplicated into one
-:class:`SharedSweepPayload` that workers share zero-copy (fork
-inheritance, with a ``multiprocessing.shared_memory`` fallback for
-spawn platforms), and each worker reuses one cached thermal model per
-stack instead of assembling per job.
+A worker process costs a fork per job, so processes only win when each
+job runs for seconds (closed-loop simulations, fine-grid steady maps)
+— the benchmark harness keeps them opt-in via ``REPRO_BENCH_PROCESSES``.
+Under the fork start method workers inherit the job list, so nothing
+is pickled on the way in, and a simulation sweep assembles each
+thermal model that two or more jobs need once, in the parent, for
+every worker to share copy-on-write.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-import random as _random
-import struct
 import time as _time
-import traceback as _traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
+from multiprocessing import connection
 from pathlib import Path
 from typing import (
     Callable,
@@ -85,7 +76,7 @@ from ..obs import capture_telemetry, is_obs_payload
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
-from ..scenario.runner import Runner, build_model, build_simulator
+from ..scenario.runner import Runner, build_model
 from ..scenario.spec import Scenario
 from ..thermal.diagnostics import (
     SolverGuard,
@@ -95,6 +86,7 @@ from ..thermal.diagnostics import (
 from ..thermal.field import TemperatureField
 from ..thermal.model import BlockRef, CompactThermalModel
 from ..thermal.solver import TransientStepper
+from ..workers import jittered_delay, reap_worker, render_traceback, start_worker
 from ..workload.traces import WorkloadTrace
 
 T = TypeVar("T")
@@ -386,26 +378,29 @@ def fan_out(
     items: Iterable[T],
     processes: Optional[int] = None,
 ) -> List[R]:
-    """Apply ``fn`` to every item, optionally across worker processes.
+    """Apply ``fn`` to every item, optionally in worker processes.
+
+    The strict form of :func:`resilient_fan_out`: no retries, and the
+    first job that fails raises, with its own exception when it raised
+    one, or a ``RuntimeError`` naming the job when its worker died.
 
     Parameters
     ----------
     fn:
-        A picklable (module-level) callable when ``processes`` is used.
+        A module-level callable when ``processes`` is used, so that a
+        spawn worker can import it by name.
     items:
         The independent work items.
     processes:
-        ``None``, 0 or 1 run serially in-process; larger values spawn a
-        ``ProcessPoolExecutor`` with that many workers.
+        ``None``, 0 or 1 run serially in-process; larger values run
+        each item in a worker process of its own, at most
+        ``processes`` at a time.
 
     Results are returned in item order either way, so callers can
     toggle parallelism without touching downstream code.
     """
-    work = list(items)
-    if processes is None or processes <= 1:
-        return [fn(item) for item in work]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(fn, work))
+    outcome = _Sweep(fn, list(items), strict=True).run(processes)
+    return [value for _, value in outcome.results]
 
 
 @dataclass
@@ -417,8 +412,8 @@ class SimulationJob:
 
     * **scenario-backed** (preferred): ``scenario`` holds a declarative
       :class:`~repro.scenario.Scenario`; the stack, policy, trace,
-      thermal model and fault set are built fresh in the worker and the
-      run can be served from the hash-keyed result cache.
+      thermal model and fault set are built from it and the run can be
+      served from the hash-keyed result cache.
     * **legacy objects**: ``stack``/``policy``/``trace`` carry live
       instances and ``kwargs`` are forwarded to
       :class:`SystemSimulator` (grid resolution, control period, ...).
@@ -465,15 +460,20 @@ class SimulationJob:
         return cls(scenario=scenario, key=key)
 
     def run(
-        self, cache: Optional[ResultCache] = None
+        self,
+        cache: Optional[ResultCache] = None,
+        model: Optional[CompactThermalModel] = None,
     ) -> SimulationResult:
-        """Execute the job (scenario jobs may hit the result cache)."""
+        """Execute the job (scenario jobs may hit the result cache).
+
+        ``model`` is a pre-assembled thermal model of the job's stack
+        and grid to run on; without one the run assembles its own.  A
+        ``model`` in a legacy job's ``kwargs`` takes precedence.
+        """
         if self.scenario is not None:
-            return Runner(self.scenario, cache=cache).run()
-        simulator = SystemSimulator(
-            self.stack, self.policy, self.trace, **self.kwargs
-        )
-        return simulator.run()
+            return Runner(self.scenario, model=model, cache=cache).run()
+        kwargs = {"model": model, **self.kwargs}
+        return SystemSimulator(self.stack, self.policy, self.trace, **kwargs).run()
 
 
 JobLike = Union[SimulationJob, Scenario]
@@ -489,37 +489,91 @@ def _coerce_jobs(jobs: Sequence[JobLike]) -> List[SimulationJob]:
     ]
 
 
-def _annotate_job_exception(exc: BaseException, start: float) -> None:
-    """Stamp wall time (and keep any span stamp) onto a dying job's error.
+class _SweepModels:
+    """The thermal models one simulation sweep shares between its jobs.
 
-    ``BaseException.__dict__`` travels with the pickle, so these
-    attributes survive the hop back from a pool worker and feed the
-    :class:`JobFailure` timing fields.
+    Jobs need the same model when they share a
+    :meth:`Scenario.model_hash`, or a stack object and grid (legacy
+    jobs; the job list holds each stack, so its ``id`` stays unique).
+    Only a key that two or more jobs use is shared: any other job
+    assembles its own model where it runs, as a plain run does, and a
+    serial sweep drops a shared model after its key's last job.  A
+    reused model is reset to the flow and the cold Krylov starts of a
+    fresh one, so every run equals a fresh run bitwise.
     """
-    if getattr(exc, "_obs_elapsed_s", None) is None:
-        try:
-            exc._obs_elapsed_s = _time.perf_counter() - start
-        except (AttributeError, TypeError):
-            pass
+
+    def __init__(self, jobs: Sequence[SimulationJob], cache_dir: Optional[str]) -> None:
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
+        self.uses = Counter(self.key(job) for job in jobs)
+        self.models: Dict[object, CompactThermalModel] = {}
+
+    def key(self, job: SimulationJob) -> object:
+        """``job``'s model key; ``None`` when the result cache already
+        holds its result, so that it needs no model."""
+        if job.scenario is None:
+            nx = int(job.kwargs.get("nx", DEFAULT_NX))
+            ny = int(job.kwargs.get("ny", DEFAULT_NY))
+            return (id(job.stack), nx, ny)
+        if self.cache is not None and self.cache.path(job.scenario).exists():
+            return None
+        return job.scenario.model_hash()
+
+    def model(self, job: SimulationJob) -> Optional[CompactThermalModel]:
+        """The shared model for ``job``, or ``None`` for its own."""
+        key = self.key(job)
+        if key is None:
+            return None
+        left = self.uses[key]  # jobs of this key yet to start, this one too
+        self.uses[key] -= 1
+        model = self.models.get(key) if left > 1 else self.models.pop(key, None)
+        if model is not None:
+            model.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
+            model.clear_warm_starts()
+        elif left > 1:
+            model = self.models[key] = self._assemble(job, key)
+        return model
+
+    def prewarm(self, jobs: Sequence[SimulationJob]) -> None:
+        """Assemble every shared model with its injection operator and
+        the warm operator of the steady chain's first rung (LU factor
+        or AMG hierarchy), for fork workers to inherit copy-on-write; a
+        spawn worker assembles its own."""
+        for job in jobs:
+            key = self.key(job)
+            if key is not None and self.uses[key] > 1 and key not in self.models:
+                model = self.models[key] = self._assemble(job, key)
+                model.injection_operator()
+                model.steady_operator()
+
+    @staticmethod
+    def _assemble(job: SimulationJob, key: object) -> CompactThermalModel:
+        if job.scenario is not None:
+            return build_model(job.scenario)
+        return CompactThermalModel(job.stack, nx=key[1], ny=key[2])
+
+    def run(self, job: SimulationJob, capture: bool = False) -> object:
+        if not capture:
+            return job.run(self.cache, self.model(job))
+        payload: Dict[str, object] = {}
+        with capture_telemetry(payload):
+            result = job.run(self.cache, self.model(job))
+        return result, payload
 
 
-def _run_simulation_job(
-    job: SimulationJob,
-    cache_dir: Optional[str] = None,
-    capture: bool = False,
-) -> object:
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    start = _time.perf_counter()
-    try:
-        if capture:
-            payload: Dict[str, object] = {}
-            with capture_telemetry(payload):
-                result = job.run(cache=cache)
-            return result, payload
-        return job.run(cache=cache)
-    except BaseException as exc:
-        _annotate_job_exception(exc, start)
-        raise
+def _job_runner(
+    jobs: Sequence[SimulationJob],
+    processes: Optional[int],
+    cache_dir: Optional[Union[str, Path]],
+) -> Callable[[SimulationJob], object]:
+    """The per-job function of one simulation sweep."""
+    models = _SweepModels(jobs, None if cache_dir is None else str(cache_dir))
+    parallel = processes is not None and processes > 1
+    if parallel and multiprocessing.get_start_method() == "fork":
+        models.prewarm(jobs)
+    # Serial jobs emit straight into the parent's sinks.  A worker has
+    # none, so it captures its spans and metric delta into the value it
+    # returns, but only when someone is recording.
+    return partial(models.run, capture=parallel and get_tracer().has_sinks)
 
 
 def run_simulations(
@@ -530,41 +584,29 @@ def run_simulations(
 ) -> List[Tuple[object, SimulationResult]]:
     """Run independent simulations, optionally across processes.
 
-    ``jobs`` may mix :class:`SimulationJob` instances and bare
-    :class:`~repro.scenario.Scenario` specs.  With ``cache_dir`` set,
-    scenario-backed jobs are served from (and written to) the on-disk
-    result cache keyed by scenario content hash + code version, so a
-    repeated sweep point costs a pickle load instead of a solve.
+    The strict form of :func:`run_simulations_resilient`, as
+    :func:`fan_out` is of :func:`resilient_fan_out`: the first failed
+    job raises.  ``jobs`` may mix :class:`SimulationJob` instances and
+    bare :class:`~repro.scenario.Scenario` specs.  Jobs that share a
+    thermal model (one :meth:`Scenario.model_hash`, or one stack object
+    and grid) assemble it once per sweep; results equal fresh per-job
+    runs.  With ``cache_dir`` set, scenario-backed jobs are served from
+    (and written to) the on-disk result cache keyed by scenario content
+    hash + code version, so a repeated sweep point costs a pickle load
+    instead of a solve.
 
     Returns ``(job.key, result)`` pairs in job order.
     """
     jobs = _coerce_jobs(jobs)
     tracer = get_tracer()
-    capture = _should_capture(tracer, processes)
-    runner = partial(
-        _run_simulation_job,
-        cache_dir=None if cache_dir is None else str(cache_dir),
-        capture=capture,
-    )
     with tracer.span(
         "sweep.run_simulations", jobs=len(jobs), processes=processes or 1
     ):
-        results = fan_out(runner, jobs, processes)
+        values = fan_out(_job_runner(jobs, processes, cache_dir), jobs, processes)
         return [
-            (job.key, _merge_worker_value(tracer, job.key, result))
-            for job, result in zip(jobs, results)
+            (job.key, _merge_worker_value(tracer, job.key, value))
+            for job, value in zip(jobs, values)
         ]
-
-
-def _should_capture(tracer, processes: Optional[int]) -> bool:
-    """Worker-side capture is only worth it for a real pool fan-out.
-
-    Serial runs emit straight into the parent's sinks; pool workers
-    have no sinks, so their spans/metric deltas are captured into the
-    returned payload and merged here — but only when someone is
-    actually recording.
-    """
-    return tracer.has_sinks and processes is not None and processes > 1
 
 
 def _merge_worker_value(tracer, key: object, value: object) -> object:
@@ -573,7 +615,7 @@ def _merge_worker_value(tracer, key: object, value: object) -> object:
     Each captured job becomes one ``sweep.job`` span in the parent
     trace with the worker's spans re-sequenced beneath it; the worker's
     metric delta merges into the parent registry so rollups count
-    pool and serial runs identically.
+    worker and serial runs identically.
     """
     if (
         isinstance(value, tuple)
@@ -600,342 +642,7 @@ def _merge_worker_value(tracer, key: object, value: object) -> object:
 
 
 # ---------------------------------------------------------------------------
-# zero-copy fan-out
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SharedSweepPayload:
-    """Deduplicated design-space inputs shared by every worker.
-
-    A benchmark grid crosses a handful of stacks, policies and traces
-    into hundreds of jobs; pickling each :class:`SimulationJob`
-    re-serialises the same objects per job.  The payload stores each
-    distinct object once, and jobs shrink to index triples
-    (:class:`SharedJobRef`).
-    """
-
-    stacks: List[StackDesign]
-    policies: List[Policy]
-    traces: List[WorkloadTrace]
-    kwargs: List[Dict[str, object]]
-    scenarios: List[Scenario] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class SharedJobRef:
-    """Tiny picklable handle of one simulation job.
-
-    Either payload indices into stacks/policies/traces/kwargs (legacy
-    object jobs) or a ``scenario`` index; ``model_key`` names the
-    worker-side thermal-model cache entry the job may reuse.
-    """
-
-    stack: int = -1
-    policy: int = -1
-    trace: int = -1
-    kwargs: int = -1
-    scenario: Optional[int] = None
-    model_key: str = ""
-
-
-# Worker-side shared state.  On fork platforms the parent installs the
-# payload (and pre-assembled models) *before* the pool exists, so every
-# worker inherits them through copy-on-write pages — zero per-job or
-# per-worker serialisation.  On spawn platforms the pool initializer
-# reads one pickled copy of the payload out of a
-# ``multiprocessing.shared_memory`` segment; models are then assembled
-# once per worker and cached across that worker's jobs.
-_shared_payload: Optional[SharedSweepPayload] = None
-_shared_models: Dict[str, CompactThermalModel] = {}
-
-
-def _install_shared_payload(payload: SharedSweepPayload) -> None:
-    global _shared_payload
-    _shared_payload = payload
-    _shared_models.clear()
-
-
-def _clear_shared_payload() -> None:
-    global _shared_payload
-    _shared_payload = None
-    _shared_models.clear()
-
-
-def _install_payload_from_shm(name: str) -> None:
-    """Spawn-pool initializer: unpickle the payload from shared memory."""
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        (size,) = struct.unpack_from("<Q", segment.buf, 0)
-        payload = pickle.loads(bytes(segment.buf[8 : 8 + size]))
-    finally:
-        segment.close()
-    _install_shared_payload(payload)
-
-
-def _resolve_shared_simulator(ref: SharedJobRef) -> SystemSimulator:
-    """Build one job's simulator from the shared payload + model cache."""
-    payload = _shared_payload
-    if payload is None:
-        raise RuntimeError(
-            "no shared sweep payload installed in this process; "
-            "use run_simulations_shared()"
-        )
-    key = ref.model_key
-    model = _shared_models.get(key)
-    if model is not None:
-        # Back to the fresh-construction flow state; warm factor caches
-        # stay valid because they are keyed by flow signature.
-        model.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
-    if ref.scenario is not None:
-        simulator = build_simulator(payload.scenarios[ref.scenario], model=model)
-    else:
-        simulator = SystemSimulator(
-            payload.stacks[ref.stack],
-            payload.policies[ref.policy],
-            payload.traces[ref.trace],
-            model=model,
-            **dict(payload.kwargs[ref.kwargs]),
-        )
-    _shared_models[key] = simulator.model
-    return simulator
-
-
-def _run_shared_job(
-    ref: SharedJobRef,
-    cache_dir: Optional[str] = None,
-    capture: bool = False,
-) -> object:
-    start = _time.perf_counter()
-    try:
-        if capture:
-            telemetry: Dict[str, object] = {}
-            with capture_telemetry(telemetry):
-                result = _run_shared_job_inner(ref, cache_dir)
-            return result, telemetry
-        return _run_shared_job_inner(ref, cache_dir)
-    except BaseException as exc:
-        _annotate_job_exception(exc, start)
-        raise
-
-
-def _run_shared_job_inner(
-    ref: SharedJobRef, cache_dir: Optional[str]
-) -> SimulationResult:
-    if ref.scenario is not None and cache_dir is not None:
-        payload = _shared_payload
-        if payload is None:
-            raise RuntimeError(
-                "no shared sweep payload installed in this process; "
-                "use run_simulations_shared()"
-            )
-        scenario = payload.scenarios[ref.scenario]
-        cache = ResultCache(cache_dir)
-        cached = cache.get(scenario)
-        if cached is not None:
-            return cached
-        result = _resolve_shared_simulator(ref).run()
-        cache.put(scenario, result)
-        return result
-    return _resolve_shared_simulator(ref).run()
-
-
-def _build_shared_payload(
-    jobs: Sequence[SimulationJob],
-) -> Tuple[SharedSweepPayload, List[SharedJobRef]]:
-    """Dedupe job components (by identity) into a payload + refs."""
-    payload = SharedSweepPayload(
-        stacks=[], policies=[], traces=[], kwargs=[]
-    )
-
-    def intern(seen: Dict[int, int], pool: List, obj: object) -> int:
-        index = seen.get(id(obj))
-        if index is None:
-            index = len(pool)
-            seen[id(obj)] = index
-            pool.append(obj)
-        return index
-
-    seen_stacks: Dict[int, int] = {}
-    seen_policies: Dict[int, int] = {}
-    seen_traces: Dict[int, int] = {}
-    seen_kwargs: Dict[object, int] = {}
-    seen_scenarios: Dict[str, int] = {}
-    refs: List[SharedJobRef] = []
-    for job in jobs:
-        if job.scenario is not None:
-            content = job.scenario.content_hash()
-            scenario_index = seen_scenarios.get(content)
-            if scenario_index is None:
-                scenario_index = len(payload.scenarios)
-                seen_scenarios[content] = scenario_index
-                payload.scenarios.append(job.scenario)
-            refs.append(
-                SharedJobRef(
-                    scenario=scenario_index,
-                    model_key=job.scenario.model_hash(),
-                )
-            )
-            continue
-        try:
-            kwargs_key: object = tuple(sorted(job.kwargs.items()))
-        except TypeError:
-            kwargs_key = id(job.kwargs)
-        kwargs_index = seen_kwargs.get(kwargs_key)
-        if kwargs_index is None:
-            kwargs_index = len(payload.kwargs)
-            seen_kwargs[kwargs_key] = kwargs_index
-            payload.kwargs.append(dict(job.kwargs))
-        stack_index = intern(seen_stacks, payload.stacks, job.stack)
-        nx = int(job.kwargs.get("nx", DEFAULT_NX))
-        ny = int(job.kwargs.get("ny", DEFAULT_NY))
-        refs.append(
-            SharedJobRef(
-                stack=stack_index,
-                policy=intern(seen_policies, payload.policies, job.policy),
-                trace=intern(seen_traces, payload.traces, job.trace),
-                kwargs=kwargs_index,
-                model_key=f"stack{stack_index}:{nx}x{ny}",
-            )
-        )
-    return payload, refs
-
-
-def _prewarm_shared_models(
-    payload: SharedSweepPayload, refs: Sequence[SharedJobRef]
-) -> None:
-    """Assemble one model per distinct (stack, grid) before forking.
-
-    Fork workers then inherit the assembled conductance/advection
-    matrices, injection operators and the warm operator of the steady
-    chain's first rung (LU factor or AMG hierarchy) through
-    copy-on-write pages instead of re-assembling per worker.
-    """
-    for ref in refs:
-        if ref.model_key in _shared_models:
-            continue
-        if ref.scenario is not None:
-            model = build_model(payload.scenarios[ref.scenario])
-        else:
-            kwargs = payload.kwargs[ref.kwargs]
-            model = CompactThermalModel(
-                payload.stacks[ref.stack],
-                nx=int(kwargs.get("nx", DEFAULT_NX)),
-                ny=int(kwargs.get("ny", DEFAULT_NY)),
-            )
-        model.injection_operator()
-        model.steady_operator()
-        _shared_models[ref.model_key] = model
-
-
-def run_simulations_shared(
-    jobs: Sequence[JobLike],
-    processes: Optional[int] = None,
-    *,
-    start_method: Optional[str] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> List[Tuple[object, SimulationResult]]:
-    """:func:`run_simulations` without the per-job serialisation tax.
-
-    Plain :func:`run_simulations` pickles every job's stack, policy and
-    trace into each worker and assembles a fresh thermal model per job
-    — for short traces that setup dwarfs the simulation itself.  This
-    driver dedupes the design-space objects into one
-    :class:`SharedSweepPayload` shared across workers (fork
-    inheritance where available, one pickled copy in
-    ``multiprocessing.shared_memory`` on spawn platforms), sends only
-    index triples per job, and reuses one cached thermal model per
-    distinct (stack, grid resolution) within each worker.
-
-    Results are identical to :func:`run_simulations`: model reuse only
-    resets the flow state and keeps signature-keyed factor caches warm,
-    and every simulation remains deterministic — asserted across fork
-    and spawn by the test suite.
-
-    Parameters
-    ----------
-    jobs:
-        The simulation jobs (same objects as :func:`run_simulations`;
-        bare :class:`~repro.scenario.Scenario` specs are accepted too).
-    processes:
-        ``None``, 0 or 1 run serially in-process (still reusing cached
-        models across jobs); larger values fan out across a pool.
-    start_method:
-        Force ``"fork"`` or ``"spawn"`` (default: the platform's).
-    cache_dir:
-        Optional on-disk result-cache root for scenario-backed jobs
-        (see :func:`run_simulations`).
-
-    Returns ``(job.key, result)`` pairs in job order.
-    """
-    jobs = _coerce_jobs(jobs)
-    tracer = get_tracer()
-    capture = _should_capture(tracer, processes)
-    run_job = partial(
-        _run_shared_job,
-        cache_dir=None if cache_dir is None else str(cache_dir),
-        capture=capture,
-    )
-    payload, refs = _build_shared_payload(jobs)
-    with tracer.span(
-        "sweep.run_simulations_shared",
-        jobs=len(jobs),
-        processes=processes or 1,
-    ):
-        if processes is None or processes <= 1:
-            _install_shared_payload(payload)
-            try:
-                results = [run_job(ref) for ref in refs]
-            finally:
-                _clear_shared_payload()
-            return [
-                (job.key, result) for job, result in zip(jobs, results)
-            ]
-
-        context = multiprocessing.get_context(start_method)
-        if context.get_start_method() == "fork":
-            _install_shared_payload(payload)
-            try:
-                _prewarm_shared_models(payload, refs)
-                with ProcessPoolExecutor(
-                    max_workers=processes, mp_context=context
-                ) as pool:
-                    results = list(pool.map(run_job, refs))
-            finally:
-                _clear_shared_payload()
-        else:
-            from multiprocessing import shared_memory
-
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            segment = shared_memory.SharedMemory(
-                create=True, size=len(blob) + 8
-            )
-            try:
-                struct.pack_into("<Q", segment.buf, 0, len(blob))
-                segment.buf[8 : 8 + len(blob)] = blob
-                with ProcessPoolExecutor(
-                    max_workers=processes,
-                    mp_context=context,
-                    initializer=_install_payload_from_shm,
-                    initargs=(segment.name,),
-                ) as pool:
-                    results = list(pool.map(run_job, refs))
-            finally:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
-        return [
-            (job.key, _merge_worker_value(tracer, job.key, result))
-            for job, result in zip(jobs, results)
-        ]
-
-
-# ---------------------------------------------------------------------------
-# resilient fan-out
+# the job engine
 # ---------------------------------------------------------------------------
 
 
@@ -954,15 +661,16 @@ class JobFailure:
         per-job deadline) or ``"worker-crash"`` (the worker process
         died — segfault, OOM kill, ``os._exit``).
     error_type, message, traceback:
-        Exception details when available; the traceback is rendered in
-        the worker so it survives pickling.
+        Exception details when available; the traceback is rendered
+        where the job ran, so it survives pickling.  A crash reports
+        ``error_type="BrokenProcessPool"`` and the worker's exit code
+        in ``message``.
     attempts:
         Attempts consumed before giving up.
     elapsed_s:
-        Wall time the final attempt ran before failing, when it could
-        be measured — in the worker for exceptions (the measurement
-        rides back on the pickled exception), in the parent for
-        timeouts and crashes.  ``None`` when nothing measured it.
+        Wall time the final attempt ran before failing: measured
+        around the job where it ran for exceptions, in the parent from
+        the worker's start for timeouts and crashes.
     retry_index:
         Zero-based index of the failing attempt (``attempts - 1``).
     last_span:
@@ -981,6 +689,13 @@ class JobFailure:
     elapsed_s: Optional[float] = None
     retry_index: int = 0
     last_span: str = ""
+
+
+def _failure_line(failure: JobFailure) -> str:
+    return (
+        f"[{failure.phase}] job {failure.key!r}: "
+        f"{failure.error_type}: {failure.message}"
+    )
 
 
 @dataclass
@@ -1013,134 +728,12 @@ class SweepOutcome:
     def raise_if_failed(self) -> "SweepOutcome":
         """Raise a ``RuntimeError`` summarising failures, if any."""
         if self.failures:
-            lines = [
-                f"  [{f.phase}] job {f.key!r}: {f.error_type}: {f.message}"
-                for f in self.failures
-            ]
+            lines = [f"  {_failure_line(f)}" for f in self.failures]
             raise RuntimeError(
                 f"{len(self.failures)}/{self.total} jobs failed:\n"
                 + "\n".join(lines)
             )
         return self
-
-
-def _drain_pool(
-    fn: Callable[[T], R],
-    work: Sequence[T],
-    indices: Sequence[int],
-    processes: int,
-    timeout_s: Optional[float],
-) -> Tuple[
-    Dict[int, R],
-    Dict[int, BaseException],
-    set,
-    bool,
-    set,
-    Dict[int, float],
-]:
-    """Run one process-pool lifetime over the given job indices.
-
-    Returns ``(successes, errors, timed_out, crashed, unfinished,
-    elapsed)``.  ``unfinished`` jobs were aborted through no fault of
-    their own (pool crash or a sibling's timeout tearing the pool down)
-    and must be re-run without an attempt penalty.  ``elapsed`` maps
-    every index that left the pool (success, error, crash or timeout)
-    to the seconds between submission and that outcome — an upper bound
-    on run time that failure records fall back to when the worker could
-    not measure its own.
-    """
-    successes: Dict[int, R] = {}
-    errors: Dict[int, BaseException] = {}
-    timed_out: set = set()
-    crashed = False
-    unfinished = set(indices)
-    elapsed: Dict[int, float] = {}
-    pool = ProcessPoolExecutor(max_workers=processes)
-    must_kill = False
-    try:
-        submitted = _time.monotonic()
-        outstanding: Dict[Future, int] = {
-            pool.submit(fn, work[i]): i for i in indices
-        }
-        deadline = (
-            None
-            if timeout_s is None
-            else {f: submitted + timeout_s for f in outstanding}
-        )
-        while outstanding:
-            done, _ = wait(
-                set(outstanding),
-                timeout=None if deadline is None else 0.05,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                index = outstanding.pop(future)
-                elapsed[index] = _time.monotonic() - submitted
-                try:
-                    successes[index] = future.result()
-                    unfinished.discard(index)
-                except BrokenProcessPool:
-                    crashed = True
-                except Exception as exc:  # job raised in the worker
-                    errors[index] = exc
-                    unfinished.discard(index)
-            if crashed:
-                break
-            if deadline is not None:
-                now = _time.monotonic()
-                overdue = [f for f in outstanding if now >= deadline[f]]
-                if overdue:
-                    for future in overdue:
-                        index = outstanding.pop(future)
-                        elapsed[index] = now - submitted
-                        timed_out.add(index)
-                        unfinished.discard(index)
-                    # A hung worker never frees its slot: tear the pool
-                    # down; still-running innocents land in `unfinished`
-                    # and are resubmitted penalty-free.
-                    must_kill = True
-                    break
-    finally:
-        if must_kill or crashed:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-        pool.shutdown(wait=False, cancel_futures=True)
-    return successes, errors, timed_out, crashed, unfinished, elapsed
-
-
-def _render_traceback(exc: BaseException) -> str:
-    return "".join(
-        _traceback.format_exception(type(exc), exc, exc.__traceback__)
-    )
-
-
-def jittered_delay(
-    backoff_s: float,
-    attempt: int,
-    *,
-    cap_s: float = 30.0,
-    jitter: float = 0.25,
-    rng: Optional[_random.Random] = None,
-) -> float:
-    """Exponential backoff with multiplicative jitter, in seconds.
-
-    ``backoff_s * 2**(attempt-1)`` capped at ``cap_s``, then spread by
-    ``±jitter`` (a fraction of the base delay).  Jitter is what keeps a
-    batch of jobs that failed *together* — a shared resource blipping,
-    a pool crash — from retrying in lockstep and failing together
-    again; both the sweep retries and the service supervisor use this
-    one helper.
-    """
-    if backoff_s <= 0.0:
-        return 0.0
-    base = min(cap_s, backoff_s * (2.0 ** max(0, attempt - 1)))
-    if jitter <= 0.0:
-        return base
-    uniform = (rng if rng is not None else _random).uniform
-    return max(0.0, base + uniform(-jitter * base, jitter * base))
 
 
 def _checkpoint_corrupt(path: Path, reason: str) -> None:
@@ -1192,6 +785,239 @@ def _save_checkpoint(
     tmp.replace(path)
 
 
+def _error_report(
+    exc: BaseException, elapsed_s: Optional[float]
+) -> Dict[str, object]:
+    """What a :class:`JobFailure` keeps of an exception."""
+    return {
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": render_traceback(exc),
+        "elapsed_s": elapsed_s,
+        "last_span": getattr(exc, "_obs_last_span", "") or "",
+    }
+
+
+def _run_in_worker(conn: connection.Connection, fn: Callable, item: object) -> None:
+    """Worker-process entry: run one job, send its outcome, exit.
+
+    The outcome is ``("ok", value)`` or ``("error", report, exc)``; an
+    exception that does not pickle travels as its report alone.
+    """
+    start = _time.perf_counter()
+    try:
+        message: tuple = ("ok", fn(item))
+    except BaseException as exc:  # the process's last act is to report
+        message = ("error", _error_report(exc, _time.perf_counter() - start), exc)
+    try:
+        conn.send(message)
+    except Exception as exc:  # the value or the exception did not pickle
+        report = message[1] if message[0] == "error" else _error_report(exc, None)
+        conn.send(("error", report, None))
+    conn.close()
+
+
+def _receive(conn: connection.Connection) -> Optional[tuple]:
+    """A worker's outcome, or ``None`` when it exited without one."""
+    try:
+        return conn.recv()
+    except EOFError:
+        return None
+    except Exception as exc:  # the outcome did not unpickle here
+        return ("error", _error_report(exc, None), None)
+
+
+@dataclass
+class _Sweep:
+    """One fan-out's attempts, results and failures, run to the end.
+
+    ``strict`` turns the first failure that has no attempts left into
+    an exception (the :func:`fan_out` contract) instead of a record.
+    """
+
+    fn: Callable
+    work: list
+    keys: Optional[Sequence[object]] = None
+    timeout_s: Optional[float] = None
+    retries: int = 0
+    backoff_s: float = 0.0
+    backoff_jitter: float = 0.25
+    checkpoint_path: Optional[Path] = None
+    checkpoint_every: int = 8
+    strict: bool = False
+
+    def __post_init__(self) -> None:
+        total = len(self.work)
+        self.keys = list(range(total)) if self.keys is None else list(self.keys)
+        if len(self.keys) != total:
+            raise ValueError("keys must match items one-to-one")
+        if self.retries < 0:
+            raise ValueError("retries must be non-negative")
+        self.results = _load_checkpoint(self.checkpoint_path, total)
+        self.failures: Dict[int, JobFailure] = {}
+        self.attempts = [0] * total
+        self._unsaved = 0
+
+    def run(self, processes: Optional[int]) -> SweepOutcome:
+        pending = [i for i in range(len(self.work)) if i not in self.results]
+        try:
+            if processes is None or processes <= 1:
+                self._run_serial(pending)
+            else:
+                self._run_workers(pending, processes)
+        finally:
+            # Flush on every exit path -- including KeyboardInterrupt and
+            # SystemExit mid-grid -- so an interrupted sweep always
+            # leaves a loadable checkpoint that resumes without
+            # re-solving finished jobs (no-op when checkpointing is off).
+            _save_checkpoint(self.checkpoint_path, self.results, len(self.work))
+        return SweepOutcome(
+            results=[(self.keys[i], self.results[i]) for i in sorted(self.results)],
+            failures=[self.failures[i] for i in sorted(self.failures)],
+            total=len(self.work),
+        )
+
+    def _succeeded(self, index: int, value: object) -> None:
+        self.results[index] = value
+        self._unsaved += 1
+        if (
+            self.checkpoint_path is not None
+            and self._unsaved >= self.checkpoint_every
+        ):
+            _save_checkpoint(self.checkpoint_path, self.results, len(self.work))
+            self._unsaved = 0
+
+    def _failed(
+        self,
+        index: int,
+        phase: str,
+        report: Dict[str, object],
+        exc: Optional[BaseException] = None,
+    ) -> bool:
+        """Record a failed attempt; True when the job gets another.
+
+        ``report`` holds the :class:`JobFailure` fields that describe
+        the error (see :func:`_error_report`).
+        """
+        attempts = self.attempts[index]
+        if attempts <= self.retries:
+            return True
+        failure = JobFailure(
+            index=index,
+            key=self.keys[index],
+            phase=phase,
+            attempts=attempts,
+            retry_index=attempts - 1,
+            **report,
+        )
+        if self.strict:
+            raise exc if exc is not None else RuntimeError(_failure_line(failure))
+        self.failures[index] = failure
+        return False
+
+    def _retry_delay(self, index: int) -> float:
+        return jittered_delay(
+            self.backoff_s, self.attempts[index], jitter=self.backoff_jitter
+        )
+
+    def _run_serial(self, pending: List[int]) -> None:
+        for index in pending:
+            while True:
+                self.attempts[index] += 1
+                start = _time.perf_counter()
+                try:
+                    value = self.fn(self.work[index])
+                except Exception as exc:
+                    report = _error_report(exc, _time.perf_counter() - start)
+                    if not self._failed(index, "exception", report, exc):
+                        break
+                    _time.sleep(self._retry_delay(index))
+                else:
+                    self._succeeded(index, value)
+                    break
+
+    def _run_workers(self, pending: List[int], processes: int) -> None:
+        """Each attempt in a worker of its own, at most ``processes`` alive.
+
+        ``running`` maps a worker's result pipe to its job index,
+        process and start time; a job's deadline counts from the start
+        of its own attempt.
+        """
+        ready = deque(pending)
+        retry_at: Dict[int, float] = {}
+        running: Dict[connection.Connection, tuple] = {}
+        try:
+            while ready or retry_at or running:
+                now = _time.monotonic()
+                for index in [i for i, due in retry_at.items() if due <= now]:
+                    del retry_at[index]
+                    ready.append(index)
+                while ready and len(running) < processes:
+                    index = ready.popleft()
+                    self.attempts[index] += 1
+                    process, conn = start_worker(
+                        _run_in_worker, (self.fn, self.work[index]), daemon=False
+                    )
+                    running[conn] = (index, process, _time.monotonic())
+                wakes = list(retry_at.values())
+                if self.timeout_s is not None:
+                    wakes += [t + self.timeout_s for _, _, t in running.values()]
+                wait_s = max(0.0, min(wakes) - _time.monotonic()) if wakes else None
+                if not running:  # only backoffs are pending
+                    _time.sleep(wait_s)
+                    continue
+                for conn in connection.wait(list(running), wait_s):
+                    index, process, started = running.pop(conn)
+                    message = _receive(conn)
+                    exitcode = reap_worker(process, conn)
+                    elapsed = _time.monotonic() - started
+                    if self._settle(index, message, exitcode, elapsed):
+                        retry_at[index] = _time.monotonic() + self._retry_delay(index)
+                for conn, (index, process, started) in list(running.items()):
+                    elapsed = _time.monotonic() - started
+                    if self.timeout_s is None or elapsed < self.timeout_s:
+                        continue
+                    del running[conn]
+                    reap_worker(process, conn, terminate=True)
+                    report = {
+                        "error_type": "TimeoutError",
+                        "message": f"job exceeded the {self.timeout_s} s deadline",
+                        "elapsed_s": elapsed,
+                    }
+                    if self._failed(index, "timeout", report):
+                        retry_at[index] = _time.monotonic() + self._retry_delay(index)
+        finally:
+            for conn, (_, process, _) in running.items():
+                reap_worker(process, conn, terminate=True)
+
+    def _settle(
+        self,
+        index: int,
+        message: Optional[tuple],
+        exitcode: Optional[int],
+        elapsed: float,
+    ) -> bool:
+        """Record one worker's outcome; True when the job gets a retry."""
+        if message is None:
+            report = {
+                # The label of the process-pool era; callers match on it.
+                "error_type": "BrokenProcessPool",
+                "message": "the worker process died while running this job "
+                f"(exit code {exitcode})",
+                "elapsed_s": elapsed,
+            }
+            return self._failed(index, "worker-crash", report)
+        if message[0] == "ok":
+            self._succeeded(index, message[1])
+            return False
+        _, report, exc = message
+        if exc is not None:  # shown when a strict sweep re-raises it
+            exc.__cause__ = RuntimeError(
+                f"raised in a worker process\n{report['traceback']}"
+            )
+        return self._failed(index, "exception", report, exc)
+
+
 def resilient_fan_out(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -1207,7 +1033,11 @@ def resilient_fan_out(
 ) -> SweepOutcome:
     """Fan out with per-job isolation: one bad job cannot sink the grid.
 
-    Guarantees, relative to plain :func:`fan_out`:
+    With ``processes > 1`` every attempt runs in a worker process of
+    its own (:mod:`repro.workers`, the lifecycle the job service
+    uses), at most ``processes`` at a time, and reports its outcome
+    over a one-way pipe.  Guarantees, relative to plain
+    :func:`fan_out`:
 
     * a job that **raises** is retried ``retries`` times with
       exponential backoff spread by ``backoff_jitter`` (a ±fraction of
@@ -1215,12 +1045,13 @@ def resilient_fan_out(
       set it to ``0.0`` for deterministic timing), then recorded as a
       :class:`JobFailure` while every sibling still completes;
     * a job that **kills its worker** (segfault, OOM, ``os._exit``)
-      breaks the pool — the pool is rebuilt, survivors are resubmitted
-      penalty-free, and after a second crash jobs run one-at-a-time so
-      the culprit is identified and isolated before batch mode resumes;
-    * a job that **hangs** past ``timeout_s`` is recorded as a timeout
-      failure (after its retries) instead of stalling the sweep —
-      process mode only, a serial run cannot pre-empt the job;
+      fails alone, as ``phase="worker-crash"`` with the exit code in
+      its message, and is retried like any other failure;
+    * a job that **hangs** past ``timeout_s``, counted from its own
+      start, is terminated and recorded as a timeout failure (after
+      its retries) — process mode only, a serial run cannot pre-empt
+      the job;
+    * no worker outlives the call, on any exit path;
     * with ``checkpoint_path`` the completed results are periodically
       pickled, and a re-run with the same path and job count resumes,
       re-running only unfinished or previously failed jobs.  The
@@ -1236,179 +1067,17 @@ def resilient_fan_out(
 
     Returns a :class:`SweepOutcome`; ``keys`` default to job indices.
     """
-    work = list(items)
-    key_list = list(keys) if keys is not None else list(range(len(work)))
-    if len(key_list) != len(work):
-        raise ValueError("keys must match items one-to-one")
-    if retries < 0:
-        raise ValueError("retries must be non-negative")
-    max_attempts = retries + 1
-
-    results: Dict[int, object] = _load_checkpoint(checkpoint_path, len(work))
-    failures: Dict[int, JobFailure] = {}
-    attempts = {i: 0 for i in range(len(work))}
-    unsaved = 0
-
-    def note_success(index: int, value: object) -> None:
-        nonlocal unsaved
-        results[index] = value
-        unsaved += 1
-        if checkpoint_path is not None and unsaved >= checkpoint_every:
-            _save_checkpoint(checkpoint_path, results, len(work))
-            unsaved = 0
-
-    def note_failure(
-        index: int,
-        phase: str,
-        error_type: str,
-        message: str,
-        tb: str = "",
-        exc: Optional[BaseException] = None,
-        elapsed: Optional[float] = None,
-    ) -> None:
-        elapsed_s = (
-            getattr(exc, "_obs_elapsed_s", None) if exc is not None else None
-        )
-        if elapsed_s is None:
-            elapsed_s = elapsed
-        failures[index] = JobFailure(
-            index=index,
-            key=key_list[index],
-            phase=phase,
-            error_type=error_type,
-            message=message,
-            traceback=tb,
-            attempts=attempts[index],
-            elapsed_s=elapsed_s,
-            retry_index=max(0, attempts[index] - 1),
-            last_span=(
-                getattr(exc, "_obs_last_span", "") or ""
-                if exc is not None
-                else ""
-            ),
-        )
-
-    def backoff(attempt: int) -> None:
-        delay = jittered_delay(backoff_s, attempt, jitter=backoff_jitter)
-        if delay > 0.0:
-            _time.sleep(delay)
-
-    pending = [i for i in range(len(work)) if i not in results]
-
-    try:
-        if processes is None or processes <= 1:
-            for index in pending:
-                while True:
-                    attempts[index] += 1
-                    attempt_start = _time.perf_counter()
-                    try:
-                        note_success(index, fn(work[index]))
-                        break
-                    except Exception as exc:
-                        if attempts[index] >= max_attempts:
-                            note_failure(
-                                index,
-                                "exception",
-                                type(exc).__name__,
-                                str(exc),
-                                _render_traceback(exc),
-                                exc=exc,
-                                elapsed=_time.perf_counter() - attempt_start,
-                            )
-                            break
-                        backoff(attempts[index])
-        else:
-            crashes = 0
-            while pending:
-                isolate = crashes >= 2
-                batch = pending[:1] if isolate else pending
-                batch_attempt = max(attempts[i] for i in batch)
-                for index in batch:
-                    attempts[index] += 1
-                (
-                    successes,
-                    errors,
-                    timed_out,
-                    crashed,
-                    unfinished,
-                    elapsed,
-                ) = _drain_pool(
-                    fn, work, batch, 1 if isolate else processes, timeout_s
-                )
-                for index, value in successes.items():
-                    note_success(index, value)
-                retry_needed = False
-                for index, exc in errors.items():
-                    if attempts[index] >= max_attempts:
-                        note_failure(
-                            index,
-                            "exception",
-                            type(exc).__name__,
-                            str(exc),
-                            _render_traceback(exc),
-                            exc=exc,
-                            elapsed=elapsed.get(index),
-                        )
-                    else:
-                        retry_needed = True
-                for index in timed_out:
-                    if attempts[index] >= max_attempts:
-                        note_failure(
-                            index,
-                            "timeout",
-                            "TimeoutError",
-                            f"job exceeded the {timeout_s} s deadline",
-                            elapsed=elapsed.get(index, timeout_s),
-                        )
-                    else:
-                        retry_needed = True
-                if crashed:
-                    crashes += 1
-                    if isolate:
-                        # One job per pool: the crash is attributable.
-                        index = batch[0]
-                        if attempts[index] >= max_attempts:
-                            note_failure(
-                                index,
-                                "worker-crash",
-                                "BrokenProcessPool",
-                                "the worker process died while running "
-                                "this job",
-                                elapsed=elapsed.get(index),
-                            )
-                            # Culprit isolated; batch mode can resume.
-                            crashes = 0
-                        unfinished.discard(index)
-                else:
-                    # Jobs aborted by a sibling's timeout keep their
-                    # attempt; give it back (they did not run to failure).
-                    for index in unfinished:
-                        attempts[index] -= 1
-                if crashed and not isolate:
-                    # Unattributable crash: nobody is penalised, rerun all.
-                    for index in unfinished:
-                        attempts[index] -= 1
-                pending = [
-                    i
-                    for i in range(len(work))
-                    if i not in results and i not in failures
-                ]
-                if retry_needed:
-                    backoff(batch_attempt + 1)
-
-    finally:
-        # Flush on every exit path -- including KeyboardInterrupt and
-        # SystemExit mid-grid -- so an interrupted sweep always leaves a
-        # loadable checkpoint that resumes without re-solving finished
-        # jobs (no-op when checkpointing is off).
-        _save_checkpoint(checkpoint_path, results, len(work))
-    return SweepOutcome(
-        results=[
-            (key_list[i], results[i]) for i in sorted(results)
-        ],
-        failures=[failures[i] for i in sorted(failures)],
-        total=len(work),
-    )
+    return _Sweep(
+        fn,
+        list(items),
+        keys=keys,
+        timeout_s=timeout_s,
+        retries=retries,
+        backoff_s=backoff_s,
+        backoff_jitter=backoff_jitter,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+    ).run(processes)
 
 
 def run_simulations_resilient(
@@ -1425,29 +1094,24 @@ def run_simulations_resilient(
 ) -> SweepOutcome:
     """Resilient :func:`run_simulations`: partial results, not aborts.
 
-    Where :func:`run_simulations` re-raises the first worker exception
-    and loses the whole grid, this returns a :class:`SweepOutcome`
-    whose ``results`` are ``(job.key, SimulationResult)`` pairs for the
+    Where :func:`run_simulations` re-raises the first failure and
+    loses the whole grid, this returns a :class:`SweepOutcome` whose
+    ``results`` are ``(job.key, SimulationResult)`` pairs for the
     jobs that completed and whose ``failures`` carry a structured
     :class:`JobFailure` per job that could not be salvaged.  See
     :func:`resilient_fan_out` for the retry/timeout/crash semantics.
-    Scenario-backed jobs honour ``cache_dir`` exactly as in
+    Models are shared and ``cache_dir`` honoured exactly as in
     :func:`run_simulations`.
     """
     jobs = _coerce_jobs(jobs)
     tracer = get_tracer()
-    capture = _should_capture(tracer, processes)
     with tracer.span(
         "sweep.run_simulations_resilient",
         jobs=len(jobs),
         processes=processes or 1,
     ):
         outcome = resilient_fan_out(
-            partial(
-                _run_simulation_job,
-                cache_dir=None if cache_dir is None else str(cache_dir),
-                capture=capture,
-            ),
+            _job_runner(jobs, processes, cache_dir),
             jobs,
             processes,
             keys=[job.key for job in jobs],

@@ -121,10 +121,10 @@ class SystemSimulator:
     model:
         Pre-assembled :class:`CompactThermalModel` to reuse instead of
         assembling a fresh one (must have been built for ``stack``;
-        ``nx``/``ny`` are ignored then).  Shared-memory fan-out workers
-        pass their cached per-stack model so repeated short jobs skip
-        the assembly cost entirely — warm factor caches carry over and
-        stay valid because they are keyed by flow signature.
+        ``nx``/``ny`` are ignored then).  Simulation sweeps pass the
+        model their jobs on one stack and grid share, so repeated short
+        jobs skip the assembly cost entirely — warm factor caches carry
+        over and stay valid because they are keyed by flow signature.
     """
 
     def __init__(

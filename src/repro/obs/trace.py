@@ -74,7 +74,7 @@ class Span:
             # (innermost __exit__ runs first); failure records read it
             # after the stack has fully unwound — and, because
             # ``__dict__`` pickles with the exception, after a hop back
-            # from a pool worker.
+            # from a worker process.
             try:
                 exc._obs_last_span = self.name
             except (AttributeError, TypeError):

@@ -280,7 +280,7 @@ def build_simulator(
 ) -> SystemSimulator:
     """Wire a scenario into a ready-to-run :class:`SystemSimulator`.
 
-    A pre-assembled ``model`` (shared fan-out workers cache one per
+    A pre-assembled ``model`` (simulation sweeps share one per
     :meth:`Scenario.model_hash`) supplies the stack as well — the hash
     guarantees it was built from an identical stack spec.
     """
@@ -315,7 +315,7 @@ class Runner:
         The experiment spec (validated on construction).
     model:
         Optional pre-assembled thermal model to reuse (must match the
-        scenario's :meth:`~Scenario.model_hash`; fan-out workers use
+        scenario's :meth:`~Scenario.model_hash`; simulation sweeps use
         this to share assembly across jobs).
     cache:
         Optional :class:`~repro.scenario.cache.ResultCache`.  When set,

@@ -158,8 +158,12 @@ class ServiceClient:
             sock = socket.create_connection(self.address, self.timeout)
         else:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(str(self.address))
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(str(self.address))
+            except BaseException:
+                sock.close()
+                raise
         try:
             sock.sendall(
                 json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"

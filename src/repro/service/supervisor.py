@@ -15,9 +15,9 @@ Failure policy, in order of escalation:
 
 * an **exception** in the solve is retried up to the policy's bounded
   attempts with exponential backoff *plus jitter* (simultaneous
-  failures must not retry in lockstep — the same fix
-  :func:`repro.analysis.sweep.jittered_delay` applies to sweep
-  retries), then marked ``FAILED``;
+  failures must not retry in lockstep — the same
+  :func:`repro.workers.jittered_delay` the sweep retries use), then
+  marked ``FAILED``;
 * a **worker death** additionally feeds the per-scenario-class
   :class:`CircuitBreaker`; a spec that kills workers repeatedly is
   quarantined (``QUARANTINED``) instead of crash-looping the pool, and
@@ -44,14 +44,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
-import signal
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..analysis.sweep import jittered_delay
 from ..obs import capture_telemetry, is_obs_payload
 from ..obs.live import (
     PerfWatchdog,
@@ -66,6 +63,13 @@ from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
 from ..scenario.runner import Runner
 from ..scenario.spec import Scenario
+from ..workers import (
+    EXIT_GRACE_S,
+    jittered_delay,
+    reap_worker,
+    render_traceback,
+    start_worker,
+)
 from .jobs import Job, JobState, JobStore
 
 HEARTBEAT_INTERVAL_S = 0.2
@@ -73,10 +77,6 @@ HEARTBEAT_INTERVAL_S = 0.2
 
 TEST_DELAY_ENV = "REPRO_SERVICE_TEST_DELAY_S"
 """Chaos hook: seconds a worker sleeps before solving (see tests/chaos.py)."""
-
-EXIT_GRACE_S = 1.0
-"""Seconds a worker gets to exit, after its outcome or a terminate,
-before it is killed."""
 
 
 def scenario_class(scenario: Scenario) -> str:
@@ -131,12 +131,6 @@ def worker_main(
     collapsed stacks there; hot frames ride back in the ``done``
     message.
     """
-    # A forked worker inherits the service loop's signal set-up: a
-    # no-op SIGTERM handler, and the wakeup fd through which that loop
-    # learns of signals.  Undo both, so terminate() ends the worker and
-    # a signal sent to the worker never stops the service.
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     send_lock = threading.Lock()
     stop = threading.Event()
     if trace_id:
@@ -214,9 +208,7 @@ def worker_main(
                 "kind": "error",
                 "error_type": type(exc).__name__,
                 "message": str(exc),
-                "traceback": "".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ),
+                "traceback": render_traceback(exc),
             }
         )
     finally:
@@ -391,7 +383,6 @@ class Supervisor:
         self.watch: Callable[[int], None] = _ignore
         self.unwatch: Callable[[int], None] = _ignore
         self.wake_at: Callable[[float], None] = _ignore
-        self._context = multiprocessing.get_context()
         registry = get_registry()
         self._c_dispatched = registry.counter("service.jobs.dispatched")
         self._c_done = registry.counter("service.jobs.done")
@@ -412,16 +403,17 @@ class Supervisor:
         return len(self._running)
 
     def _dispatch(self, job: Job) -> None:
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
         profile_path: Optional[str] = None
         if self.profiles_dir and (job.profile or profile_requested()):
             profile_path = str(
                 os.path.join(self.profiles_dir, f"{job.job_id}.collapsed")
             )
-        process = self._context.Process(
-            target=worker_main,
-            args=(
-                child_conn,
+        self.store.transition(
+            job.job_id, JobState.RUNNING, attempts=job.attempts + 1
+        )
+        process, parent_conn = start_worker(
+            worker_main,
+            (
                 job.job_id,
                 job.scenario.to_dict(),
                 str(self.store.cache.root),
@@ -431,11 +423,6 @@ class Supervisor:
             ),
             daemon=True,
         )
-        self.store.transition(
-            job.job_id, JobState.RUNNING, attempts=job.attempts + 1
-        )
-        process.start()
-        child_conn.close()
         self.watch(parent_conn.fileno())
         self._not_before.pop(job.job_id, None)
         self.store.jobs[job.job_id].worker_pid = process.pid
@@ -507,31 +494,15 @@ class Supervisor:
                 handle.last_heartbeat = time.monotonic()
                 handle.last_heartbeat_wall = time.time()
 
-    def _reap(self, handle: _Running) -> Optional[int]:
+    def _reap(self, handle: _Running, *, terminate: bool = False) -> Optional[int]:
         """Close the pipe, join (or kill) the worker; returns its exit code."""
         self.unwatch(handle.conn.fileno())
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        handle.process.join(timeout=EXIT_GRACE_S)
-        if handle.process.is_alive():
-            handle.process.kill()
-            handle.process.join(timeout=EXIT_GRACE_S)
-        exitcode = handle.process.exitcode
-        try:
-            handle.process.close()
-        except (ValueError, AttributeError):
-            pass
+        exitcode = reap_worker(handle.process, handle.conn, terminate=terminate)
         del self._running[handle.job_id]
         return exitcode
 
     def _kill(self, handle: _Running) -> None:
-        try:
-            handle.process.terminate()
-        except (ValueError, OSError):
-            pass
-        self._reap(handle)
+        self._reap(handle, terminate=True)
 
     def _schedule_retry(self, job: Job) -> None:
         self._c_retries.inc()

@@ -1003,6 +1003,10 @@ class CompactThermalModel:
         self._steady_misses.reset()
         self._g_steady_currsize.set(0)
 
+    def clear_warm_starts(self) -> None:
+        """Start every Krylov steady rung cold again, as on a fresh model."""
+        self._steady_warm.clear()
+
     def steady_backend(self) -> str:
         """The resolved steady-solve backend for this model's grid.
 

@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.geometry import build_3d_mpsoc, CoolingMode
 from repro.thermal import CompactThermalModel
 from repro.workload.traces import WorkloadTrace
+
+
+@pytest.fixture()
+def start_method(request):
+    """Switch the default multiprocessing start method for one test.
+
+    Parametrize it indirectly with the method's name; the platform
+    default is restored afterwards.
+    """
+    method = request.param
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method!r} unavailable here")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    yield method
+    multiprocessing.set_start_method(previous, force=True)
 
 
 @pytest.fixture(scope="session")

@@ -284,8 +284,15 @@ def test_sensor_loss_keeps_peak_below_uncontrolled_baseline(
 # ---------------------------------------------------------------------------
 
 
-def test_campaign_dead_sensor_and_pump_degradation(liquid_stack_2tier):
-    """Acceptance: the headline campaign completes end-to-end."""
+@pytest.mark.parametrize("processes", [None, 2])
+def test_campaign_dead_sensor_and_pump_degradation(
+    liquid_stack_2tier, processes
+):
+    """Acceptance: the headline campaign completes end-to-end.
+
+    With ``processes=2`` the legacy jobs, whose kwargs carry a
+    ``FaultSet``, run in worker processes.
+    """
     trace = make_constant_trace(0.8, intervals=3)
     core = _core_refs(liquid_stack_2tier)[0]
     scenarios = [
@@ -302,6 +309,7 @@ def test_campaign_dead_sensor_and_pump_degradation(liquid_stack_2tier):
         LiquidFuzzy(),
         trace,
         scenarios,
+        processes=processes,
         nx=12,
         ny=10,
     )

@@ -6,14 +6,8 @@ from repro.analysis import (
     SimulationJob,
     run_simulations,
     run_simulations_resilient,
-    run_simulations_shared,
 )
-from repro.analysis.sweep import (
-    _build_shared_payload,
-    _clear_shared_payload,
-    _install_shared_payload,
-    _resolve_shared_simulator,
-)
+from repro.analysis.sweep import _SweepModels
 from repro.core import SystemSimulator, paper_policies
 from repro.faults import FaultScenario, run_fault_campaign
 from repro.geometry import build_3d_mpsoc
@@ -191,8 +185,8 @@ def test_scenario_job_rejects_mixed_construction():
 
 def test_shared_serial_matches_plain_for_scenarios():
     scenarios = [_scenario(workload="web"), _scenario(workload="database")]
-    plain = run_simulations(scenarios)
-    shared = run_simulations_shared(scenarios)
+    plain = [(s.label, run_scenario(s)) for s in scenarios]
+    shared = run_simulations(scenarios)
     assert [(k, _fields(r)) for k, r in plain] == [
         (k, _fields(r)) for k, r in shared
     ]
@@ -202,13 +196,12 @@ def test_shared_payload_dedupes_scenarios_and_models():
     a = _scenario(workload="web")
     b = _scenario(workload="database")
     jobs = [SimulationJob.from_scenario(s) for s in (a, a, b)]
-    payload, refs = _build_shared_payload(jobs)
-    assert len(payload.scenarios) == 2
-    assert not payload.stacks and not payload.kwargs
-    assert refs[0].scenario == refs[1].scenario == 0
+    models = _SweepModels(jobs, None)
     # same stack + solver spec -> one shared thermal model for all jobs
-    assert len({ref.model_key for ref in refs}) == 1
-    assert refs[0].model_key == a.model_hash()
+    assert list(models.uses) == [a.model_hash()]
+    shared = [models.model(job) for job in jobs]
+    assert shared[0] is not None
+    assert all(model is shared[0] for model in shared)
 
 
 def test_shared_model_reused_across_scenario_jobs():
@@ -216,14 +209,24 @@ def test_shared_model_reused_across_scenario_jobs():
         SimulationJob.from_scenario(_scenario(workload="web")),
         SimulationJob.from_scenario(_scenario(workload="database")),
     ]
-    payload, refs = _build_shared_payload(jobs)
-    _install_shared_payload(payload)
-    try:
-        first = _resolve_shared_simulator(refs[0])
-        second = _resolve_shared_simulator(refs[1])
-        assert second.model is first.model
-    finally:
-        _clear_shared_payload()
+    models = _SweepModels(jobs, None)
+    first = models.model(jobs[0])
+    second = models.model(jobs[1])
+    assert first is not None and second is first
+
+
+def test_shared_serial_matches_fresh_on_iterative_backend():
+    """Krylov warm starts do not carry from one job to the next."""
+    solver = SolverSpec(nx=NX, ny=NY, backend="iterative")
+    scenarios = [
+        _scenario(workload=workload, solver=solver)
+        for workload in ("web", "database", "web")
+    ]
+    fresh = [(s.label, run_scenario(s)) for s in scenarios]
+    shared = run_simulations(scenarios)
+    assert [(k, _fields(r)) for k, r in fresh] == [
+        (k, _fields(r)) for k, r in shared
+    ]
 
 
 def test_resilient_accepts_scenarios():

@@ -1,21 +1,15 @@
-"""Zero-copy fan-out: shared payload runs match plain run_simulations."""
+"""Model sharing in simulation sweeps: shared-model runs match plain ones.
 
-import multiprocessing
-import pickle
+A sweep assembles one thermal model per stack and grid that two or
+more jobs use and reuses it across them (serially, or copy-on-write in
+fork workers).  Every run must still equal a plain run that assembles
+its own model.
+"""
 
 import pytest
 
-from repro.analysis import (
-    SimulationJob,
-    run_simulations,
-    run_simulations_shared,
-)
-from repro.analysis.sweep import (
-    _build_shared_payload,
-    _clear_shared_payload,
-    _install_shared_payload,
-    _resolve_shared_simulator,
-)
+from repro.analysis import SimulationJob, run_simulations
+from repro.analysis.sweep import _SweepModels
 from repro.core import paper_policies
 from repro.geometry import build_3d_mpsoc
 from repro.workload import paper_workload_suite
@@ -36,6 +30,11 @@ def _jobs():
         )
         for workload in ("web", "database")
     ]
+
+
+def _plain(jobs):
+    """Fresh per-job runs: every job assembles its own model."""
+    return [(job.key, job.run()) for job in jobs]
 
 
 def _flat(results):
@@ -59,57 +58,33 @@ def _flat(results):
 
 def test_shared_serial_matches_plain():
     jobs = _jobs()
-    assert _flat(run_simulations_shared(jobs)) == _flat(
-        run_simulations(jobs)
-    )
+    assert _flat(run_simulations(jobs)) == _flat(_plain(jobs))
 
 
-@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+@pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
 def test_shared_pool_matches_plain(start_method):
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"start method {start_method!r} unavailable here")
     jobs = _jobs()
-    expected = _flat(run_simulations(jobs))
-    got = _flat(
-        run_simulations_shared(
-            jobs, processes=2, start_method=start_method
-        )
-    )
+    expected = _flat(_plain(jobs))
+    got = _flat(run_simulations(jobs, processes=2))
     assert got == expected
-
-
-def test_payload_dedupes_and_refs_stay_tiny():
-    jobs = _jobs()
-    payload, refs = _build_shared_payload(jobs)
-    # Both jobs share one stack, one policy and one kwargs dict; only
-    # the traces differ.
-    assert len(payload.stacks) == 1
-    assert len(payload.policies) == 1
-    assert len(payload.traces) == 2
-    assert len(payload.kwargs) == 1
-    assert len(refs) == len(jobs)
-    # The per-job pickle shrinks from the whole design space to four
-    # indices — that is the fan-out serialisation saving.
-    job_bytes = len(pickle.dumps(jobs[0]))
-    ref_bytes = len(pickle.dumps(refs[0]))
-    assert ref_bytes * 10 < job_bytes
 
 
 def test_worker_reuses_cached_model_across_jobs():
     jobs = _jobs()
-    payload, refs = _build_shared_payload(jobs)
-    _install_shared_payload(payload)
-    try:
-        first = _resolve_shared_simulator(refs[0])
-        second = _resolve_shared_simulator(refs[1])
-        # Same stack and grid: the assembled thermal model is shared.
-        assert second.model is first.model
-    finally:
-        _clear_shared_payload()
+    models = _SweepModels(jobs, None)
+    first = models.model(jobs[0])
+    second = models.model(jobs[1])
+    # Same stack and grid: the assembled thermal model is shared ...
+    assert first is not None and second is first
+    # ... and dropped once the last job of its key has started.
+    assert not models.models
 
 
-def test_resolve_outside_pool_is_an_error():
-    _clear_shared_payload()
-    payload, refs = _build_shared_payload(_jobs())
-    with pytest.raises(RuntimeError):
-        _resolve_shared_simulator(refs[0])
+def test_model_of_a_single_job_is_not_shared():
+    """A key no other job uses gets no sweep model and no prewarm."""
+    jobs = _jobs()
+    jobs[1].stack = build_3d_mpsoc(2, jobs[1].policy.cooling)
+    models = _SweepModels(jobs, None)
+    models.prewarm(jobs)
+    assert not models.models
+    assert models.model(jobs[0]) is None and models.model(jobs[1]) is None
