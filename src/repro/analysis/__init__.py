@@ -11,11 +11,11 @@ from .sweep import (
     TransientSweep,
     TransientSweepResult,
     fan_out,
-    jittered_delay,
     resilient_fan_out,
     run_simulations,
     run_simulations_resilient,
 )
+from ..workers import jittered_delay
 from .reliability import (
     ThermalCycle,
     extract_cycles,

@@ -18,7 +18,9 @@ The layers, from cheapest to heaviest:
   :func:`resilient_fan_out` runs them serially or each in a worker
   process of its own, with retries, per-job timeouts and crash
   isolation; :func:`fan_out` is its strict form, which raises on the
-  first failure.
+  first failure.  Its workers, deadlines and backoffs are the
+  :class:`repro.workers.AttemptTable` the job service drives too; the
+  engine adds serial mode, checkpoints, strict mode and model sharing.
 * :class:`SimulationJob` / :func:`run_simulations` /
   :func:`run_simulations_resilient` — closed-loop
   :class:`~repro.core.simulator.SystemSimulator` runs as jobs of that
@@ -46,7 +48,7 @@ import time as _time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import connection
+from itertools import islice
 from pathlib import Path
 from typing import (
     Callable,
@@ -86,7 +88,7 @@ from ..thermal.diagnostics import (
 from ..thermal.field import TemperatureField
 from ..thermal.model import BlockRef, CompactThermalModel
 from ..thermal.solver import TransientStepper
-from ..workers import jittered_delay, reap_worker, render_traceback, start_worker
+from ..workers import AttemptTable, RetryPolicy, error_report
 from ..workload.traces import WorkloadTrace
 
 T = TypeVar("T")
@@ -785,46 +787,42 @@ def _save_checkpoint(
     tmp.replace(path)
 
 
-def _error_report(
-    exc: BaseException, elapsed_s: Optional[float]
-) -> Dict[str, object]:
-    """What a :class:`JobFailure` keeps of an exception."""
+def _job_error(exc: BaseException, start: Optional[float]) -> Dict[str, object]:
+    """The error outcome of a job that raised ``exc``: the time since
+    ``start`` (``perf_counter()``), the innermost open span and the
+    exception, which a strict sweep re-raises, added to the report."""
     return {
-        "error_type": type(exc).__name__,
-        "message": str(exc),
-        "traceback": render_traceback(exc),
-        "elapsed_s": elapsed_s,
+        **error_report(exc),
+        "elapsed_s": None if start is None else _time.perf_counter() - start,
         "last_span": getattr(exc, "_obs_last_span", "") or "",
+        "exception": exc,
     }
 
 
-def _run_in_worker(conn: connection.Connection, fn: Callable, item: object) -> None:
+def _run_in_worker(conn, fn: Callable, item: object) -> None:
     """Worker-process entry: run one job, send its outcome, exit.
 
-    The outcome is ``("ok", value)`` or ``("error", report, exc)``; an
-    exception that does not pickle travels as its report alone.
+    The outcome is ``{"kind": "done", "value": ...}`` or the job's
+    error; an exception that does not pickle travels without itself,
+    a value that does not pickle as the error of pickling it.
     """
     start = _time.perf_counter()
     try:
-        message: tuple = ("ok", fn(item))
+        message = {"kind": "done", "value": fn(item)}
     except BaseException as exc:  # the process's last act is to report
-        message = ("error", _error_report(exc, _time.perf_counter() - start), exc)
+        message = _job_error(exc, start)
     try:
         conn.send(message)
     except Exception as exc:  # the value or the exception did not pickle
-        report = message[1] if message[0] == "error" else _error_report(exc, None)
-        conn.send(("error", report, None))
+        if message["kind"] == "done":
+            message = _job_error(exc, None)
+        del message["exception"]
+        conn.send(message)
     conn.close()
 
 
-def _receive(conn: connection.Connection) -> Optional[tuple]:
-    """A worker's outcome, or ``None`` when it exited without one."""
-    try:
-        return conn.recv()
-    except EOFError:
-        return None
-    except Exception as exc:  # the outcome did not unpickle here
-        return ("error", _error_report(exc, None), None)
+_PHASES = {"error": "exception", "crash": "worker-crash", "timeout": "timeout"}
+"""The :attr:`JobFailure.phase` of each failed outcome's kind."""
 
 
 @dataclass
@@ -839,9 +837,7 @@ class _Sweep:
     work: list
     keys: Optional[Sequence[object]] = None
     timeout_s: Optional[float] = None
-    retries: int = 0
-    backoff_s: float = 0.0
-    backoff_jitter: float = 0.25
+    retry: RetryPolicy = RetryPolicy(retries=0, backoff_s=0.0)
     checkpoint_path: Optional[Path] = None
     checkpoint_every: int = 8
     strict: bool = False
@@ -851,7 +847,7 @@ class _Sweep:
         self.keys = list(range(total)) if self.keys is None else list(self.keys)
         if len(self.keys) != total:
             raise ValueError("keys must match items one-to-one")
-        if self.retries < 0:
+        if self.retry.retries < 0:
             raise ValueError("retries must be non-negative")
         self.results = _load_checkpoint(self.checkpoint_path, total)
         self.failures: Dict[int, JobFailure] = {}
@@ -887,38 +883,27 @@ class _Sweep:
             _save_checkpoint(self.checkpoint_path, self.results, len(self.work))
             self._unsaved = 0
 
-    def _failed(
-        self,
-        index: int,
-        phase: str,
-        report: Dict[str, object],
-        exc: Optional[BaseException] = None,
-    ) -> bool:
-        """Record a failed attempt; True when the job gets another.
-
-        ``report`` holds the :class:`JobFailure` fields that describe
-        the error (see :func:`_error_report`).
-        """
+    def _failed(self, index: int, outcome: Dict[str, object]) -> None:
+        """Record a job whose last attempt failed with ``outcome``."""
         attempts = self.attempts[index]
-        if attempts <= self.retries:
-            return True
         failure = JobFailure(
             index=index,
             key=self.keys[index],
-            phase=phase,
+            phase=_PHASES[outcome["kind"]],
+            # A crash keeps the label of the process-pool era; callers
+            # match on it.
+            error_type=outcome.get("error_type", "BrokenProcessPool"),
+            message=outcome["message"],
+            traceback=outcome.get("traceback", ""),
             attempts=attempts,
+            elapsed_s=outcome.get("elapsed_s"),
             retry_index=attempts - 1,
-            **report,
+            last_span=outcome.get("last_span", ""),
         )
         if self.strict:
+            exc = outcome.get("exception")
             raise exc if exc is not None else RuntimeError(_failure_line(failure))
         self.failures[index] = failure
-        return False
-
-    def _retry_delay(self, index: int) -> float:
-        return jittered_delay(
-            self.backoff_s, self.attempts[index], jitter=self.backoff_jitter
-        )
 
     def _run_serial(self, pending: List[int]) -> None:
         for index in pending:
@@ -928,10 +913,10 @@ class _Sweep:
                 try:
                     value = self.fn(self.work[index])
                 except Exception as exc:
-                    report = _error_report(exc, _time.perf_counter() - start)
-                    if not self._failed(index, "exception", report, exc):
+                    if self.retry.exhausted(self.attempts[index]):
+                        self._failed(index, _job_error(exc, start))
                         break
-                    _time.sleep(self._retry_delay(index))
+                    _time.sleep(self.retry.delay(self.attempts[index]))
                 else:
                     self._succeeded(index, value)
                     break
@@ -939,83 +924,37 @@ class _Sweep:
     def _run_workers(self, pending: List[int], processes: int) -> None:
         """Each attempt in a worker of its own, at most ``processes`` alive.
 
-        ``running`` maps a worker's result pipe to its job index,
-        process and start time; a job's deadline counts from the start
-        of its own attempt.
+        Jobs start in submission order; a failed one goes to the back
+        and starts once its backoff has ended.  The shared
+        :class:`AttemptTable` keeps the workers, deadlines and backoffs.
         """
-        ready = deque(pending)
-        retry_at: Dict[int, float] = {}
-        running: Dict[connection.Connection, tuple] = {}
+        table = AttemptTable(retry=self.retry, timeout_s=self.timeout_s)
+        waiting = deque(pending)
         try:
-            while ready or retry_at or running:
-                now = _time.monotonic()
-                for index in [i for i, due in retry_at.items() if due <= now]:
-                    del retry_at[index]
-                    ready.append(index)
-                while ready and len(running) < processes:
-                    index = ready.popleft()
+            while waiting or table.running:
+                free = processes - len(table.running)
+                for index in list(islice(filter(table.ready, waiting), free)):
+                    waiting.remove(index)
                     self.attempts[index] += 1
-                    process, conn = start_worker(
-                        _run_in_worker, (self.fn, self.work[index]), daemon=False
-                    )
-                    running[conn] = (index, process, _time.monotonic())
-                wakes = list(retry_at.values())
-                if self.timeout_s is not None:
-                    wakes += [t + self.timeout_s for _, _, t in running.values()]
-                wait_s = max(0.0, min(wakes) - _time.monotonic()) if wakes else None
-                if not running:  # only backoffs are pending
-                    _time.sleep(wait_s)
-                    continue
-                for conn in connection.wait(list(running), wait_s):
-                    index, process, started = running.pop(conn)
-                    message = _receive(conn)
-                    exitcode = reap_worker(process, conn)
-                    elapsed = _time.monotonic() - started
-                    if self._settle(index, message, exitcode, elapsed):
-                        retry_at[index] = _time.monotonic() + self._retry_delay(index)
-                for conn, (index, process, started) in list(running.items()):
-                    elapsed = _time.monotonic() - started
-                    if self.timeout_s is None or elapsed < self.timeout_s:
-                        continue
-                    del running[conn]
-                    reap_worker(process, conn, terminate=True)
-                    report = {
-                        "error_type": "TimeoutError",
-                        "message": f"job exceeded the {self.timeout_s} s deadline",
-                        "elapsed_s": elapsed,
-                    }
-                    if self._failed(index, "timeout", report):
-                        retry_at[index] = _time.monotonic() + self._retry_delay(index)
+                    args = (self.fn, self.work[index])
+                    table.start(index, _run_in_worker, args, daemon=False)
+                table.wait()
+                for attempt in table.poll():
+                    index, outcome = attempt.key, attempt.outcome
+                    if outcome["kind"] == "done":
+                        self._succeeded(index, outcome["value"])
+                    elif table.retry_later(index, self.attempts[index]):
+                        waiting.append(index)
+                    else:
+                        exc = outcome.get("exception")
+                        if exc is not None:  # shown when a strict sweep raises it
+                            exc.__cause__ = RuntimeError(
+                                "raised in a worker process\n"
+                                + outcome["traceback"]
+                            )
+                        self._failed(index, outcome)
         finally:
-            for conn, (_, process, _) in running.items():
-                reap_worker(process, conn, terminate=True)
-
-    def _settle(
-        self,
-        index: int,
-        message: Optional[tuple],
-        exitcode: Optional[int],
-        elapsed: float,
-    ) -> bool:
-        """Record one worker's outcome; True when the job gets a retry."""
-        if message is None:
-            report = {
-                # The label of the process-pool era; callers match on it.
-                "error_type": "BrokenProcessPool",
-                "message": "the worker process died while running this job "
-                f"(exit code {exitcode})",
-                "elapsed_s": elapsed,
-            }
-            return self._failed(index, "worker-crash", report)
-        if message[0] == "ok":
-            self._succeeded(index, message[1])
-            return False
-        _, report, exc = message
-        if exc is not None:  # shown when a strict sweep re-raises it
-            exc.__cause__ = RuntimeError(
-                f"raised in a worker process\n{report['traceback']}"
-            )
-        return self._failed(index, "exception", report, exc)
+            table.close()
 
 
 def resilient_fan_out(
@@ -1034,9 +973,9 @@ def resilient_fan_out(
     """Fan out with per-job isolation: one bad job cannot sink the grid.
 
     With ``processes > 1`` every attempt runs in a worker process of
-    its own (:mod:`repro.workers`, the lifecycle the job service
-    uses), at most ``processes`` at a time, and reports its outcome
-    over a one-way pipe.  Guarantees, relative to plain
+    its own (:class:`repro.workers.AttemptTable`, which the job
+    service drives too), at most ``processes`` at a time, and reports
+    its outcome over a one-way pipe.  Guarantees, relative to plain
     :func:`fan_out`:
 
     * a job that **raises** is retried ``retries`` times with
@@ -1072,9 +1011,7 @@ def resilient_fan_out(
         list(items),
         keys=keys,
         timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        backoff_jitter=backoff_jitter,
+        retry=RetryPolicy(retries, backoff_s, jitter=backoff_jitter),
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
     ).run(processes)

@@ -73,19 +73,17 @@ def _result_table(title: str, result: SimulationResult) -> Table:
 def _simulate_scenario(args: argparse.Namespace) -> Scenario:
     """The scenario the ``simulate``/``export-scenario`` flags describe."""
     policy = PolicySpec(name=args.policy)
-    two_phase = bool(getattr(args, "two_phase", False))
     cooling_backend = None
-    if two_phase:
+    if args.two_phase:
         cooling_backend = CoolingSpec(
-            backend="two_phase",
-            refrigerant=getattr(args, "refrigerant", "R134a"),
+            backend="two_phase", refrigerant=args.refrigerant
         )
     try:
         return Scenario(
             stack=StackSpec(
                 tiers=args.tiers,
                 cooling=policy.cooling,
-                two_phase=two_phase,
+                two_phase=args.two_phase,
                 cooling_backend=cooling_backend,
             ),
             workload=WorkloadSpec(
@@ -98,6 +96,17 @@ def _simulate_scenario(args: argparse.Namespace) -> Scenario:
         )
     except ScenarioError as error:
         raise SystemExit(str(error)) from error
+
+
+def _load_spec(path: Path) -> Scenario:
+    """The scenario spec (JSON file) at ``path``; exits when it is
+    missing or invalid."""
+    if not path.exists():
+        raise SystemExit(f"no such scenario spec: {path}")
+    try:
+        return Scenario.load(path)
+    except ScenarioError as error:
+        raise SystemExit(f"invalid scenario spec {path}: {error}") from error
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -113,12 +122,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a declarative scenario spec (JSON file) end to end."""
     path = Path(args.spec)
-    if not path.exists():
-        raise SystemExit(f"no such scenario spec: {path}")
-    try:
-        scenario = Scenario.load(path)
-    except ScenarioError as error:
-        raise SystemExit(f"invalid scenario spec {path}: {error}") from error
+    scenario = _load_spec(path)
     cache = None
     if args.cache or args.cache_dir is not None:
         cache = ResultCache(args.cache_dir)
@@ -144,10 +148,15 @@ DEFAULT_SERVICE_ROOT = Path.home() / ".cache" / "repro" / "service"
 
 def _service_address(args: argparse.Namespace):
     """The socket the service verbs talk to (--socket wins over --root)."""
-    if getattr(args, "socket", None):
-        return args.socket
-    root = Path(getattr(args, "root", None) or DEFAULT_SERVICE_ROOT)
-    return root / "service.sock"
+    return args.socket or Path(args.root or DEFAULT_SERVICE_ROOT) / "service.sock"
+
+
+def _unreachable(client, error: Exception) -> SystemExit:
+    """The exit of a service verb whose service does not answer."""
+    return SystemExit(
+        f"cannot reach the service at {client.address}: {error} "
+        "(start one with `repro serve`)"
+    )
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -185,13 +194,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a scenario spec to a running service."""
     from .service import ProtocolError, ServiceClient
 
-    path = Path(args.spec)
-    if not path.exists():
-        raise SystemExit(f"no such scenario spec: {path}")
-    try:
-        scenario = Scenario.load(path)
-    except ScenarioError as error:
-        raise SystemExit(f"invalid scenario spec {path}: {error}") from error
+    scenario = _load_spec(Path(args.spec))
     from .obs.live import TraceContext
 
     client = ServiceClient(_service_address(args))
@@ -203,10 +206,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             profile=args.profile,
         )
     except (ProtocolError, OSError) as error:
-        raise SystemExit(
-            f"cannot reach the service at {client.address}: {error} "
-            "(start one with `repro serve`)"
-        ) from error
+        raise _unreachable(client, error) from error
     job_id = response["job_id"]
     print(
         f"{job_id} [{response['disposition']}] "
@@ -241,32 +241,25 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     from .service import ProtocolError, ServiceClient
 
     client = ServiceClient(_service_address(args))
+    payload = None
     try:
         if args.health:
-            print(_json.dumps(client.health(), indent=2, sort_keys=True))
-            return 0
-        if args.status:
-            print(
-                _json.dumps(
-                    client.status(args.status)["job"], indent=2, sort_keys=True
-                )
-            )
-            return 0
-        if args.result:
-            print(
-                _json.dumps(client.result(args.result), indent=2, sort_keys=True)
-            )
-            return 0
-        if args.cancel:
+            payload = client.health()
+        elif args.status:
+            payload = client.status(args.status)["job"]
+        elif args.result:
+            payload = client.result(args.result)
+        elif args.cancel:
             job = client.cancel(args.cancel)["job"]
             print(f"{job['job_id']} -> {job['state']}")
             return 0
-        response = client.jobs()
+        else:
+            response = client.jobs()
     except (ProtocolError, OSError) as error:
-        raise SystemExit(
-            f"cannot reach the service at {client.address}: {error} "
-            "(start one with `repro serve`)"
-        ) from error
+        raise _unreachable(client, error) from error
+    if payload is not None:
+        print(_json.dumps(payload, indent=2, sort_keys=True))
+        return 0
     table = Table("Jobs", ["id", "state", "attempts", "label", "hash"])
     for job in response["jobs"]:
         table.add_row(
@@ -601,10 +594,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         return 0
     except (ProtocolError, OSError) as error:
-        raise SystemExit(
-            f"cannot reach the service at {client.address}: {error} "
-            "(start one with `repro serve`)"
-        ) from error
+        raise _unreachable(client, error) from error
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -612,12 +602,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from .obs.live import SamplingProfiler
 
     path = Path(args.spec)
-    if not path.exists():
-        raise SystemExit(f"no such scenario spec: {path}")
-    try:
-        scenario = Scenario.load(path)
-    except ScenarioError as error:
-        raise SystemExit(f"invalid scenario spec {path}: {error}") from error
+    scenario = _load_spec(path)
     if not SamplingProfiler.available():
         raise SystemExit(
             "sampling profiler unavailable on this platform "
@@ -766,6 +751,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thermally-aware 3D MPSoC design (Sabry et al., DATE 2011)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    service_flags = argparse.ArgumentParser(add_help=False)
+    service_flags.add_argument(
+        "--root",
+        default=None,
+        help=f"service state directory (default {DEFAULT_SERVICE_ROOT})",
+    )
+    service_flags.add_argument(
+        "--socket",
+        default=None,
+        help="socket override: a path, or host:port for TCP "
+        "(default <root>/service.sock)",
+    )
+    scenario_flags = argparse.ArgumentParser(add_help=False)
+    scenario_flags.add_argument("--tiers", type=int, default=2, choices=(2, 4))
+    scenario_flags.add_argument("--policy", default="LC_FUZZY", choices=POLICY_NAMES)
+    scenario_flags.add_argument("--workload", default="database")
+    scenario_flags.add_argument("--duration", type=int, default=60)
+    scenario_flags.add_argument(
+        "--two-phase",
+        action="store_true",
+        help="fill the cavities with an evaporating refrigerant "
+        "(dynamic two-phase cooling backend)",
+    )
+    scenario_flags.add_argument(
+        "--refrigerant",
+        default="R134a",
+        choices=REFRIGERANT_CHOICES,
+        help="two-phase working fluid (with --two-phase)",
+    )
 
     run = sub.add_parser(
         "run", help="run a declarative scenario spec (JSON file)"
@@ -848,18 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[service_flags],
         help="run the durable scenario-job service (crash-safe queue)",
-    )
-    serve.add_argument(
-        "--root",
-        default=None,
-        help=f"service state directory (default {DEFAULT_SERVICE_ROOT})",
-    )
-    serve.add_argument(
-        "--socket",
-        default=None,
-        help="socket override: a path, or host:port for TCP "
-        "(default <root>/service.sock)",
     )
     serve.add_argument(
         "--workers", type=int, default=2, help="worker processes (default 2)"
@@ -924,13 +928,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=cmd_serve)
 
     submit = sub.add_parser(
-        "submit", help="submit a scenario spec to a running service"
+        "submit",
+        parents=[service_flags],
+        help="submit a scenario spec to a running service",
     )
     submit.add_argument("spec", help="path to a Scenario JSON file")
-    submit.add_argument("--root", default=None, help="service state directory")
-    submit.add_argument(
-        "--socket", default=None, help="service socket path or host:port"
-    )
     submit.add_argument(
         "--wait",
         action="store_true",
@@ -951,11 +953,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.set_defaults(func=cmd_submit)
 
     top = sub.add_parser(
-        "top", help="live service dashboard (metrics socket verb)"
-    )
-    top.add_argument("--root", default=None, help="service state directory")
-    top.add_argument(
-        "--socket", default=None, help="service socket path or host:port"
+        "top",
+        parents=[service_flags],
+        help="live service dashboard (metrics socket verb)",
     )
     top.add_argument(
         "--once", action="store_true", help="print one snapshot and exit"
@@ -1000,11 +1000,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=cmd_profile)
 
     jobs = sub.add_parser(
-        "jobs", help="list/inspect/cancel jobs on a running service"
-    )
-    jobs.add_argument("--root", default=None, help="service state directory")
-    jobs.add_argument(
-        "--socket", default=None, help="service socket path or host:port"
+        "jobs",
+        parents=[service_flags],
+        help="list/inspect/cancel jobs on a running service",
     )
     jobs.add_argument(
         "--status", metavar="JOB_ID", help="print one job's status as JSON"
@@ -1020,43 +1018,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jobs.set_defaults(func=cmd_jobs)
 
-    simulate = sub.add_parser("simulate", help="run one closed-loop simulation")
-    simulate.add_argument("--tiers", type=int, default=2, choices=(2, 4))
-    simulate.add_argument("--policy", default="LC_FUZZY", choices=POLICY_NAMES)
-    simulate.add_argument("--workload", default="database")
-    simulate.add_argument("--duration", type=int, default=60)
-    simulate.add_argument(
-        "--two-phase",
-        action="store_true",
-        help="fill the cavities with an evaporating refrigerant "
-        "(dynamic two-phase cooling backend)",
-    )
-    simulate.add_argument(
-        "--refrigerant",
-        default="R134a",
-        choices=REFRIGERANT_CHOICES,
-        help="two-phase working fluid (with --two-phase)",
+    simulate = sub.add_parser(
+        "simulate",
+        parents=[scenario_flags],
+        help="run one closed-loop simulation",
     )
     simulate.set_defaults(func=cmd_simulate)
 
     export = sub.add_parser(
         "export-scenario",
+        parents=[scenario_flags],
         help="print the scenario JSON the simulate flags describe",
-    )
-    export.add_argument("--tiers", type=int, default=2, choices=(2, 4))
-    export.add_argument("--policy", default="LC_FUZZY", choices=POLICY_NAMES)
-    export.add_argument("--workload", default="database")
-    export.add_argument("--duration", type=int, default=60)
-    export.add_argument(
-        "--two-phase",
-        action="store_true",
-        help="emit a two-phase stack with the dynamic cooling backend",
-    )
-    export.add_argument(
-        "--refrigerant",
-        default="R134a",
-        choices=REFRIGERANT_CHOICES,
-        help="two-phase working fluid (with --two-phase)",
     )
     export.add_argument(
         "--out", default=None, help="write to a file instead of stdout"

@@ -240,6 +240,15 @@ class SystemSimulator:
 
     def run(self) -> SimulationResult:
         """Execute the full trace and return the aggregated result."""
+        with get_tracer().span(
+            "simulator.run",
+            policy=self.policy.name,
+            workload=self.trace.name,
+            duration=self.trace.duration,
+        ):
+            return self._run()
+
+    def _run(self) -> SimulationResult:
         tracer = get_tracer()
         registry = get_registry()
         step_counter = registry.counter("sim.steps")
@@ -247,30 +256,6 @@ class SystemSimulator:
         temp_hist = registry.histogram("sim.max_temperature_c")
         flow_hist = registry.histogram("sim.flow_ml_min")
         power_hist = registry.histogram("sim.chip_power_w")
-        with tracer.span(
-            "simulator.run",
-            policy=self.policy.name,
-            workload=self.trace.name,
-            duration=self.trace.duration,
-        ):
-            return self._run_instrumented(
-                tracer,
-                step_counter,
-                throttle_counter,
-                temp_hist,
-                flow_hist,
-                power_hist,
-            )
-
-    def _run_instrumented(
-        self,
-        tracer,
-        step_counter,
-        throttle_counter,
-        temp_hist,
-        flow_hist,
-        power_hist,
-    ) -> SimulationResult:
         self.policy.reset()
         self.model.reset_cooling_state()
         stepper = self._initial_state()
@@ -297,112 +282,112 @@ class SystemSimulator:
                 self.trace.interval(interval) * self._thread_share
             )
             for _ in range(steps_per_interval):
-              with tracer.span("simulator.step") as step_span:
-                readings = self.sensors.read(stepper.state, time)
-                if self.faults is not None and self.faults.sensor_faults:
-                    # Hot-spot statistics track the physical die, not
-                    # the (possibly dead/stuck) sensor outputs the
-                    # policy is steering by.
-                    physical = self.sensors.true_values(stepper.state)
-                else:
-                    physical = readings
-                with tracer.span("policy.decide") as policy_span:
-                    decision = self.policy.decide(time, readings, utils)
-                    if tracer.has_sinks:
-                        policy_span.set(
-                            policy=self.policy.name,
-                            flow_ml_min=decision.flow_ml_min,
-                            dvfs_settings=len(decision.vf_settings),
-                        )
-                if decision.flow_ml_min is not None:
-                    commanded = float(decision.flow_ml_min)
-                    if not np.isfinite(commanded) or commanded <= 0.0:
-                        raise ThermalInputError(
-                            f"policy {self.policy.name} commanded an "
-                            f"invalid flow rate {commanded!r}"
-                        )
-                    flow = self.pump.clamp_flow(commanded)
-                    if self.faults is not None and self.faults.flow_faults:
-                        delivered = self.faults.effective_flows(
-                            time, flow, self._cavity_names
-                        )
-                        for name, value in delivered.items():
-                            self.model.set_cavity_flow(name, value)
-                        achieved = (
-                            sum(delivered.values()) / len(delivered)
-                            if delivered
-                            else flow
-                        )
+                with tracer.span("simulator.step") as step_span:
+                    readings = self.sensors.read(stepper.state, time)
+                    if self.faults is not None and self.faults.sensor_faults:
+                        # Hot-spot statistics track the physical die, not
+                        # the (possibly dead/stuck) sensor outputs the
+                        # policy is steering by.
+                        physical = self.sensors.true_values(stepper.state)
                     else:
-                        self.model.set_flow(flow)
-                        achieved = flow
-                    self.policy.observe_flow(flow, achieved)
-                    flow_sum += flow
-                    flow_samples += 1
-                    flow_hist.observe(flow)
-                else:
-                    flow = None
+                        physical = readings
+                    with tracer.span("policy.decide") as policy_span:
+                        decision = self.policy.decide(time, readings, utils)
+                        if tracer.has_sinks:
+                            policy_span.set(
+                                policy=self.policy.name,
+                                flow_ml_min=decision.flow_ml_min,
+                                dvfs_settings=len(decision.vf_settings),
+                            )
+                    if decision.flow_ml_min is not None:
+                        commanded = float(decision.flow_ml_min)
+                        if not np.isfinite(commanded) or commanded <= 0.0:
+                            raise ThermalInputError(
+                                f"policy {self.policy.name} commanded an "
+                                f"invalid flow rate {commanded!r}"
+                            )
+                        flow = self.pump.clamp_flow(commanded)
+                        if self.faults is not None and self.faults.flow_faults:
+                            delivered = self.faults.effective_flows(
+                                time, flow, self._cavity_names
+                            )
+                            for name, value in delivered.items():
+                                self.model.set_cavity_flow(name, value)
+                            achieved = (
+                                sum(delivered.values()) / len(delivered)
+                                if delivered
+                                else flow
+                            )
+                        else:
+                            self.model.set_flow(flow)
+                            achieved = flow
+                        self.policy.observe_flow(flow, achieved)
+                        flow_sum += flow
+                        flow_samples += 1
+                        flow_hist.observe(flow)
+                    else:
+                        flow = None
 
-                vf_settings = decision.vf_settings
-                if self.faults is not None:
-                    vf_settings = self.faults.delayed_vf(vf_settings)
-                speeds = np.array(
-                    [
-                        vf_table.speed_fraction(
-                            vf_settings.get(ref, 0)
-                        )
-                        for ref in self.core_refs
-                    ]
-                )
-                executed = perf.record(demand_rates, speeds, dt)
-                busy = executed / (speeds * dt)
-                utils = {
-                    ref: float(min(1.0, b))
-                    for ref, b in zip(self.core_refs, busy)
-                }
-
-                block_temps = self._block_reduction.reduce_dict(
-                    stepper.state.values, reduce="mean"
-                )
-                powers = self.power_model.block_powers(
-                    utils, vf_settings, block_temps
-                )
-                chip_w = sum(powers.values())
-                pump_w = self._pump_power(flow)
-
-                packed = np.array(
-                    [powers.get(ref, 0.0) for ref in self._block_order]
-                )
-                # Quasi-static two-phase coupling: re-march the cooling
-                # backends against this step's flow/flux before the
-                # thermal step consumes the updated saturation anchors.
-                self.model.update_cooling(packed, time)
-                stepper.step_packed(packed)
-                time += dt
-                energy.add(chip_w, pump_w, dt)
-                hotspots.update(physical, dt)
-                max_temp_c = kelvin_to_celsius(max(physical.values()))
-                step_counter.inc()
-                temp_hist.observe(max_temp_c)
-                power_hist.observe(chip_w)
-                throttled = sum(
-                    1 for level in vf_settings.values() if level
-                )
-                if throttled:
-                    throttle_counter.inc(throttled)
-                if tracer.has_sinks:
-                    step_span.set(
-                        t=round(time, 6),
-                        max_temperature_c=round(max_temp_c, 3),
-                        flow_ml_min=flow,
-                        chip_power_w=round(chip_w, 3),
-                        dvfs_throttled=throttled,
+                    vf_settings = decision.vf_settings
+                    if self.faults is not None:
+                        vf_settings = self.faults.delayed_vf(vf_settings)
+                    speeds = np.array(
+                        [
+                            vf_table.speed_fraction(
+                                vf_settings.get(ref, 0)
+                            )
+                            for ref in self.core_refs
+                        ]
                     )
-                if self.record_series:
-                    series["time"].append(time)
-                    series["max_temperature_c"].append(max_temp_c)
-                    series["flow_ml_min"].append(flow if flow is not None else 0.0)
-                    series["chip_power_w"].append(chip_w)
+                    executed = perf.record(demand_rates, speeds, dt)
+                    busy = executed / (speeds * dt)
+                    utils = {
+                        ref: float(min(1.0, b))
+                        for ref, b in zip(self.core_refs, busy)
+                    }
+
+                    block_temps = self._block_reduction.reduce_dict(
+                        stepper.state.values, reduce="mean"
+                    )
+                    powers = self.power_model.block_powers(
+                        utils, vf_settings, block_temps
+                    )
+                    chip_w = sum(powers.values())
+                    pump_w = self._pump_power(flow)
+
+                    packed = np.array(
+                        [powers.get(ref, 0.0) for ref in self._block_order]
+                    )
+                    # Quasi-static two-phase coupling: re-march the cooling
+                    # backends against this step's flow/flux before the
+                    # thermal step consumes the updated saturation anchors.
+                    self.model.update_cooling(packed, time)
+                    stepper.step_packed(packed)
+                    time += dt
+                    energy.add(chip_w, pump_w, dt)
+                    hotspots.update(physical, dt)
+                    max_temp_c = kelvin_to_celsius(max(physical.values()))
+                    step_counter.inc()
+                    temp_hist.observe(max_temp_c)
+                    power_hist.observe(chip_w)
+                    throttled = sum(
+                        1 for level in vf_settings.values() if level
+                    )
+                    if throttled:
+                        throttle_counter.inc(throttled)
+                    if tracer.has_sinks:
+                        step_span.set(
+                            t=round(time, 6),
+                            max_temperature_c=round(max_temp_c, 3),
+                            flow_ml_min=flow,
+                            chip_power_w=round(chip_w, 3),
+                            dvfs_throttled=throttled,
+                        )
+                    if self.record_series:
+                        series["time"].append(time)
+                        series["max_temperature_c"].append(max_temp_c)
+                        series["flow_ml_min"].append(flow if flow is not None else 0.0)
+                        series["chip_power_w"].append(chip_w)
 
         mean_flow = flow_sum / flow_samples if flow_samples else 0.0
         return SimulationResult(

@@ -15,7 +15,8 @@ The pieces, bottom-up:
   the WAL; replays on startup, re-enqueues jobs that were ``RUNNING``
   at crash time, dedupes by :meth:`Scenario.content_hash`.
 * :class:`~repro.service.supervisor.Supervisor` — drives process
-  workers with heartbeats, timeouts, bounded jittered retries, a
+  workers on the :class:`repro.workers.AttemptTable` the sweeps share
+  (heartbeats, timeouts, bounded jittered retries) and adds a
   per-scenario-class circuit breaker (poison-job quarantine) and
   graceful drain on SIGTERM.
 * :mod:`~repro.service.protocol` — minimal JSON-lines socket protocol

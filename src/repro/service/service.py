@@ -413,11 +413,12 @@ class ScenarioJobService:
             self._wake.set()
 
     def _hook_supervisor(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Point the supervisor's event hooks at this loop."""
+        """Point the event hooks of the supervisor's workers at this loop."""
         wake = self._wake.set
-        self.supervisor.watch = lambda fd: loop.add_reader(fd, wake)
-        self.supervisor.unwatch = loop.remove_reader
-        self.supervisor.wake_at = lambda t: loop.call_later(
+        workers = self.supervisor.workers
+        workers.watch = lambda fd: loop.add_reader(fd, wake)
+        workers.unwatch = loop.remove_reader
+        workers.wake_at = lambda t: loop.call_later(
             max(0.0, t - time.monotonic()), wake
         )
 

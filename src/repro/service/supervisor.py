@@ -1,23 +1,18 @@
-"""Worker supervision: heartbeats, retries, poison-job quarantine.
+"""Worker supervision: the service's retries, breaker and drain.
 
-The supervisor owns the only part of the service that can die
-unexpectedly — the worker processes actually solving scenarios.  Each
-job runs in its own ``multiprocessing.Process`` (full crash isolation:
-a segfault, OOM kill or ``os._exit`` takes down one job, not the
-pool), reporting through a one-way pipe:
-
-* ``hb`` heartbeats every few hundred milliseconds from a worker-side
-  thread — a worker whose heartbeat goes stale is hung, not slow, and
-  is killed and retried;
-* a final ``done`` / ``error`` message carrying the outcome.
+Each job attempt runs in a worker process of its own on the
+:class:`repro.workers.AttemptTable` the sweeps use too, which keeps the
+deadlines, the heartbeat check (a worker-side thread sends ``hb``
+every few hundred milliseconds; a stale heartbeat means hung, not
+slow), the jittered retry backoffs and the reaping.  The supervisor
+keeps what is the service's own on top: WAL transitions, the breaker,
+the solve log, the profiler, the reconstructed trace records, cancel
+and drain.
 
 Failure policy, in order of escalation:
 
 * an **exception** in the solve is retried up to the policy's bounded
-  attempts with exponential backoff *plus jitter* (simultaneous
-  failures must not retry in lockstep — the same
-  :func:`repro.workers.jittered_delay` the sweep retries use), then
-  marked ``FAILED``;
+  attempts, then marked ``FAILED``;
 * a **worker death** additionally feeds the per-scenario-class
   :class:`CircuitBreaker`; a spec that kills workers repeatedly is
   quarantined (``QUARANTINED``) instead of crash-looping the pool, and
@@ -29,25 +24,21 @@ Failure policy, in order of escalation:
 ``drain()`` implements graceful SIGTERM shutdown: stop dispatching,
 let in-flight jobs finish (bounded), re-enqueue whatever could not —
 the WAL already holds every pending job, so "checkpoint the rest" is
-free.
-
-The supervisor needs no event loop: :meth:`Supervisor.tick` called on
-a clock finds every outcome by polling.  A loop that wants to react to
-events instead sets the hooks ``watch``/``unwatch`` (a worker's result
-pipe, at dispatch and at reap) and ``wake_at`` (a retry's backoff end)
-and runs :meth:`Supervisor.poll` and :meth:`Supervisor.dispatch_pending`
-whenever one fires (DESIGN.md section 13).
+free.  No event loop is needed: :meth:`Supervisor.tick` called on a
+clock finds every outcome by polling, and a loop that sets the table's
+hooks runs :meth:`Supervisor.poll` and
+:meth:`Supervisor.dispatch_pending` whenever one fires (DESIGN.md
+section 13).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..obs import capture_telemetry, is_obs_payload
 from ..obs.live import (
@@ -64,11 +55,11 @@ from ..scenario.cache import ResultCache
 from ..scenario.runner import Runner
 from ..scenario.spec import Scenario
 from ..workers import (
-    EXIT_GRACE_S,
-    jittered_delay,
-    reap_worker,
-    render_traceback,
-    start_worker,
+    EXIT_GRACE_S,  # noqa: F401 - part of this module's API
+    Attempt,
+    AttemptTable,
+    RetryPolicy,
+    error_report,
 )
 from .jobs import Job, JobState, JobStore
 
@@ -203,44 +194,13 @@ def worker_main(
         )
     except BaseException as exc:  # report *everything* before dying
         stop.set()
-        send(
-            {
-                "kind": "error",
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": render_traceback(exc),
-            }
-        )
+        send(error_report(exc))
     finally:
         stop.set()
         try:
             conn.close()
         except OSError:
             pass
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with jittered exponential backoff."""
-
-    retries: int = 2
-    backoff_s: float = 0.5
-    cap_s: float = 30.0
-    jitter: float = 0.25
-
-    @property
-    def max_attempts(self) -> int:
-        return self.retries + 1
-
-    def delay(self, attempt: int, rng: Optional[random.Random] = None) -> float:
-        """Seconds to wait before re-dispatching attempt ``attempt + 1``."""
-        return jittered_delay(
-            self.backoff_s,
-            attempt,
-            cap_s=self.cap_s,
-            jitter=self.jitter,
-            rng=rng,
-        )
 
 
 class CircuitBreaker:
@@ -305,29 +265,6 @@ class CircuitBreaker:
 
 
 @dataclass
-class _Running:
-    """Parent-side handle of one in-flight worker."""
-
-    job_id: str
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    started: float
-    last_heartbeat: float
-    # Wall-clock twin of ``last_heartbeat`` (monotonic): the synthetic
-    # ``worker.killed`` event reports *when* the worker was last known
-    # alive, which must be comparable across processes and restarts.
-    last_heartbeat_wall: float = 0.0
-    # Wall-clock dispatch time: the reconstructed ``service.job`` span
-    # must cover the worker's whole run, not the parent's bookkeeping.
-    started_wall: float = 0.0
-    outcome: Optional[dict] = None
-    # The outcome is journaled; the worker may still be exiting.
-    journaled: bool = False
-    # The worker closed its end of the pipe: it has exited or is exiting.
-    eof: bool = False
-
-
-@dataclass
 class DrainReport:
     """Outcome of a graceful drain."""
 
@@ -335,22 +272,15 @@ class DrainReport:
     requeued: List[str] = field(default_factory=list)
 
 
-def _ignore(_value: float) -> None:
-    """Default event hook: without a loop, :meth:`Supervisor.tick` polls."""
-
-
 class Supervisor:
     """Drive the worker pool over a :class:`JobStore`'s queue.
 
     Single-threaded: :meth:`poll` and :meth:`dispatch_pending` are
     called from the service loop, so every store mutation happens on
-    the loop thread and the WAL sees a serialised history.
-
-    Event hooks (no-ops until a loop sets them): ``watch(fd)`` and
-    ``unwatch(fd)`` receive each worker's result-pipe descriptor at
-    dispatch and at reap, ``wake_at(t)`` the ``time.monotonic()``
-    instant a retry's backoff ends.  The loop wakes on them and calls
-    :meth:`poll` then :meth:`dispatch_pending`.
+    the loop thread and the WAL sees a serialised history.  The
+    workers, their deadlines, heartbeats and backoffs are the
+    ``workers`` :class:`~repro.workers.AttemptTable`, keyed by job id;
+    a loop sets its event hooks.
     """
 
     def __init__(
@@ -369,20 +299,17 @@ class Supervisor:
     ) -> None:
         self.store = store
         self.max_workers = int(max_workers)
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.workers = AttemptTable(
+            retry=retry,
+            timeout_s=timeout_s,
+            heartbeat_timeout_s=float(heartbeat_timeout_s),
+            rng=rng,
+        )
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.timeout_s = timeout_s
-        self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.run_log = run_log
-        self.rng = rng if rng is not None else random.Random()
         self.watchdog = watchdog
         self.profiles_dir = profiles_dir
         self.draining = False
-        self._running: Dict[str, _Running] = {}
-        self._not_before: Dict[str, float] = {}
-        self.watch: Callable[[int], None] = _ignore
-        self.unwatch: Callable[[int], None] = _ignore
-        self.wake_at: Callable[[float], None] = _ignore
         registry = get_registry()
         self._c_dispatched = registry.counter("service.jobs.dispatched")
         self._c_done = registry.counter("service.jobs.done")
@@ -400,7 +327,7 @@ class Supervisor:
 
     @property
     def busy(self) -> int:
-        return len(self._running)
+        return len(self.workers.running)
 
     def _dispatch(self, job: Job) -> None:
         profile_path: Optional[str] = None
@@ -411,7 +338,8 @@ class Supervisor:
         self.store.transition(
             job.job_id, JobState.RUNNING, attempts=job.attempts + 1
         )
-        process, parent_conn = start_worker(
+        attempt = self.workers.start(
+            job.job_id,
             worker_main,
             (
                 job.job_id,
@@ -423,19 +351,8 @@ class Supervisor:
             ),
             daemon=True,
         )
-        self.watch(parent_conn.fileno())
-        self._not_before.pop(job.job_id, None)
-        self.store.jobs[job.job_id].worker_pid = process.pid
-        now = time.monotonic()
-        self._running[job.job_id] = _Running(
-            job_id=job.job_id,
-            process=process,
-            conn=parent_conn,
-            started=now,
-            last_heartbeat=now,
-            last_heartbeat_wall=time.time(),
-            started_wall=time.time(),
-        )
+        pid = attempt.process.pid
+        self.store.jobs[job.job_id].worker_pid = pid
         self._c_dispatched.inc()
         tracer = get_tracer()
         if tracer.has_sinks and job.attempts == 1 and job.submitted_at:
@@ -449,70 +366,37 @@ class Supervisor:
                 job_id=job.job_id,
                 trace_id=job.trace_id,
             )
-        tracer.event(
-            "service.dispatch", job_id=job.job_id, pid=process.pid
-        )
+        tracer.event("service.dispatch", job_id=job.job_id, pid=pid)
 
     def dispatch_pending(self) -> int:
         """Start as many eligible pending jobs as free slots allow."""
-        if self.draining or len(self._running) >= self.max_workers:
+        if self.draining or self.busy >= self.max_workers:
             return 0
         started = 0
-        now = time.monotonic()
         for job in self.store.pending():
-            if len(self._running) >= self.max_workers:
+            if self.busy >= self.max_workers:
                 break
-            if self._not_before.get(job.job_id, 0.0) > now:
+            if not self.workers.ready(job.job_id):
                 continue
-            if job.job_id in self._running:
-                continue  # the failed attempt's worker is still exiting
             if not self.breaker.allow(scenario_class(job.scenario)):
                 continue
             self._dispatch(job)
             started += 1
         return started
 
-    # -- polling ------------------------------------------------------------
+    # -- outcomes -----------------------------------------------------------
 
-    def _drain_messages(self, handle: _Running) -> None:
-        while True:
-            try:
-                if not handle.conn.poll(0):
-                    return
-                message = handle.conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                handle.eof = True
-                return
-            kind = message.get("kind")
-            if kind == "hb":
-                handle.last_heartbeat = time.monotonic()
-                handle.last_heartbeat_wall = float(
-                    message.get("t", time.time())
-                )
-            elif kind in ("done", "error"):
-                handle.outcome = message
-                handle.last_heartbeat = time.monotonic()
-                handle.last_heartbeat_wall = time.time()
-
-    def _reap(self, handle: _Running, *, terminate: bool = False) -> Optional[int]:
-        """Close the pipe, join (or kill) the worker; returns its exit code."""
-        self.unwatch(handle.conn.fileno())
-        exitcode = reap_worker(handle.process, handle.conn, terminate=terminate)
-        del self._running[handle.job_id]
-        return exitcode
-
-    def _kill(self, handle: _Running) -> None:
-        self._reap(handle, terminate=True)
-
-    def _schedule_retry(self, job: Job) -> None:
+    def _retry(self, job: Job) -> bool:
+        """Journal ``job`` back to ``PENDING`` when it has attempts left."""
+        if not self.workers.retry_later(job.job_id, job.attempts):
+            return False
         self._c_retries.inc()
-        not_before = time.monotonic() + self.retry.delay(job.attempts, self.rng)
-        self._not_before[job.job_id] = not_before
         self.store.transition(job.job_id, JobState.PENDING)
-        self.wake_at(not_before)
+        return True
 
-    def _finish_success(self, handle: _Running, outcome: dict) -> None:
-        job = self.store.jobs[handle.job_id]
+    def _finish_success(self, attempt: Attempt) -> None:
+        job = self.store.jobs[attempt.key]
+        outcome = attempt.outcome
         telemetry = outcome.get("telemetry")
         backend = str(outcome.get("backend") or "unknown")
         profile = outcome.get("profile")
@@ -542,8 +426,8 @@ class Supervisor:
                     top["trace_id"] = job.trace_id
                 tracer.emit_span(
                     "service.job",
-                    handle.started_wall or time.time(),
-                    max(0.0, time.monotonic() - handle.started),
+                    attempt.started_wall,
+                    max(0.0, time.monotonic() - attempt.started),
                     attrs=attrs,
                     **top,
                 )
@@ -556,7 +440,7 @@ class Supervisor:
                     depth_offset=1,
                 )
             get_registry().merge(telemetry.get("metrics", {}))
-        wall = time.monotonic() - handle.started
+        wall = time.monotonic() - attempt.started
         self._h_wall.observe(wall)
         solve_wall = float(outcome.get("wall_s", wall))
         if not outcome.get("cached", False):
@@ -569,18 +453,21 @@ class Supervisor:
         self.store.transition(job.job_id, JobState.DONE)
         self._c_done.inc()
 
-    def _finish_error(self, handle: _Running, outcome: dict) -> None:
-        job = self.store.jobs[handle.job_id]
-        error = f"{outcome.get('error_type')}: {outcome.get('message')}"
-        if job.attempts >= self.retry.max_attempts:
+    def _finish_failure(self, attempt: Attempt) -> None:
+        """The job raised, or its worker was overdue and killed."""
+        job = self.store.jobs[attempt.key]
+        outcome = attempt.outcome
+        error = outcome["message"]
+        if outcome["kind"] == "timeout":
+            self._c_timeouts.inc()
+            self._emit_worker_killed(attempt, job, error)
+        else:
+            error = f"{outcome.get('error_type')}: {error}"
+        if not self._retry(job):
             self._c_failed.inc()
             self.store.transition(job.job_id, JobState.FAILED, error=error)
-        else:
-            self._schedule_retry(job)
 
-    def _emit_worker_killed(
-        self, handle: _Running, job: Job, reason: str
-    ) -> None:
+    def _emit_worker_killed(self, attempt: Attempt, job: Job, reason: str) -> None:
         """Synthesize the terminal trace event of a killed worker.
 
         A SIGKILLed worker never flushes its captured telemetry, so
@@ -593,16 +480,16 @@ class Supervisor:
             job_id=job.job_id,
             trace_id=job.trace_id,
             reason=reason,
-            last_heartbeat=handle.last_heartbeat_wall,
+            last_heartbeat=attempt.last_heartbeat_wall,
             attempts=job.attempts,
             pid=job.worker_pid,
         )
 
-    def _finish_death(self, handle: _Running) -> None:
-        """The worker closed its pipe or exited without an outcome."""
-        job = self.store.jobs[handle.job_id]
+    def _finish_death(self, attempt: Attempt) -> None:
+        """The worker exited without an outcome."""
+        job = self.store.jobs[attempt.key]
         key = scenario_class(job.scenario)
-        reason = f"exitcode {self._reap(handle)}"
+        reason = f"exitcode {attempt.outcome['exitcode']}"
         self._c_worker_deaths.inc()
         self.breaker.record_death(key)
         get_tracer().event(
@@ -611,8 +498,8 @@ class Supervisor:
             reason=reason,
             scenario_class=key,
         )
-        self._emit_worker_killed(handle, job, reason)
-        if job.attempts >= self.retry.max_attempts:
+        self._emit_worker_killed(attempt, job, reason)
+        if not self._retry(job):
             self._c_quarantined.inc()
             self.store.transition(
                 job.job_id,
@@ -620,63 +507,17 @@ class Supervisor:
                 error=f"worker died repeatedly ({reason}); "
                 f"spec quarantined after {job.attempts} attempts",
             )
-        else:
-            self._schedule_retry(job)
-
-    def _finish_timeout(self, handle: _Running, reason: str) -> None:
-        job = self.store.jobs[handle.job_id]
-        self._c_timeouts.inc()
-        self._emit_worker_killed(handle, job, reason)
-        self._kill(handle)
-        if job.attempts >= self.retry.max_attempts:
-            self._c_failed.inc()
-            self.store.transition(job.job_id, JobState.FAILED, error=reason)
-        else:
-            self._schedule_retry(job)
 
     def poll(self) -> None:
         """One supervision pass over every in-flight worker."""
-        now = time.monotonic()
-        for handle in list(self._running.values()):
-            self._drain_messages(handle)
-            alive = handle.process.is_alive()
-            if handle.outcome is None and not alive:
-                # One last look: the worker may have sent its outcome
-                # between the drain above and its exit.
-                self._drain_messages(handle)
-            if handle.outcome is not None:
-                if not handle.journaled:
-                    if handle.outcome.get("kind") == "done":
-                        self._finish_success(handle, handle.outcome)
-                    else:
-                        self._finish_error(handle, handle.outcome)
-                    handle.journaled = True
-                # The outcome is journaled on its message; the worker
-                # is joined once its pipe reports EOF, so the loop does
-                # not wait on its exit.
-                if handle.eof or not alive:
-                    self._reap(handle)
-                elif now - handle.last_heartbeat > EXIT_GRACE_S:
-                    self._kill(handle)
-                continue
-            if handle.eof or not alive:
-                self._finish_death(handle)
-                continue
-            if (
-                self.timeout_s is not None
-                and now - handle.started > self.timeout_s
-            ):
-                self._finish_timeout(
-                    handle,
-                    f"job exceeded the {self.timeout_s} s deadline",
-                )
-                continue
-            if now - handle.last_heartbeat > self.heartbeat_timeout_s:
-                self._finish_timeout(
-                    handle,
-                    f"no heartbeat for {self.heartbeat_timeout_s} s "
-                    "(worker hung)",
-                )
+        for attempt in self.workers.poll():
+            kind = attempt.outcome["kind"]
+            if kind == "done":
+                self._finish_success(attempt)
+            elif kind == "crash":
+                self._finish_death(attempt)
+            else:
+                self._finish_failure(attempt)
 
     def tick(self) -> None:
         """One clock-driven pass: reap finished work, start new work."""
@@ -693,43 +534,40 @@ class Supervisor:
                 if job.state == JobState.PENDING
             )
         )
-        self._g_workers_alive.set(len(self._running))
+        self._g_workers_alive.set(self.busy)
         self._g_wal_bytes.set(self.store.wal.size_bytes())
 
     # -- control ------------------------------------------------------------
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a pending or running job (kills its worker)."""
-        job = self.store.jobs[job_id]
-        if job.state == JobState.RUNNING and job_id in self._running:
-            self._kill(self._running[job_id])
-        self._not_before.pop(job_id, None)
+        self.workers.cancel(job_id)
         return self.store.transition(job_id, JobState.CANCELLED)
 
     def drain(self, timeout_s: float = 60.0) -> DrainReport:
         """Graceful shutdown: finish in-flight work, re-enqueue the rest.
 
         Dispatch stops immediately; in-flight workers get up to
-        ``timeout_s`` to finish.  Whatever is still running then is
-        terminated and journaled back to ``PENDING`` — the WAL is the
-        checkpoint, so a restart resumes exactly there.
+        ``timeout_s`` to finish, the drain waking on their pipes.
+        Whatever is still running then is terminated and journaled back
+        to ``PENDING`` — the WAL is the checkpoint, so a restart resumes
+        exactly there.
         """
         self.draining = True
         report = DrainReport()
         deadline = time.monotonic() + timeout_s
-        while self._running and time.monotonic() < deadline:
-            before = set(self._running)
+        while self.workers.running and time.monotonic() < deadline:
+            before = set(self.workers.running)
+            self.workers.wait(deadline - time.monotonic())
             self.poll()
-            for job_id in before - set(self._running):
+            for job_id in before - set(self.workers.running):
                 if self.store.jobs[job_id].state == JobState.DONE:
                     report.finished.append(job_id)
-            time.sleep(0.05)
-        for handle in list(self._running.values()):
-            job = self.store.jobs[handle.job_id]
-            self._kill(handle)
-            if not job.state.terminal:
-                self.store.transition(handle.job_id, JobState.PENDING)
-                report.requeued.append(handle.job_id)
+        for job_id in list(self.workers.running):
+            self.workers.cancel(job_id)
+            if not self.store.jobs[job_id].state.terminal:
+                self.store.transition(job_id, JobState.PENDING)
+                report.requeued.append(job_id)
         get_tracer().event(
             "service.drained",
             finished=len(report.finished),
@@ -739,5 +577,4 @@ class Supervisor:
 
     def shutdown(self) -> None:
         """Hard stop: kill every worker without touching job states."""
-        for handle in list(self._running.values()):
-            self._kill(handle)
+        self.workers.close()

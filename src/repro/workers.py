@@ -1,24 +1,30 @@
-"""Worker processes: one job per process, one outcome over a one-way pipe.
+"""Worker processes: one job attempt per process, one table of attempts.
 
 The sweep engine (:func:`repro.analysis.sweep.resilient_fan_out`) and
 the job service (:class:`repro.service.supervisor.Supervisor`) both run
-every job in a process of its own, so a segfault, an OOM kill or an
-``os._exit`` loses that job and nothing else.  This module is the
-lifecycle they share (start a child with a result pipe, undo the
-signal set-up the child inherits, reap it within a grace period) plus
-the retry delay both apply between attempts.  Scheduling (how many
-workers, deadlines, retries) stays with the callers.
+every job attempt in a process of its own, so a segfault, an OOM kill
+or an ``os._exit`` loses that attempt and nothing else.  Both drive an
+:class:`AttemptTable`, the one place that starts a worker with a
+one-way result pipe, reads its ``{"kind": "hb"|"done"|"error", ...}``
+messages, settles it once (on its outcome, as a crash when it exits
+without one, as a timeout when it is overdue), reaps it, and schedules
+a failed job's retry after a jittered backoff.  A caller decides what
+to run, how many workers may be alive and what an outcome means.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import random
 import signal
+import time
 import traceback
+from dataclasses import dataclass
+from multiprocessing import connection
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 EXIT_GRACE_S = 1.0
 """Seconds a worker gets to exit, after its outcome or a terminate,
@@ -36,64 +42,17 @@ def _child_main(target: Callable[..., None], conn: Connection, *args) -> None:
     target(conn, *args)
 
 
-def start_worker(
-    target: Callable[..., None], args: Sequence[object], *, daemon: bool
-) -> Tuple[BaseProcess, Connection]:
-    """Run ``target(conn, *args)`` in a new process.
-
-    ``conn`` is the write end of a one-way pipe; the returned
-    connection is its read end.  The parent keeps no copy of the write
-    end, so the read end reports EOF once the worker has exited, with
-    or without sending anything.  The process uses the default start
-    method: under fork, ``target`` and ``args`` are inherited, not
-    pickled.
-    """
-    context = multiprocessing.get_context()
-    reader, writer = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_child_main, args=(target, writer, *args), daemon=daemon
-    )
-    try:
-        process.start()
-    finally:
-        writer.close()
-    return process, reader
-
-
-def reap_worker(
-    process: BaseProcess, conn: Connection, *, terminate: bool = False
-) -> Optional[int]:
-    """Close the result pipe and join the worker; returns its exit code.
-
-    With ``terminate`` the worker is first asked to stop (SIGTERM).  A
-    worker still alive after :data:`EXIT_GRACE_S` is killed.
-    """
-    try:
-        conn.close()
-    except OSError:
-        pass
-    if terminate:
-        try:
-            process.terminate()
-        except (ValueError, OSError):
-            pass
-    process.join(timeout=EXIT_GRACE_S)
-    if process.is_alive():
-        process.kill()
-        process.join(timeout=EXIT_GRACE_S)
-    exitcode = process.exitcode
-    try:
-        process.close()
-    except ValueError:  # still running after the kill
-        pass
-    return exitcode
-
-
-def render_traceback(exc: BaseException) -> str:
-    """The formatted traceback of ``exc``, as text that survives pickling."""
-    return "".join(
-        traceback.format_exception(type(exc), exc, exc.__traceback__)
-    )
+def error_report(exc: BaseException) -> Dict[str, str]:
+    """The ``error`` outcome of an attempt that raised ``exc``, with the
+    traceback rendered where it was raised, as text that pickles."""
+    return {
+        "kind": "error",
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": "".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ),
+    }
 
 
 def jittered_delay(
@@ -109,8 +68,7 @@ def jittered_delay(
     ``backoff_s * 2**(attempt-1)`` capped at ``cap_s``, then spread by
     ``±jitter`` (a fraction of the base delay).  Jitter is what keeps a
     batch of jobs that failed *together* (a shared resource blipping)
-    from retrying in lockstep and failing together again; both the
-    sweep retries and the service supervisor use this one helper.
+    from retrying in lockstep and failing together again.
     """
     if backoff_s <= 0.0:
         return 0.0
@@ -119,3 +77,267 @@ def jittered_delay(
         return base
     uniform = (rng if rng is not None else random).uniform
     return max(0.0, base + uniform(-jitter * base, jitter * base))
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded retries with jittered exponential backoff."""
+
+    retries: int = 2
+    backoff_s: float = 0.5
+    cap_s: float = 30.0
+    jitter: float = 0.25
+
+    @property
+    def max_attempts(self) -> int:
+        return self.retries + 1
+
+    def exhausted(self, attempts: int) -> bool:
+        """True when a job that made ``attempts`` attempts gets no more."""
+        return attempts >= self.max_attempts
+
+    def delay(self, attempt: int, rng: Optional[random.Random] = None) -> float:
+        """Seconds to wait before re-dispatching attempt ``attempt + 1``."""
+        return jittered_delay(
+            self.backoff_s,
+            attempt,
+            cap_s=self.cap_s,
+            jitter=self.jitter,
+            rng=rng,
+        )
+
+
+@dataclass
+class Attempt:
+    """Parent-side record of one worker attempt."""
+
+    key: Hashable
+    process: BaseProcess
+    conn: Connection
+    # time.monotonic() at the start: a deadline counts from here, not
+    # from the time the job waited in a queue.
+    started: float
+    # The wall-clock twins are for records other processes read: a
+    # span's start, the moment a killed worker was last known alive.
+    started_wall: float
+    last_heartbeat: float
+    last_heartbeat_wall: float
+    outcome: Optional[dict] = None  # the one outcome, once settled
+
+
+def _ignore(_value: float) -> None:
+    """Default event hook: without a loop, the caller polls."""
+
+
+class AttemptTable:
+    """The running worker attempts of one executor, keyed by job.
+
+    ``timeout_s`` is the deadline of each attempt, and
+    ``heartbeat_timeout_s`` the longest silence allowed of workers that
+    send heartbeats (``None`` disables either).  The table needs no
+    event loop: :meth:`wait` blocks until the next pipe message or due
+    time.  A loop sets the hooks instead: ``watch(fd)`` and
+    ``unwatch(fd)`` receive each worker's result-pipe descriptor at
+    start and at reap, ``wake_at(t)`` the ``time.monotonic()`` instant
+    a backoff ends; on each it calls :meth:`poll`.  Single-threaded.
+    """
+
+    def __init__(
+        self,
+        *,
+        retry: Optional[RetryPolicy] = None,
+        timeout_s: Optional[float] = None,
+        heartbeat_timeout_s: Optional[float] = None,
+        rng: Optional[random.Random] = None,
+    ) -> None:
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.timeout_s = timeout_s
+        self.heartbeat_timeout_s = heartbeat_timeout_s
+        self.rng = rng
+        self.running: Dict[Hashable, Attempt] = {}
+        self.not_before: Dict[Hashable, float] = {}
+        self.watch: Callable[[int], None] = _ignore
+        self.unwatch: Callable[[int], None] = _ignore
+        self.wake_at: Callable[[float], None] = _ignore
+
+    def ready(self, key: Hashable) -> bool:
+        """True when ``key`` has no worker and no backoff left to wait."""
+        return (
+            key not in self.running
+            and self.not_before.get(key, 0.0) <= time.monotonic()
+        )
+
+    def start(
+        self,
+        key: Hashable,
+        target: Callable[..., None],
+        args: Sequence[object],
+        *,
+        daemon: bool,
+    ) -> Attempt:
+        """Run ``target(conn, *args)`` in a new worker for ``key``.
+
+        ``conn`` is the write end of a one-way pipe.  The parent keeps
+        no copy of it, so the read end reports EOF once the worker has
+        exited, with or without sending anything.  The process uses the
+        default start method: under fork, ``target`` and ``args`` are
+        inherited, not pickled.
+        """
+        context = multiprocessing.get_context()
+        reader, writer = context.Pipe(duplex=False)
+        process = context.Process(
+            target=_child_main, args=(target, writer, *args), daemon=daemon
+        )
+        try:
+            process.start()
+        finally:
+            writer.close()
+        now, wall = time.monotonic(), time.time()
+        attempt = self.running[key] = Attempt(
+            key, process, reader, now, wall, now, wall
+        )
+        self.not_before.pop(key, None)
+        self.watch(reader.fileno())
+        return attempt
+
+    def reap(self, attempt: Attempt, *, terminate: bool = False) -> Optional[int]:
+        """Take ``attempt`` off the table and join its worker.
+
+        With ``terminate`` the worker is first asked to stop (SIGTERM).
+        A worker still alive after :data:`EXIT_GRACE_S` is killed.  The
+        attempt leaves the table first, so a worker that has exited
+        holds no slot.  Returns the exit code.
+        """
+        del self.running[attempt.key]
+        self.unwatch(attempt.conn.fileno())
+        attempt.conn.close()
+        process = attempt.process
+        if terminate:
+            try:
+                process.terminate()
+            except (ValueError, OSError):
+                pass
+        process.join(timeout=EXIT_GRACE_S)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=EXIT_GRACE_S)
+        exitcode = process.exitcode
+        try:
+            process.close()
+        except ValueError:  # still running after the kill
+            pass
+        return exitcode
+
+    def cancel(self, key: Hashable) -> None:
+        """Kill ``key``'s worker, if it has one, and drop its backoff."""
+        if key in self.running:
+            self.reap(self.running[key], terminate=True)
+        self.not_before.pop(key, None)
+
+    def close(self) -> None:
+        """Terminate and reap every running worker."""
+        for attempt in list(self.running.values()):
+            self.reap(attempt, terminate=True)
+
+    def _read(self, attempt: Attempt) -> bool:
+        """Take every message waiting on ``attempt``'s pipe; True at EOF."""
+        while True:
+            try:
+                if not attempt.conn.poll(0):
+                    return False
+                message = attempt.conn.recv()
+            except (EOFError, OSError):
+                return True
+            except Exception as exc:  # the outcome did not unpickle here
+                message = error_report(exc)
+            # A heartbeat, or the outcome, from which the exit grace counts.
+            attempt.last_heartbeat = time.monotonic()
+            if message.get("kind") == "hb":
+                attempt.last_heartbeat_wall = float(message.get("t", time.time()))
+            elif attempt.outcome is None:
+                attempt.outcome = message
+                attempt.last_heartbeat_wall = time.time()
+
+    def _due(self, attempt: Attempt) -> Tuple[float, str]:
+        """When ``attempt`` falls overdue (``time.monotonic()``), and why."""
+        if attempt.outcome is not None:  # reported: the exit grace
+            return attempt.last_heartbeat + EXIT_GRACE_S, ""
+        dues = [(math.inf, "")]
+        if self.timeout_s is not None:
+            reason = f"job exceeded the {self.timeout_s} s deadline"
+            dues.append((attempt.started + self.timeout_s, reason))
+        if self.heartbeat_timeout_s is not None:
+            reason = f"no heartbeat for {self.heartbeat_timeout_s} s (worker hung)"
+            dues.append((attempt.last_heartbeat + self.heartbeat_timeout_s, reason))
+        return min(dues)
+
+    def poll(self) -> Iterator[Attempt]:
+        """Read every result pipe; yield each attempt as it settles.
+
+        An attempt settles once, with ``outcome`` set: to the worker's
+        ``done`` or ``error`` message, to ``{"kind": "crash",
+        "exitcode": ...}`` when the worker exits without one, or to
+        ``{"kind": "timeout"}`` when it is overdue and killed; these
+        two carry a ``message`` and the ``elapsed_s`` since the start.
+        A worker that sent its outcome is joined after the caller has
+        handled it, once its pipe reports EOF.
+        """
+        now = time.monotonic()
+        for attempt in list(self.running.values()):
+            reported = attempt.outcome is not None
+            # Looked at before the read: a worker that has exited has
+            # also written everything it sent.
+            alive = attempt.process.is_alive()
+            exited = self._read(attempt) or not alive
+            due, reason = self._due(attempt)
+            if attempt.outcome is not None:
+                if not reported:
+                    yield attempt
+                if exited or now >= due:
+                    self.reap(attempt, terminate=not exited)
+                continue
+            if exited:
+                code = self.reap(attempt)
+                attempt.outcome = {
+                    "kind": "crash",
+                    "exitcode": code,
+                    "message": "the worker process died while running "
+                    f"this job (exit code {code})",
+                }
+            elif now >= due:
+                self.reap(attempt, terminate=True)
+                attempt.outcome = {
+                    "kind": "timeout",
+                    "error_type": "TimeoutError",
+                    "message": reason,
+                }
+            else:
+                continue
+            attempt.outcome["elapsed_s"] = now - attempt.started
+            yield attempt
+
+    def wait(self, timeout: Optional[float] = None) -> None:
+        """Block until a result pipe is ready, an attempt falls overdue,
+        a backoff ends or ``timeout`` seconds pass."""
+        now = time.monotonic()
+        wakes = [t for t in self.not_before.values() if t > now]
+        wakes += [self._due(attempt)[0] for attempt in self.running.values()]
+        wake = min(wakes, default=math.inf)
+        if timeout is not None:
+            wake = min(wake, now + timeout)
+        if self.running or wake < math.inf:
+            connection.wait(
+                [attempt.conn for attempt in self.running.values()],
+                None if wake == math.inf else max(0.0, wake - now),
+            )
+
+    def retry_later(self, key: Hashable, attempts: int) -> bool:
+        """Schedule another attempt of ``key``, a job that has made
+        ``attempts`` attempts, after its backoff; False, scheduling
+        nothing, when the policy allows no more."""
+        if self.retry.exhausted(attempts):
+            return False
+        not_before = time.monotonic() + self.retry.delay(attempts, self.rng)
+        self.not_before[key] = not_before
+        self.wake_at(not_before)
+        return True

@@ -174,13 +174,14 @@ class ServiceHarness:
         ]
         if not self.fsync:
             command.append("--no-fsync")
-        self.process = subprocess.Popen(
-            command,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        # A file, not a pipe: nothing reads the output while the
+        # service runs, and a full pipe would block it.  The child
+        # keeps its own descriptor, so the harness closes its copy.
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.root / "serve.log", "ab") as log:
+            self.process = subprocess.Popen(
+                command, env=env, stdout=log, stderr=subprocess.STDOUT
+            )
         self.client.wait_ready(ready_timeout)
         return self
 
@@ -207,8 +208,9 @@ class ServiceHarness:
                 self.process.wait(timeout=30)
 
     def output(self) -> str:
+        """What the service printed, across every start on this root."""
         assert self.process is not None and self.process.poll() is not None
-        return self.process.stdout.read() if self.process.stdout else ""
+        return (self.root / "serve.log").read_text(errors="replace")
 
     # -- chaos actions ------------------------------------------------------
 
