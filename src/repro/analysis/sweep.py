@@ -633,11 +633,8 @@ def _merge_worker_value(tracer, key: object, value: object) -> object:
             # Sweeps running under a distributed trace (e.g. inside a
             # service worker) keep their fan-out joined to it.
             attrs["trace_id"] = context.trace_id
-        with tracer.span("sweep.job", **attrs) as job_span:
-            tracer.ingest(
-                payload.get("spans", ()),
-                depth_offset=job_span.depth + 1,
-            )
+        with tracer.span("sweep.job", **attrs):
+            tracer.ingest(payload.get("spans", ()), depth_offset=tracer.depth)
         get_registry().merge(payload.get("metrics", {}))
         return result
     return value

@@ -288,7 +288,7 @@ class TwoPhaseBackend(CoolingBackend):
             length=geometry.length,
             channels=geometry.channel_count,
         )
-        self._cache: "OrderedDict[tuple, object]" = OrderedDict()
+        self._cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
         self._last_solution = None
@@ -381,23 +381,28 @@ class TwoPhaseBackend(CoolingBackend):
             else float(inlet_quality)
         )
         key = self._march_key(flow_ml_min, flux, quality)
-        solution = self._cache.get(key)
-        if solution is not None:
+        entry = self._cache.get(key)
+        if entry is not None:
             self._cache.move_to_end(key)
             self._cache_hits += 1
             self._c_cache_hits.inc()
         else:
             self._cache_misses += 1
             solution = self._march(flow_ml_min, flux, quality, rows)
-            self._cache[key] = solution
+            # Every hit returns the row-averaged saturation profile, so
+            # it is folded once, with the march (the key fixes rows).
+            profile = solution.row_means(rows).saturation_k
+            profile.flags.writeable = False
+            entry = self._cache[key] = (solution, profile)
             if len(self._cache) > self.config.cache_size:
                 self._cache.popitem(last=False)
+        solution, profile = entry
         self._last_solution = solution
         self._last_rows = rows
         margin = 1.0 - float(solution.quality[-1])
         if self._min_dryout_margin is None or margin < self._min_dryout_margin:
             self._min_dryout_margin = margin
-        return solution.row_means(rows).saturation_k
+        return profile
 
     def _march(
         self, flow_ml_min: float, flux: np.ndarray, quality: float, rows: int

@@ -149,6 +149,7 @@ class FuzzyThermalController:
         self.flow_grid = np.linspace(
             flow_min_ml_min, flow_max_ml_min, flow_settings
         )
+        self._flow_settings = self.flow_grid.tolist()
         self.trend_smoothing = trend_smoothing
         temperature = _temperature_variable()
         trend = _trend_variable()
@@ -210,8 +211,9 @@ class FuzzyThermalController:
     def _apply_flow_boost(self, flow: float) -> float:
         if self._flow_boost <= 1.0:
             return flow
-        target = min(float(self.flow_grid[-1]), flow * self._flow_boost)
-        return float(self.flow_grid[np.abs(self.flow_grid - target).argmin()])
+        return self._nearest_setting(
+            min(self._flow_settings[-1], flow * self._flow_boost)
+        )
 
     # ------------------------------------------------------------------
 
@@ -243,15 +245,18 @@ class FuzzyThermalController:
     def quantise_flow(self, level: float) -> float:
         """Map a defuzzified flow level to the nearest pump setting [ml/min]."""
         level = self._normalise_level(level)
-        target = self.flow_grid[0] + level * (self.flow_grid[-1] - self.flow_grid[0])
-        return float(self.flow_grid[np.abs(self.flow_grid - target).argmin()])
+        grid = self._flow_settings
+        return self._nearest_setting(grid[0] + level * (grid[-1] - grid[0]))
+
+    def _nearest_setting(self, target: float) -> float:
+        distances = [abs(setting - target) for setting in self._flow_settings]
+        return self._flow_settings[distances.index(min(distances))]
 
     def speed_to_vf_index(self, level: float) -> int:
         """Map a defuzzified speed level to a VF table index (0 = fastest)."""
+        # A normalised level lies in [0, 1]: the index needs no clamp.
         level = self._normalise_level(level)
-        return self.vf_table.clamp(
-            int(round((1.0 - level) * self.vf_table.lowest_index))
-        )
+        return round((1.0 - level) * self.vf_table.lowest_index)
 
     def decide(
         self,
@@ -286,53 +291,73 @@ class FuzzyThermalController:
         fuzzy DVFS from the surviving readings.  The lost sensors of
         the latest step are exposed as ``last_lost_sensors``.
         """
-        if set(temperatures_k) != set(utilisations):
+        observed = self._observe(time, temperatures_k, utilisations)
+        if observed is None:
+            return self._blind(temperatures_k)
+        flow_inputs, speed_inputs, cores, lost, max_temp_c = observed
+        flow_level = self._flow_engine.infer(flow_inputs)["flow"]
+        # One batched inference call for all sighted cores (bitwise
+        # identical to the per-core loop, see
+        # MamdaniController.infer_many).
+        speeds = self._speed_engine.infer_many(speed_inputs)["speed"]
+        return self._command(flow_level, speeds, cores, lost, max_temp_c)
+
+    def _observe(
+        self,
+        time: float,
+        temperatures_k: Mapping[Hashable, float],
+        utilisations: Mapping[Hashable, float],
+    ) -> Optional[tuple]:
+        """Screen one step's readings and advance the trend.
+
+        Returns the flow and speed engine inputs, the sighted and lost
+        cores and the hottest sighted reading [degC]; ``None`` (and no
+        trend update) when every sensor is lost.
+        """
+        if temperatures_k.keys() != utilisations.keys():
             raise ValueError("temperature and utilisation cores must match")
-        valid = {
-            core: temp
-            for core, temp in temperatures_k.items()
-            if math.isfinite(temp)
-        }
+        valid = {core: t for core, t in temperatures_k.items() if math.isfinite(t)}
         lost = [core for core in temperatures_k if core not in valid]
         self.last_lost_sensors = lost
         if not valid:
-            # Total sensor loss: max flow, everything throttled.
-            return float(self.flow_grid[-1]), {
-                core: self.vf_table.lowest_index for core in temperatures_k
-            }
+            return None
+        cores = list(valid)
         max_temp_c = kelvin_to_celsius(max(valid.values()))
         mean_util = sum(utilisations.values()) / len(utilisations)
-        trend = self._update_trend(time, max_temp_c)
+        flow_inputs = {
+            "temperature": max_temp_c,
+            "trend": self._update_trend(time, max_temp_c),
+            "utilisation": mean_util,
+        }
+        speed_inputs = {
+            "utilisation": [utilisations[core] for core in cores],
+            "temperature": [kelvin_to_celsius(t) for t in valid.values()],
+        }
+        return flow_inputs, speed_inputs, cores, lost, max_temp_c
 
-        flow_level = self._flow_engine.infer(
-            {
-                "temperature": max_temp_c,
-                "trend": trend,
-                "utilisation": mean_util,
-            }
-        )["flow"]
-        flow = self.quantise_flow(flow_level)
+    def _blind(
+        self, temperatures_k: Mapping[Hashable, float]
+    ) -> Tuple[float, Dict[Hashable, int]]:
+        """Total sensor loss: max flow, everything throttled."""
+        lowest = self.vf_table.lowest_index
+        return float(self.flow_grid[-1]), dict.fromkeys(temperatures_k, lowest)
 
-        # One batched inference call for all cores (bitwise identical to
-        # the per-core loop, see MamdaniController.infer_many).
-        cores = list(valid)
-        speeds = self._speed_engine.infer_many(
-            {
-                "utilisation": np.array(
-                    [utilisations[core] for core in cores]
-                ),
-                "temperature": np.array(
-                    [kelvin_to_celsius(valid[core]) for core in cores]
-                ),
-            }
-        )["speed"]
+    def _command(
+        self,
+        flow_level: float,
+        speeds: np.ndarray,
+        cores: List[Hashable],
+        lost: List[Hashable],
+        max_temp_c: float,
+    ) -> Tuple[float, Dict[Hashable, int]]:
+        """Actuator commands from the defuzzified flow and speed levels."""
+        flow = self._apply_flow_boost(self.quantise_flow(flow_level))
         vf: Dict[Hashable, int] = {
-            core: self.speed_to_vf_index(float(speed))
-            for core, speed in zip(cores, speeds)
+            core: self.speed_to_vf_index(speed)
+            for core, speed in zip(cores, speeds.tolist())
         }
         for core in lost:
             vf[core] = self.vf_table.lowest_index
-        flow = self._apply_flow_boost(flow)
         # Hard safety nets: max flow above the threshold, and whenever
         # a sensor is lost (the blind spot could be the hottest core).
         if lost or max_temp_c >= constants.THERMAL_THRESHOLD_C:
@@ -424,104 +449,44 @@ class BatchFuzzyThermalController:
             ``(flow_ml_min, vf_settings)`` per simulation, identical to
             per-simulation :meth:`FuzzyThermalController.decide` calls.
         """
-        if len(temperatures_k) != len(self.controllers) or len(
-            utilisations
-        ) != len(self.controllers):
-            raise ValueError("inputs must cover every simulation")
         n_sims = len(self.controllers)
-        decisions: List[Optional[Tuple[float, Dict[Hashable, int]]]] = [
-            None
-        ] * n_sims
-        # Per-active-simulation context gathered before the batched
-        # inference: (index, controller, valid, lost, cores,
-        # max_temp_c, mean_util, trend).
-        active: List[tuple] = []
-        for index, controller in enumerate(self.controllers):
-            temps = temperatures_k[index]
-            utils = utilisations[index]
-            if set(temps) != set(utils):
-                raise ValueError(
-                    "temperature and utilisation cores must match"
-                )
-            valid = {
-                core: temp
-                for core, temp in temps.items()
-                if math.isfinite(temp)
-            }
-            lost = [core for core in temps if core not in valid]
-            controller.last_lost_sensors = lost
-            if not valid:
-                # Total sensor loss: max flow, everything throttled —
-                # and no trend update, exactly like decide().
-                decisions[index] = (
-                    float(controller.flow_grid[-1]),
-                    {
-                        core: controller.vf_table.lowest_index
-                        for core in temps
-                    },
-                )
-                continue
-            max_temp_c = kelvin_to_celsius(max(valid.values()))
-            mean_util = sum(utils.values()) / len(utils)
-            trend = controller._update_trend(time, max_temp_c)
-            active.append(
-                (
-                    index,
-                    controller,
-                    utils,
-                    valid,
-                    lost,
-                    list(valid),
-                    max_temp_c,
-                    mean_util,
-                    trend,
-                )
+        if len(temperatures_k) != n_sims or len(utilisations) != n_sims:
+            raise ValueError("inputs must cover every simulation")
+        observed = [
+            controller._observe(time, temps, utils)
+            for controller, temps, utils in zip(
+                self.controllers, temperatures_k, utilisations
             )
+        ]
+        active = [i for i, seen in enumerate(observed) if seen is not None]
+        decisions: List[Optional[Tuple[float, Dict[Hashable, int]]]] = [
+            None if seen is not None else controller._blind(temps)
+            for controller, seen, temps in zip(
+                self.controllers, observed, temperatures_k
+            )
+        ]
         if not active:
             return decisions  # type: ignore[return-value]
-
         flow_levels = self._flow_engine.infer_many(
             {
-                "temperature": np.array([entry[6] for entry in active]),
-                "trend": np.array([entry[8] for entry in active]),
-                "utilisation": np.array([entry[7] for entry in active]),
+                name: [observed[i][0][name] for i in active]
+                for name in ("temperature", "trend", "utilisation")
             }
         )["flow"]
         speed_levels = self._speed_engine.infer_many(
             {
-                "utilisation": np.array(
-                    [
-                        entry[2][core]
-                        for entry in active
-                        for core in entry[5]
-                    ]
-                ),
-                "temperature": np.array(
-                    [
-                        kelvin_to_celsius(entry[3][core])
-                        for entry in active
-                        for core in entry[5]
-                    ]
-                ),
+                name: [x for i in active for x in observed[i][1][name]]
+                for name in ("utilisation", "temperature")
             }
         )["speed"]
-
         offset = 0
-        for entry, flow_level in zip(active, flow_levels):
-            index, controller, _, _, lost, cores, max_temp_c, _, _ = entry
-            flow = controller.quantise_flow(float(flow_level))
+        for i, flow_level in zip(active, flow_levels.tolist()):
+            _, _, cores, lost, max_temp_c = observed[i]
             speeds = speed_levels[offset : offset + len(cores)]
             offset += len(cores)
-            vf: Dict[Hashable, int] = {
-                core: controller.speed_to_vf_index(float(speed))
-                for core, speed in zip(cores, speeds)
-            }
-            for core in lost:
-                vf[core] = controller.vf_table.lowest_index
-            flow = controller._apply_flow_boost(flow)
-            if lost or max_temp_c >= constants.THERMAL_THRESHOLD_C:
-                flow = float(controller.flow_grid[-1])
-            decisions[index] = (flow, vf)
+            decisions[i] = self.controllers[i]._command(
+                flow_level, speeds, cores, lost, max_temp_c
+            )
         return decisions  # type: ignore[return-value]
 
 

@@ -12,7 +12,7 @@ thermal rule base on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,22 +49,15 @@ class TriangularMF:
         return 1.0
 
     def membership_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorised membership over a sample grid."""
-        out = np.zeros_like(xs)
-        rising = (xs > self.a) & (xs < self.b)
-        falling = (xs > self.b) & (xs < self.c)
-        if self.b > self.a:
-            out[rising] = (xs[rising] - self.a) / (self.b - self.a)
-            out[xs <= self.a] = 1.0 if self.a == self.b else 0.0
-        else:
-            out[xs <= self.b] = 1.0
-        if self.c > self.b:
-            out[falling] = (self.c - xs[falling]) / (self.c - self.b)
-            out[xs >= self.c] = 1.0 if self.b == self.c else 0.0
-        else:
-            out[xs >= self.b] = 1.0
-        out[xs == self.b] = 1.0
-        return out
+        """Vectorised :meth:`membership` (bitwise; NaN maps to 0).
+
+        Inside ``(a, c)`` the smaller slope is the branch
+        :meth:`membership` takes, and outside one slope is <= 0; a
+        shoulder has no slope on its open side.
+        """
+        rise = (xs - self.a) / (self.b - self.a) if self.b > self.a else np.inf
+        fall = (self.c - xs) / (self.c - self.b) if self.c > self.b else np.inf
+        return np.minimum(np.fmax(np.minimum(rise, fall), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -102,14 +95,23 @@ class FuzzyVariable:
         x = self.clamp(x)
         return {term: mf.membership(x) for term, mf in self.sets.items()}
 
-    def fuzzify_many(self, xs: np.ndarray) -> Dict[str, np.ndarray]:
-        """Memberships of a vector of crisp values in every set.
 
-        Bitwise-identical to :meth:`fuzzify` applied per element
-        (``membership_array`` evaluates the same expressions).
-        """
-        xs = np.clip(np.asarray(xs, dtype=float), self.low, self.high)
-        return {term: mf.membership_array(xs) for term, mf in self.sets.items()}
+class _Firing(NamedTuple):
+    """One output's rule base laid out for inference.
+
+    ``columns``: (antecedents, rules) term rows each rule ANDs, a
+    shorter rule repeating its first row (``min(m, m) == m``);
+    ``weights``: (rules, 1); ``starts``: the first rule of each
+    consequent, as rules are sorted by consequent so that the ones
+    sharing it fold by ``max`` before the clip (``max_r min(s_r, T) ==
+    min(max_r s_r, T)``); ``consequents``: (consequents, grid) sets
+    sampled over the output grid.
+    """
+
+    columns: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+    consequents: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,38 +172,62 @@ class MamdaniController:
             for name, var in self.outputs.items()
         }
         self._validate_rules()
-        # Inference is on the closed-loop hot path (one call per core
-        # per control period), so precompute everything that does not
-        # depend on the crisp inputs: the rules grouped per output
-        # variable, their antecedent term lists, and the consequent
-        # membership functions sampled over the output grids.
-        self._rules_by_output: Dict[str, List[FuzzyRule]] = {
-            name: [] for name in self.outputs
-        }
-        for rule in self.rules:
-            self._rules_by_output[rule.consequent[0]].append(rule)
-        self._antecedents_by_output: Dict[str, List[List[Tuple[str, str]]]] = {
-            name: [list(rule.antecedents.items()) for rule in out_rules]
-            for name, out_rules in self._rules_by_output.items()
-        }
-        self._weights_by_output: Dict[str, np.ndarray] = {
-            name: np.array([rule.weight for rule in out_rules])
-            for name, out_rules in self._rules_by_output.items()
-        }
-        self._consequent_tables: Dict[str, np.ndarray] = {}
-        for name, out_rules in self._rules_by_output.items():
-            grid = self._grids[name]
-            var = self.outputs[name]
-            if out_rules:
-                table = np.stack(
+        # Inference is on the closed-loop hot path (every control
+        # period), so everything that does not depend on the crisp
+        # inputs is laid out once: one row per (input, term), and per
+        # output the rows each rule ANDs (see _Firing).
+        rows: Dict[Tuple[str, str], int] = {}
+        term_input: List[int] = []
+        mfs: List[TriangularMF] = []
+        for v, var in enumerate(self.inputs.values()):
+            for term, mf in var.sets.items():
+                rows[(var.name, term)] = len(mfs)
+                term_input.append(v)
+                mfs.append(mf)
+        # Both slopes of every row at once: rows [0, terms) rise as
+        # (x - a) / (b - a), rows [terms, 2 terms) fall as
+        # (x - c) / (b - c), which is (c - x) / (c - b) bit for bit.  A
+        # shoulder's open side moves to -inf/+inf, so its slope there is
+        # inf and the clip turns it into the 1 TriangularMF.membership
+        # returns.
+        self._slope_input = np.array(term_input * 2)
+        corners = np.array([(mf.a, mf.b, mf.c) for mf in mfs], dtype=float)
+        a, b, c = corners.T[:, :, None]
+        self._feet = np.vstack(
+            (np.where(a == b, -np.inf, a), np.where(b == c, np.inf, c))
+        )
+        self._widths = np.vstack(
+            (np.where(a == b, 1.0, b - a), np.where(b == c, -1.0, b - c))
+        )
+        bounds = np.array([(var.low, var.high) for var in self.inputs.values()])
+        self._low, self._high = bounds[:, :1], bounds[:, 1:]
+        width = max(len(rule.antecedents) for rule in self.rules)
+        self._firing: Dict[str, _Firing] = {}
+        for name, var in self.outputs.items():
+            terms = list(var.sets)
+            out_rules = sorted(
+                (r for r in self.rules if r.consequent[0] == name),
+                key=lambda rule: terms.index(rule.consequent[1]),
+            )
+            if not out_rules:
+                continue
+            antecedents = []
+            for rule in out_rules:
+                ands = [rows[item] for item in rule.antecedents.items()]
+                antecedents.append(ands + ands[:1] * (width - len(ands)))
+            fired = [rule.consequent[1] for rule in out_rules]
+            groups = sorted(set(fired), key=terms.index)
+            self._firing[name] = _Firing(
+                columns=np.array(antecedents).T,
+                weights=np.array([[rule.weight] for rule in out_rules]),
+                starts=np.array([fired.index(term) for term in groups]),
+                consequents=np.stack(
                     [
-                        var.sets[rule.consequent[1]].membership_array(grid)
-                        for rule in out_rules
+                        var.sets[term].membership_array(self._grids[name])
+                        for term in groups
                     ]
-                )
-            else:
-                table = np.zeros((0, self.resolution))
-            self._consequent_tables[name] = table
+                ),
+            )
 
     def _validate_rules(self) -> None:
         if not self.rules:
@@ -218,8 +244,54 @@ class MamdaniController:
             if out_term not in self.outputs[out_name].sets:
                 raise KeyError(f"{out_name} has no term {out_term!r}")
 
+    def _memberships(self, points: np.ndarray) -> np.ndarray:
+        """``(terms, N)`` memberships of ``(inputs, N)`` crisp points.
+
+        Every term of every input in one pass over the triangle
+        corners; each value is the same expression
+        :meth:`TriangularMF.membership` selects, so the result is
+        bitwise that of the per-term calls.
+        """
+        x = np.minimum(np.maximum(points, self._low), self._high)
+        slopes = (x[self._slope_input] - self._feet) / self._widths
+        terms = len(slopes) // 2
+        slope = np.minimum(slopes[:terms], slopes[terms:])
+        return np.minimum(np.fmax(slope, 0.0), 1.0)  # as membership_array
+
+    def _infer(self, points: np.ndarray) -> Dict[str, np.ndarray]:
+        """Crisp outputs for ``(inputs, N)`` crisp points."""
+        memberships = self._memberships(points)
+        results: Dict[str, np.ndarray] = {}
+        for name, grid in self._grids.items():
+            firing = self._firing.get(name)
+            if firing is None:
+                results[name] = np.full(points.shape[1], 0.5 * (grid[0] + grid[-1]))
+                continue
+            # (rules, points) firing strengths: min-AND, weighted, then
+            # folded per consequent.
+            strengths = np.minimum.reduce(memberships[firing.columns])
+            strengths *= firing.weights
+            strengths = np.maximum.reduceat(strengths, firing.starts)
+            # Clip every consequent and max-aggregate; a zero strength
+            # clips to zeros, which cannot move the (non-negative) max.
+            # min/max are exact, and the centroid sums run along each
+            # point's own grid row.  The reductions are the ufuncs' own:
+            # ndarray.max/sum run the same loops behind a Python wrapper
+            # that costs a closed-loop step more than these few values.
+            clipped = np.minimum(strengths[:, :, None], firing.consequents[:, None])
+            mu = np.maximum.reduce(clipped)
+            total = np.add.reduce(mu, axis=1)
+            centroid = np.add.reduce(grid * mu, axis=1)
+            if np.minimum.reduce(total, initial=np.inf) > 0.0:  # or no points
+                results[name] = centroid / total
+            else:  # a point where no rule fires keeps the midpoint
+                out = np.full(points.shape[1], 0.5 * (grid[0] + grid[-1]))
+                np.divide(centroid, total, out=out, where=total > 0.0)
+                results[name] = out
+        return results
+
     def infer(self, values: Mapping[str, float]) -> Dict[str, float]:
-        """Run one inference step.
+        """Run one inference step (:meth:`infer_many` on one point).
 
         Parameters
         ----------
@@ -235,38 +307,8 @@ class MamdaniController:
         missing = set(self.inputs) - set(values)
         if missing:
             raise KeyError(f"missing inputs: {sorted(missing)}")
-        memberships = {
-            name: var.fuzzify(values[name]) for name, var in self.inputs.items()
-        }
-        results: Dict[str, float] = {}
-        for name, antecedent_lists in self._antecedents_by_output.items():
-            # Firing strength per rule of this output (min-AND, weighted).
-            weights = self._weights_by_output[name]
-            strengths = np.fromiter(
-                (
-                    min(memberships[var][term] for var, term in antecedents)
-                    for antecedents in antecedent_lists
-                ),
-                dtype=float,
-                count=len(antecedent_lists),
-            )
-            strengths *= weights
-            active = strengths > 0.0
-            grid = self._grids[name]
-            if not active.any():
-                results[name] = float(0.5 * (grid[0] + grid[-1]))
-                continue
-            # Clip each fired rule's precomputed consequent and
-            # max-aggregate — identical arithmetic to the per-rule loop
-            # (min/max are exact), just batched.
-            table = self._consequent_tables[name][active]
-            mu = np.minimum(strengths[active, None], table).max(axis=0)
-            total = mu.sum()
-            if total <= 0.0:
-                results[name] = float(0.5 * (grid[0] + grid[-1]))
-            else:
-                results[name] = float((grid * mu).sum() / total)
-        return results
+        points = np.array([[values[name]] for name in self.inputs], dtype=float)
+        return {name: float(out[0]) for name, out in self._infer(points).items()}
 
     def infer_many(
         self, values: Mapping[str, np.ndarray]
@@ -276,11 +318,11 @@ class MamdaniController:
         The closed-loop controller defuzzifies one speed level per core
         every control period; evaluating all cores in one batch turns
         the per-core Python rule loop into a handful of array
-        operations.  The arithmetic is element-for-element the same as
-        :meth:`infer` (min/max are exact selections, the aggregation
-        and centroid reductions run along contiguous rows with the same
-        pairwise order), so the outputs are bitwise identical to a
-        per-point loop — asserted by the test suite.
+        operations.  A point's arithmetic does not depend on the rest
+        of the batch (min/max are exact selections, the centroid sums
+        run along the point's own grid row), so the outputs are bitwise
+        those of a per-point loop — asserted by the test suite.  Inputs
+        other than the engine's are ignored.
 
         Parameters
         ----------
@@ -295,46 +337,13 @@ class MamdaniController:
         missing = set(self.inputs) - set(values)
         if missing:
             raise KeyError(f"missing inputs: {sorted(missing)}")
-        arrays = {name: np.asarray(values[name], dtype=float) for name in values}
-        sizes = {a.shape for a in arrays.values()}
-        if len(sizes) != 1 or arrays[next(iter(arrays))].ndim != 1:
+        try:
+            points = np.array([values[name] for name in self.inputs], dtype=float)
+        except ValueError:  # ragged
+            points = None
+        if points is None or points.ndim != 2:
             raise ValueError("all inputs must be 1-D arrays of equal length")
-        n_points = arrays[next(iter(arrays))].size
-        memberships = {
-            name: var.fuzzify_many(arrays[name])
-            for name, var in self.inputs.items()
-        }
-        results: Dict[str, np.ndarray] = {}
-        for name, antecedent_lists in self._antecedents_by_output.items():
-            grid = self._grids[name]
-            midpoint = 0.5 * (grid[0] + grid[-1])
-            if not antecedent_lists:
-                results[name] = np.full(n_points, midpoint)
-                continue
-            # (rules, points) firing strengths (min-AND, weighted).
-            strengths = np.stack(
-                [
-                    np.minimum.reduce(
-                        [memberships[var][term] for var, term in antecedents]
-                    )
-                    for antecedents in antecedent_lists
-                ]
-            )
-            strengths *= self._weights_by_output[name][:, None]
-            # Rules with zero strength clip their consequent to all
-            # zeros, which cannot move the (non-negative) max — so no
-            # per-point active-rule bookkeeping is needed.
-            mu = np.minimum(
-                strengths[:, :, None], self._consequent_tables[name][:, None, :]
-            ).max(axis=0)
-            total = mu.sum(axis=1)
-            out = np.full(n_points, midpoint)
-            fired = total > 0.0
-            np.divide(
-                (grid * mu).sum(axis=1), total, out=out, where=fired
-            )
-            results[name] = out
-        return results
+        return self._infer(points)
 
 
 def three_level_variable(

@@ -16,6 +16,7 @@ energy, pumping energy, hot-spot statistics and performance degradation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -265,6 +266,8 @@ class SystemSimulator:
         dt = self.control_period
         steps_per_interval = int(round(self.trace.period / dt))
         vf_table = self.power_model.vf_table
+        # np.take's clip mode is VFTable.clamp for integer settings.
+        speed_of = np.array([vf_table.speed_fraction(i) for i in range(len(vf_table))])
 
         utils: Dict[BlockRef, float] = {ref: 0.0 for ref in self.core_refs}
         flow_sum = 0.0
@@ -301,7 +304,7 @@ class SystemSimulator:
                             )
                     if decision.flow_ml_min is not None:
                         commanded = float(decision.flow_ml_min)
-                        if not np.isfinite(commanded) or commanded <= 0.0:
+                        if not math.isfinite(commanded) or commanded <= 0.0:
                             raise ThermalInputError(
                                 f"policy {self.policy.name} commanded an "
                                 f"invalid flow rate {commanded!r}"
@@ -331,20 +334,15 @@ class SystemSimulator:
                     vf_settings = decision.vf_settings
                     if self.faults is not None:
                         vf_settings = self.faults.delayed_vf(vf_settings)
-                    speeds = np.array(
-                        [
-                            vf_table.speed_fraction(
-                                vf_settings.get(ref, 0)
-                            )
-                            for ref in self.core_refs
-                        ]
+                    speeds = np.take(
+                        speed_of,
+                        [vf_settings.get(ref, 0) for ref in self.core_refs],
+                        mode="clip",
                     )
                     executed = perf.record(demand_rates, speeds, dt)
-                    busy = executed / (speeds * dt)
-                    utils = {
-                        ref: float(min(1.0, b))
-                        for ref, b in zip(self.core_refs, busy)
-                    }
+                    # fmin(b, 1) is min(1.0, b), NaN included.
+                    busy = np.fmin(executed / (speeds * dt), 1.0)
+                    utils = dict(zip(self.core_refs, busy.tolist()))
 
                     block_temps = self._block_reduction.reduce_dict(
                         stepper.state.values, reduce="mean"
@@ -370,9 +368,7 @@ class SystemSimulator:
                     step_counter.inc()
                     temp_hist.observe(max_temp_c)
                     power_hist.observe(chip_w)
-                    throttled = sum(
-                        1 for level in vf_settings.values() if level
-                    )
+                    throttled = sum(map(bool, vf_settings.values()))
                     if throttled:
                         throttle_counter.inc(throttled)
                     if tracer.has_sinks:

@@ -13,11 +13,12 @@ stack; each carries
   order and, with ``depth``, the full tree — see
   :func:`repro.obs.report.span_tree`.
 
-Cost model: with no sink attached, entering/exiting a span is two
-``perf_counter`` calls plus a list append/pop — the record dict is
-never built.  ``Tracer.enabled = False`` removes even that, which is
-the un-instrumented baseline the overhead test compares against.
-Attribute computation at call sites should be guarded by
+Cost model: with no sink attached, ``Tracer.span`` returns a
+:class:`DarkSpan`, whose enter/exit is a list append/pop on the name
+stack (plus the exception stamp when one escapes) — no clock is read
+and no record state is kept.  ``Tracer.enabled = False`` removes even
+that, which is the un-instrumented baseline the overhead test compares
+against.  Attribute computation at call sites should be guarded by
 ``tracer.has_sinks`` when the attributes themselves are not free.
 """
 
@@ -30,14 +31,50 @@ from typing import Dict, List, Optional, Sequence
 from .sinks import Sink
 
 
-class Span:
+class DarkSpan:
+    """A span no sink listens to: it keeps only the name stack.
+
+    :attr:`Tracer.current_span_name` and the exception stamp stay
+    truthful; nothing is timed or kept, so the tracer hands out one
+    instance per span name.
+    """
+
+    __slots__ = ("_stack", "name")
+
+    def __init__(self, stack: List[str], name: str) -> None:
+        self._stack = stack
+        self.name = name
+
+    def set(self, **attrs: object) -> None:
+        """Attach attributes known only at (or near) close time."""
+
+    def __enter__(self) -> "DarkSpan":
+        self._stack.append(self.name)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._stack.pop()
+        if exc is not None and getattr(exc, "_obs_last_span", None) is None:
+            # Stamp the innermost open span onto the escaping exception
+            # (innermost __exit__ runs first); failure records read it
+            # after the stack has fully unwound — and, because
+            # ``__dict__`` pickles with the exception, after a hop back
+            # from a worker process.
+            try:
+                exc._obs_last_span = self.name
+            except (AttributeError, TypeError):
+                pass
+        return False
+
+
+class Span(DarkSpan):
     """One timed region; use as a context manager via ``Tracer.span``."""
 
-    __slots__ = ("_tracer", "name", "attrs", "_t0", "_wall", "depth", "seq", "_live")
+    __slots__ = ("_tracer", "attrs", "_t0", "_wall", "depth", "seq", "_live")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, object]):
+        super().__init__(tracer._stack, name)
         self._tracer = tracer
-        self.name = name
         self.attrs = attrs
         self.depth = 0
         self.seq = -1
@@ -52,9 +89,8 @@ class Span:
         if not tracer.enabled:
             return self
         self._live = True
-        stack = tracer._stack
-        self.depth = len(stack)
-        stack.append(self.name)
+        self.depth = len(self._stack)
+        super().__enter__()
         if tracer._sinks:
             self.seq = tracer._seq
             tracer._seq += 1
@@ -66,19 +102,9 @@ class Span:
         if not self._live:
             return False
         duration = time.perf_counter() - self._t0
-        tracer = self._tracer
-        tracer._stack.pop()
+        super().__exit__(exc_type, exc, tb)
         self._live = False
-        if exc is not None and getattr(exc, "_obs_last_span", None) is None:
-            # Stamp the innermost open span onto the escaping exception
-            # (innermost __exit__ runs first); failure records read it
-            # after the stack has fully unwound — and, because
-            # ``__dict__`` pickles with the exception, after a hop back
-            # from a worker process.
-            try:
-                exc._obs_last_span = self.name
-            except (AttributeError, TypeError):
-                pass
+        tracer = self._tracer
         if tracer._sinks and self.seq >= 0:
             record: Dict[str, object] = {
                 "type": "span",
@@ -109,6 +135,7 @@ class Tracer:
     def __init__(self) -> None:
         self._sinks: List[Sink] = []
         self._stack: List[str] = []
+        self._dark: Dict[str, DarkSpan] = {}
         self._seq = 0
         self.enabled = True
 
@@ -135,9 +162,20 @@ class Tracer:
 
     # -- spans ---------------------------------------------------------
 
-    def span(self, name: str, **attrs: object) -> Span:
-        """A context-managed span; attributes ride along into the record."""
-        return Span(self, name, attrs)
+    def span(self, name: str, **attrs: object) -> DarkSpan:
+        """A context-managed span; attributes ride along into the record.
+
+        With no sink attached (and tracing enabled) this is the
+        name's :class:`DarkSpan`, which keeps only the name stack.
+        """
+        if self._sinks or not self.enabled:
+            return Span(self, name, attrs)
+        span = self._dark.get(name)
+        if span is None:
+            span = DarkSpan(self._stack, name)
+            if len(self._dark) < 256:  # bounded, should names be built at run time
+                self._dark[name] = span
+        return span
 
     @property
     def current_span_name(self) -> str:

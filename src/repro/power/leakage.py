@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from ..units import celsius_to_kelvin
 
@@ -58,6 +59,26 @@ class LeakageModel:
         if self.reference_k <= 0.0:
             raise ValueError("reference temperature must be positive")
 
+    def block_law(self, area: float) -> Callable[[float, float], float]:
+        """``law(temperature_k, voltage_scale)`` -> leakage power [W] of one
+        block of ``area`` [m^2], with its constant factors folded in once."""
+        if area < 0.0:
+            raise ValueError("area must be non-negative")
+        density_area = self.density_at_ref * area
+        beta, reference_k, saturation_k = self.beta, self.reference_k, self.saturation_k
+        exp = math.exp
+
+        def law(temperature_k: float, voltage_scale: float) -> float:
+            if temperature_k <= 0.0:
+                raise ValueError("temperature must be positive")
+            if voltage_scale <= 0.0:
+                raise ValueError("voltage scale must be positive")
+            # min(temperature_k, saturation_k) without the call
+            t_k = saturation_k if saturation_k < temperature_k else temperature_k
+            return density_area * voltage_scale * exp(beta * (t_k - reference_k))
+
+        return law
+
     def power(
         self, area: float, temperature_k: float, voltage_scale: float = 1.0
     ) -> float:
@@ -72,19 +93,7 @@ class LeakageModel:
         voltage_scale:
             ``V/V0`` of the current DVFS setting.
         """
-        if area < 0.0:
-            raise ValueError("area must be non-negative")
-        if temperature_k <= 0.0:
-            raise ValueError("temperature must be positive")
-        if voltage_scale <= 0.0:
-            raise ValueError("voltage scale must be positive")
-        effective_k = min(temperature_k, self.saturation_k)
-        return (
-            self.density_at_ref
-            * area
-            * voltage_scale
-            * math.exp(self.beta * (effective_k - self.reference_k))
-        )
+        return self.block_law(area)(temperature_k, voltage_scale)
 
 
 CORE_LEAKAGE = LeakageModel(density_at_ref=0.8 / 10e-6)

@@ -21,8 +21,9 @@ at the reported 87 degC and the liquid-cooled peak at 56 degC.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..geometry.floorplan import CACHE, CORE, OTHER
 from ..geometry.stack import StackDesign
@@ -123,6 +124,20 @@ class PowerModel:
                 self.core_refs.append(ref)
         if not self.core_refs:
             raise ValueError("the stack has no cores to power")
+        # What a step needs of each block, in block order, so the loop
+        # in _per_block does no parameter lookups: (ref, is core, idle
+        # and active density, area, leakage law).
+        self._constants = []
+        for ref, (kind, area) in self._blocks.items():
+            params = self.kind_parameters[kind]
+            self._constants.append((
+                ref, kind == CORE, params.idle_density, params.active_density,
+                area, params.leakage.block_law(area),
+            ))
+        self._vf_scales = {
+            i: (vf_table.dynamic_scale(i), vf_table.leakage_scale(i))
+            for i in range(len(vf_table))
+        }
 
     # ------------------------------------------------------------------
 
@@ -145,37 +160,34 @@ class PowerModel:
         core_utilisation: Mapping[BlockRef, float],
         vf_settings: Mapping[BlockRef, int],
         block_temperatures: Mapping[BlockRef, float],
-    ) -> Dict[BlockRef, Tuple[float, float]]:
-        """Per-block ``(dynamic, leakage)`` powers [W]."""
+    ) -> Tuple[List[float], List[float]]:
+        """Per-block dynamic and leakage powers [W], in block order."""
         self._check_core_inputs(core_utilisation, "utilisation")
         mean_util = sum(core_utilisation[ref] for ref in self.core_refs) / len(
             self.core_refs
         )
-        result: Dict[BlockRef, Tuple[float, float]] = {}
-        for ref, (kind, area) in self._blocks.items():
-            params = self.kind_parameters[kind]
-            temp = block_temperatures.get(ref, DEFAULT_TEMPERATURE_K)
-            if kind == CORE:
+        clamp = self.vf_table.clamp
+        vf_scales = self._vf_scales
+        temperature = block_temperatures.get
+        dynamic: List[float] = []
+        leakage: List[float] = []
+        for ref, core, idle, active, area, leakage_law in self._constants:
+            temp = temperature(ref, DEFAULT_TEMPERATURE_K)
+            if core:
                 util = core_utilisation[ref]
                 if not 0.0 <= util <= 1.0:
                     raise ValueError(f"utilisation of {ref} must be in [0, 1]")
                 vf = vf_settings.get(ref, 0)
-                dyn_scale = self.vf_table.dynamic_scale(vf)
-                leak_scale = self.vf_table.leakage_scale(vf)
+                # An in-range setting is a key; VFTable.clamp maps the rest.
+                dyn_scale, leak_scale = vf_scales.get(vf) or vf_scales[clamp(vf)]
+                dynamic.append((idle + util * active) * area * dyn_scale)
             else:
                 # Shared resources track mean core activity and stay at
                 # nominal voltage (the paper applies DVFS to cores).
-                util = mean_util
-                dyn_scale = 1.0
                 leak_scale = 1.0
-            dynamic = (
-                (params.idle_density + util * params.active_density)
-                * area
-                * dyn_scale
-            )
-            leakage = params.leakage.power(area, temp, leak_scale)
-            result[ref] = (dynamic, leakage)
-        return result
+                dynamic.append((idle + mean_util * active) * area)
+            leakage.append(leakage_law(temp, leak_scale))
+        return dynamic, leakage
 
     def block_powers(
         self,
@@ -196,10 +208,10 @@ class PowerModel:
             (typically the previous-step thermal solution); a uniform
             default is used for blocks without an entry.
         """
-        per_block = self._per_block(
+        dynamic, leakage = self._per_block(
             core_utilisation, vf_settings or {}, block_temperatures or {}
         )
-        return {ref: dyn + leak for ref, (dyn, leak) in per_block.items()}
+        return dict(zip(self._blocks, map(operator.add, dynamic, leakage)))
 
     def breakdown(
         self,
@@ -208,9 +220,7 @@ class PowerModel:
         block_temperatures: Optional[Mapping[BlockRef, float]] = None,
     ) -> PowerBreakdown:
         """Chip-level dynamic/leakage split for one interval."""
-        per_block = self._per_block(
+        dynamic, leakage = self._per_block(
             core_utilisation, vf_settings or {}, block_temperatures or {}
         )
-        dynamic = sum(dyn for dyn, _ in per_block.values())
-        leakage = sum(leak for _, leak in per_block.values())
-        return PowerBreakdown(dynamic=dynamic, leakage=leakage)
+        return PowerBreakdown(dynamic=sum(dynamic), leakage=sum(leakage))

@@ -64,9 +64,10 @@ class PerformanceTracker:
             raise ValueError("demands and speeds must have one entry per core")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if np.any(demands < 0.0):
+        # fmin/fmax skip NaNs, as the element-wise comparisons do.
+        if np.fmin.reduce(demands) < 0.0:
             raise ValueError("demands must be non-negative")
-        if np.any(speeds <= 0.0) or np.any(speeds > 1.0 + 1e-9):
+        if np.fmin.reduce(speeds) <= 0.0 or np.fmax.reduce(speeds) > 1.0 + 1e-9:
             raise ValueError("speeds must be in (0, 1]")
         load = self.backlog + demands * dt
         capacity = speeds * dt

@@ -84,7 +84,9 @@ class WriteAheadLog:
         before returning — the strongest durability the filesystem
         offers.  Tests that hammer the log can turn it off.
     rotate_after:
-        Appended-record count that arms :meth:`maybe_rotate`.
+        Appended-record count that arms :meth:`maybe_rotate`; once a
+        compaction wrote more live records than this, that count arms
+        the next one, so compaction stays amortised O(1) per append.
     """
 
     def __init__(
@@ -99,7 +101,9 @@ class WriteAheadLog:
         self.rotate_after = int(rotate_after)
         self._handle = None
         self._segment: Optional[Path] = None
-        self._records_in_segment = 0
+        # Appends since the last compaction (or load); its live records.
+        self._appended = 0
+        self._live_written = 0
         registry = get_registry()
         self._c_appends = registry.counter("service.wal.appends")
         self._c_corrupt = registry.counter("service.wal.corrupt_tail")
@@ -147,7 +151,7 @@ class WriteAheadLog:
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
-        self._records_in_segment += 1
+        self._appended += 1
         self._c_appends.inc()
 
     def size_bytes(self) -> int:
@@ -222,7 +226,8 @@ class WriteAheadLog:
         report = WalRecoveryReport()
         for path in self.segments():
             self._replay_segment(path, report, repair)
-        self._records_in_segment = len(report.records)
+        self._appended = len(report.records)
+        self._live_written = 0
         return report
 
     # -- rotation -----------------------------------------------------------
@@ -268,7 +273,8 @@ class WriteAheadLog:
                 path.unlink()
             except OSError:
                 pass
-        self._records_in_segment = count
+        self._appended = 0
+        self._live_written = count
         self._c_rotations.inc()
         get_tracer().event(
             "wal.rotate", segment=target.name, live_records=count
@@ -278,17 +284,18 @@ class WriteAheadLog:
     def maybe_rotate(
         self, live_records_fn
     ) -> Optional[Path]:
-        """Rotate when the append count since load passed ``rotate_after``.
+        """Rotate once the appends since the last compaction (or load)
+        reach both ``rotate_after`` and the live records it wrote.
 
         ``live_records_fn`` is called only when rotation actually
         happens (building the compacted view is not free).
         """
-        if self._records_in_segment < self.rotate_after:
+        if self._appended < max(self.rotate_after, self._live_written):
             return None
         return self.rotate(live_records_fn())
 
     def __repr__(self) -> str:
         return (
             f"WriteAheadLog({str(self.root)!r}, "
-            f"records={self._records_in_segment})"
+            f"appended={self._appended})"
         )

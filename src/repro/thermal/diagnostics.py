@@ -29,6 +29,7 @@ accumulates those per model/stepper for observability
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -349,12 +350,18 @@ def relative_residual(
     return float(np.linalg.norm(residual) / scale)
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite: a sum is finite only if every term
+    is, so only an overflowing sum needs the element-wise check."""
+    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
+
+
 def validate_finite_array(
     values: np.ndarray, name: str, non_negative: bool = False
 ) -> None:
     """Reject NaN/Inf (and optionally negative) entries with context."""
     values = np.asarray(values)
-    if not np.all(np.isfinite(values)):
+    if not all_finite(values):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise ThermalInputError(
             f"{name} contains {bad} non-finite entries; "
@@ -369,7 +376,7 @@ def validate_finite_array(
 def validate_positive_scalar(value: float, name: str) -> float:
     """Reject non-finite or non-positive scalars with context."""
     value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value) or value <= 0.0:
         raise ThermalInputError(
             f"{name} must be a positive finite number, got {value!r}"
         )

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .diagnostics import (
     FactorizationError,
@@ -37,6 +36,7 @@ from .diagnostics import (
     SolverGuard,
     SolverStats,
     TransientDivergenceError,
+    all_finite,
     condition_estimate_from_factor,
     relative_residual,
     validate_finite_array,
@@ -47,11 +47,11 @@ from ..obs.trace import get_tracer
 from .field import TemperatureField
 from .krylov import KrylovOptions, KrylovSolver, choose_backend
 from .model import (
-    SPLU_OPTIONS,
     BlockRef,
     CacheInfo,
     CompactThermalModel,
     FlowSignature,
+    factorize,
 )
 
 FactorKey = Tuple[FlowSignature, float]
@@ -161,6 +161,12 @@ class TransientStepper:
         )
         self._g_currsize = registry.gauge("thermal.transient_cache.currsize")
         self._c_over_dt = model.capacitance / self.dt
+        # The health record of every step that the first direct solve
+        # settles with no residual check: frozen, so one instance
+        # serves them all.
+        self._direct_step = SolverDiagnostics(
+            kind="transient", dt=self.dt, dt_effective=self.dt
+        )
 
     def _c_over(self, dt: float) -> np.ndarray:
         if dt == self.dt:
@@ -179,12 +185,7 @@ class TransientStepper:
         self._misses.inc()
         self._g_misses.inc()
         matrix = self.model.system_matrix() + diags(self._c_over(dt))
-        try:
-            factor = splu(matrix.tocsc(), **SPLU_OPTIONS)
-        except Exception as exc:
-            raise FactorizationError(
-                f"transient LU factorisation failed for key {key!r}: {exc}"
-            ) from exc
+        factor = factorize(matrix, "transient", f"key {key!r}")
         entry = (factor, self.model.boundary_rhs(), matrix)
         self._factors[key] = entry
         if len(self._factors) > self._max_cached:
@@ -336,13 +337,15 @@ class TransientStepper:
                 self._evict_krylov(dt)
                 fell_back = True
         factor, boundary, matrix = self._factor(dt)
-        rhs = self._c_over(dt) * values + power + boundary
+        rhs = np.multiply(self._c_over(dt), values)
+        rhs += power
+        rhs += boundary
         if cooling is not None:
-            rhs = rhs + cooling
+            rhs += cooling
         solution = factor.solve(rhs)
         residual = None
         ok = True
-        if self.guard.check_finite and not np.all(np.isfinite(solution)):
+        if self.guard.check_finite and not all_finite(solution):
             ok = False
         if ok and self.guard.residual_tolerance is not None:
             residual = relative_residual(matrix, solution, rhs)
@@ -379,6 +382,13 @@ class TransientStepper:
         values, ok, residual, method, iterations, fell_back = self._attempt(
             self.state.values, power, self.dt
         )
+        if ok and method == "direct" and not fell_back and residual is None:
+            # The common step: one direct solve passed every guard.
+            self.time += self.dt
+            self.state = TemperatureField(self.model.grid, values, self.time)
+            self.last_diagnostics = self._direct_step
+            self.stats.record(self._direct_step)
+            return self.state
         iteration_total = iterations or 0
         saw_iterative = iterations is not None
         evictions = 0

@@ -20,7 +20,7 @@ benefits hold "as long as dry-out ... is avoided".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -61,20 +61,8 @@ class EvaporatorSolution:
         if rows < 1 or len(self.z) % rows != 0:
             raise ValueError("segment count must be a multiple of the rows")
         per = len(self.z) // rows
-
-        def fold(a: np.ndarray) -> np.ndarray:
-            return a.reshape(rows, per).mean(axis=1)
-
-        return EvaporatorSolution(
-            z=fold(self.z),
-            heat_flux=fold(self.heat_flux),
-            pressure=fold(self.pressure),
-            saturation_k=fold(self.saturation_k),
-            quality=fold(self.quality),
-            htc=fold(self.htc),
-            wall_k=fold(self.wall_k),
-            base_k=fold(self.base_k),
-        )
+        bands = (getattr(self, f.name).reshape(rows, per) for f in fields(self))
+        return EvaporatorSolution(*(band.mean(axis=1) for band in bands))
 
 
 @dataclass
@@ -154,15 +142,6 @@ class MicroEvaporator:
 
     # -- marching solution -----------------------------------------------------
 
-    def _flux_at(self, profile: FluxProfile, z: float, segments: int) -> float:
-        if callable(profile):
-            return float(profile(z))
-        values = np.asarray(profile, dtype=float)
-        if values.shape != (segments,):
-            raise ValueError("flux array must have one value per segment")
-        index = min(segments - 1, int(z / self.length * segments))
-        return float(values[index])
-
     def march(
         self,
         heat_flux: FluxProfile,
@@ -201,25 +180,24 @@ class MicroEvaporator:
         dz = self.length / segments
         dh = self.hydraulic_diameter
 
+        if callable(heat_flux):
+            profile = heat_flux
+        else:
+            values = np.asarray(heat_flux, dtype=float)
+            if values.shape != (segments,):
+                raise ValueError("flux array must have one value per segment")
+            values = values.tolist()
+
+            def profile(z: float) -> float:
+                return values[min(segments - 1, int(z / self.length * segments))]
+
         pressure = self.refrigerant.saturation_pressure(inlet_saturation_k)
         quality = inlet_quality
         zs = (np.arange(segments) + 0.5) * dz
-        out = {
-            key: np.empty(segments)
-            for key in (
-                "heat_flux",
-                "pressure",
-                "saturation_k",
-                "quality",
-                "htc",
-                "wall_k",
-                "base_k",
-            )
-        }
-
-        for i, z in enumerate(zs):
+        rows = []
+        for z in zs.tolist():
             t_sat = self.refrigerant.saturation_temperature(pressure)
-            flux = self._flux_at(heat_flux, z, segments)
+            flux = float(profile(z))
             if flux < 0.0:
                 raise ValueError("heat flux must be non-negative")
             heat = flux * self.pitch * dz  # power into this channel segment
@@ -245,16 +223,11 @@ class MicroEvaporator:
             )
             wall = t_sat + flux / htc
             base = wall + flux * self.base_thickness / SILICON.conductivity
-            out["heat_flux"][i] = flux
-            out["pressure"][i] = pressure
-            out["saturation_k"][i] = t_sat
-            out["quality"][i] = quality
-            out["htc"][i] = htc
-            out["wall_k"][i] = wall
-            out["base_k"][i] = base
+            rows.append((flux, pressure, t_sat, quality, htc, wall, base))
             quality = quality_new
 
-        return EvaporatorSolution(z=zs, **out)
+        # One contiguous row per profile, in EvaporatorSolution's field order.
+        return EvaporatorSolution(zs, *np.array(list(zip(*rows))))
 
     def flow_for_outlet_saturation(
         self,

@@ -254,3 +254,61 @@ def test_infer_many_validates_inputs():
                 "temperature": np.array([50.0]),
             }
         )
+
+
+def _textbook_infer(engine: MamdaniController, point: dict) -> dict:
+    """Mamdani min-max inference written out rule by rule: min-AND,
+    weight, clip each consequent, max-aggregate, centroid."""
+    results = {}
+    for name, var in engine.outputs.items():
+        grid = np.linspace(var.low, var.high, engine.resolution)
+        mu = np.zeros_like(grid)
+        for rule in engine.rules:
+            if rule.consequent[0] != name:
+                continue
+            strength = min(
+                engine.inputs[v].fuzzify(point[v])[term]
+                for v, term in rule.antecedents.items()
+            ) * rule.weight
+            table = var.sets[rule.consequent[1]].membership_array(grid)
+            mu = np.maximum(mu, np.minimum(strength, table))
+        total = mu.sum()
+        results[name] = (
+            float((grid * mu).sum() / total) if total > 0.0
+            else float(0.5 * (grid[0] + grid[-1]))
+        )
+    return results
+
+
+def test_infer_many_matches_textbook_inference_bitwise():
+    from repro.core.controller import FuzzyThermalController
+
+    rng = np.random.default_rng(23)
+    for engine in (_speed_engine(), FuzzyThermalController()._flow_engine):
+        values = {
+            name: np.concatenate(
+                [
+                    rng.uniform(var.low - 0.2 * (var.high - var.low),
+                                var.high + 0.2 * (var.high - var.low), 40),
+                    [mf.b for mf in var.sets.values()],
+                ]
+            )
+            for name, var in engine.inputs.items()
+        }
+        size = min(len(v) for v in values.values())
+        values = {name: vec[:size] for name, vec in values.items()}
+        batch = engine.infer_many(values)
+        for k in range(size):
+            want = _textbook_infer(
+                engine, {name: float(vec[k]) for name, vec in values.items()}
+            )
+            for name, value in want.items():
+                assert batch[name][k] == value
+
+
+def test_infer_many_empty_batch():
+    engine = _speed_engine()
+    out = engine.infer_many(
+        {"utilisation": np.array([]), "temperature": np.array([])}
+    )
+    assert out["speed"].shape == (0,)

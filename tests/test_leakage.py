@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.power import LeakageModel
+from repro.geometry import CoolingMode, build_3d_mpsoc
+from repro.power import LeakageModel, PowerModel
 from repro.power.leakage import CORE_LEAKAGE
 from repro.units import celsius_to_kelvin
 
@@ -58,3 +59,52 @@ def test_validation():
         CORE_LEAKAGE.power(1e-6, 300.0, voltage_scale=0.0)
     with pytest.raises(ValueError):
         CORE_LEAKAGE.power(1e-6, -5.0)
+
+
+def _reference_block_powers(model, utilisation, vf_settings, temperatures):
+    """The per-block powers as the per-kind formulas spell them out."""
+    table = model.vf_table
+    mean_util = sum(utilisation[r] for r in model.core_refs) / len(model.core_refs)
+    powers = {}
+    for layer, block in model.stack.iter_blocks():
+        ref = (layer.name, block.name)
+        params = model.kind_parameters[block.kind]
+        temp = temperatures[ref]
+        law = params.leakage
+        if ref in utilisation:
+            vf = vf_settings[ref]
+            util = utilisation[ref]
+            dyn, leak = table.dynamic_scale(vf), table.leakage_scale(vf)
+        else:
+            util, dyn, leak = mean_util, 1.0, 1.0
+        area = block.area
+        dynamic = (params.idle_density + util * params.active_density) * area * dyn
+        effective_k = min(temp, law.saturation_k)
+        leakage = (
+            law.density_at_ref * area * leak
+            * math.exp(law.beta * (effective_k - law.reference_k))
+        )
+        powers[ref] = dynamic + leakage
+    return powers
+
+
+@pytest.mark.parametrize("offset_k", [-40.0, -1e-9, 0.0, 1e-9, 35.0])
+def test_power_model_leakage_is_the_law_bitwise(offset_k):
+    """Every VF index (and two out of range), temperatures on both sides
+    of the saturation clamp: block_powers equals the written-out law."""
+    power_model = PowerModel(build_3d_mpsoc(4, CoolingMode.LIQUID))
+    cores = power_model.core_refs
+    sat_k = CORE_LEAKAGE.saturation_k
+    temperatures = {
+        (layer.name, block.name): sat_k + offset_k + 0.37 * i
+        for i, (layer, block) in enumerate(power_model.stack.iter_blocks())
+    }
+    utilisation = {ref: (i % 5) / 4.0 for i, ref in enumerate(cores)}
+    for vf in range(-1, len(power_model.vf_table) + 1):
+        vf_settings = {ref: vf for ref in cores}
+        got = power_model.block_powers(utilisation, vf_settings, temperatures)
+        want = _reference_block_powers(
+            power_model, utilisation, vf_settings, temperatures
+        )
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]

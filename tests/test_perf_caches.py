@@ -244,3 +244,69 @@ def test_cache_occupancy_gauges_track_inserts_and_evictions():
     )
     stepper.step(powers)
     assert registry.gauge("thermal.transient_cache.currsize").value == 1
+
+
+# ---------------------------------------------------------------------------
+# dynamic two-phase step: one spmv, cached profiles and anchor deltas
+# ---------------------------------------------------------------------------
+
+
+def _two_phase_model() -> CompactThermalModel:
+    import dataclasses
+    from pathlib import Path
+
+    from repro.scenario import Scenario
+    from repro.scenario.runner import build_model
+
+    spec = Path(__file__).resolve().parents[1] / "examples/specs/two_tier_twophase.json"
+    scenario = Scenario.load(spec)
+    return build_model(
+        dataclasses.replace(
+            scenario, solver=dataclasses.replace(scenario.solver, nx=12, ny=10)
+        )
+    )
+
+
+class _CountingOperator:
+    """Injection operator stand-in that counts its spmvs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.shape = inner.shape
+        self.calls = 0
+
+    def __matmul__(self, vector):
+        self.calls += 1
+        return self.inner @ vector
+
+
+def test_cooling_update_hands_its_power_vector_to_the_step(monkeypatch):
+    model = _two_phase_model()
+    operator = _CountingOperator(model.injection_operator())
+    monkeypatch.setattr(model, "injection_operator", lambda: operator)
+    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
+    packed = model.pack_powers(_powers(model))
+
+    model.update_cooling(packed, 0.0)
+    stepper.step_packed(packed)
+    assert operator.calls == 1  # the step reused the update's vector
+    stepper.step_packed(packed)
+    assert operator.calls == 2  # handed over once only
+
+    # Other powers than the update's are never served its vector.
+    model.update_cooling(packed, 0.1)
+    other = 2.0 * packed
+    assert np.array_equal(
+        model.power_vector_packed(other), operator.inner @ other
+    )
+    assert operator.calls == 4
+
+
+def test_march_cache_hits_share_one_read_only_profile():
+    model = _two_phase_model()
+    (name,) = model.cooled_cavity_names
+    backend = model.cooling_backend(name)
+    flux = np.full(model.grid.nx, 2.0e5)
+    profile = backend.respond_to_flow(20.0, flux)
+    assert backend.respond_to_flow(20.0, flux) is profile
+    assert not profile.flags.writeable

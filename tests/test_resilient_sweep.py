@@ -26,7 +26,7 @@ from repro.analysis import (
 )
 from repro.core.policies import LiquidLoadBalancing
 from repro.geometry import CoolingMode, build_3d_mpsoc
-from repro.obs import get_registry
+from repro.obs import capture_telemetry, get_registry, get_tracer
 from tests.conftest import make_constant_trace
 
 
@@ -391,3 +391,31 @@ def test_bad_simulation_job_fails_while_sibling_completes():
     assert failure.key == "bad"
     assert failure.phase == "exception"
     assert failure.error_type == "ValueError"
+
+
+def test_resumed_capture_tuple_unwraps_with_no_sink(tmp_path):
+    # A checkpoint written by an earlier traced parallel run holds
+    # (result, telemetry) tuples; resuming it untraced must still hand
+    # back the bare results and merge the worker's metric delta.
+    payload: dict = {}
+    with capture_telemetry(payload):
+        with get_tracer().span("worker.step"):
+            get_registry().counter("test.resumed_capture").inc()
+    checkpoint = tmp_path / "sweep.ckpt"
+    checkpoint.write_bytes(
+        pickle.dumps({"results": {0: ("done", payload)}, "total": 1})
+    )
+    job = SimulationJob(
+        stack=build_3d_mpsoc(2, CoolingMode.LIQUID),
+        policy=LiquidLoadBalancing(),
+        trace=make_constant_trace(0.5, intervals=2),
+        key="resumed",
+        kwargs={"nx": 12, "ny": 10},
+    )
+    counter = get_registry().counter("test.resumed_capture")
+    before = counter.value
+    assert not get_tracer().has_sinks
+    outcome = run_simulations_resilient([job], checkpoint_path=checkpoint)
+    assert outcome.complete
+    assert outcome.result_map() == {"resumed": "done"}
+    assert counter.value == before + 1

@@ -6,6 +6,7 @@ everything here runs in-process for speed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import random
@@ -98,6 +99,44 @@ def test_wal_rotation_compacts_to_live_records(tmp_path):
     assert [s.name for s in segments] == ["wal-000002.jsonl"]
     report = WriteAheadLog(tmp_path / "wal", fsync=False).replay()
     assert [r["seq"] for r in report.records] == ["live"]
+
+
+def test_wal_rotation_stays_amortised_past_rotate_after_jobs(tmp_path):
+    """A job table larger than ``rotate_after`` must not make every
+    transition rewrite the whole journal."""
+    rotate_after, count = 64, 300
+    store = JobStore(
+        tmp_path, cache=_StubCache(), fsync=False, rotate_after=rotate_after
+    )
+    rotations = get_registry().counter("service.wal.rotations")
+    before = rotations.value
+    for i in range(count):
+        scenario = make_scenario()
+        scenario = dataclasses.replace(
+            scenario,
+            workload=dataclasses.replace(
+                scenario.workload, source="generator", seed=i
+            ),
+        )
+        job, disposition = store.submit(scenario)
+        assert disposition == "new"
+        store.transition(job.job_id, JobState.RUNNING, attempts=1)
+        store.transition(job.job_id, JobState.DONE)
+    # One compaction per max(rotate_after, live records) appends: at
+    # most one per rotate_after of the 3 * count appends (re-compacting
+    # on every append past rotate_after jobs would be hundreds).
+    assert 1 <= rotations.value - before <= 3 * count // rotate_after
+    live = {job_id: job.snapshot_record() for job_id, job in store.jobs.items()}
+    store.close()
+
+    reopened = JobStore(
+        tmp_path, cache=_StubCache(), fsync=False, rotate_after=rotate_after
+    )
+    assert reopened.recovery.jobs == count
+    assert {
+        job_id: job.snapshot_record() for job_id, job in reopened.jobs.items()
+    } == live
+    reopened.close()
 
 
 # ---------------------------------------------------------------------------
