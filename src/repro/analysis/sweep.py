@@ -536,16 +536,14 @@ class _SweepModels:
         return model
 
     def prewarm(self, jobs: Sequence[SimulationJob]) -> None:
-        """Assemble every shared model with its injection operator and
-        the warm operator of the steady chain's first rung (LU factor
-        or AMG hierarchy), for fork workers to inherit copy-on-write; a
-        spawn worker assembles its own."""
+        """Assemble and prewarm every shared model
+        (:meth:`CompactThermalModel.prewarm`), for fork workers to
+        inherit copy-on-write; a spawn worker assembles its own."""
         for job in jobs:
             key = self.key(job)
             if key is not None and self.uses[key] > 1 and key not in self.models:
                 model = self.models[key] = self._assemble(job, key)
-                model.injection_operator()
-                model.steady_operator()
+                model.prewarm()
 
     @staticmethod
     def _assemble(job: SimulationJob, key: object) -> CompactThermalModel:

@@ -33,6 +33,7 @@ section 13).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import threading
@@ -52,8 +53,9 @@ from ..obs.live import (
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
-from ..scenario.runner import Runner
+from ..scenario.runner import Runner, build_model
 from ..scenario.spec import Scenario
+from ..thermal.model import CompactThermalModel
 from ..workers import (
     EXIT_GRACE_S,  # noqa: F401 - part of this module's API
     Attempt,
@@ -107,6 +109,7 @@ def worker_main(
     run_log: Optional[str] = None,
     trace_id: Optional[str] = None,
     profile_path: Optional[str] = None,
+    model: Optional[CompactThermalModel] = None,
 ) -> None:
     """Process-worker entry: solve one scenario, report, exit.
 
@@ -120,7 +123,9 @@ def worker_main(
     installed as the process-wide current trace.  ``profile_path``
     turns on the sampling profiler for the solve and writes the
     collapsed stacks there; hot frames ride back in the ``done``
-    message.
+    message.  ``model`` is the supervisor's prewarmed thermal model of
+    the scenario's stack, inherited under fork; the run equals one on a
+    model of its own, bitwise.
     """
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -155,7 +160,7 @@ def worker_main(
             profiler = SamplingProfiler()
         telemetry: Dict[str, object] = {}
         with capture_telemetry(telemetry):
-            runner = Runner(scenario, cache=cache)
+            runner = Runner(scenario, model=model, cache=cache)
             if profiler is not None:
                 with profiler:
                     runner.run()
@@ -322,12 +327,54 @@ class Supervisor:
         self._g_queue_depth = registry.gauge("service.queue.depth")
         self._g_workers_alive = registry.gauge("service.workers.alive")
         self._g_wal_bytes = registry.gauge("service.wal.bytes")
+        # The one prewarmed model the forked workers inherit (see
+        # _shared_model); a spawned worker would get a pickled copy.
+        self._share_models = multiprocessing.get_start_method() == "fork"
+        self._model_hash: Optional[str] = None
+        self._model_run = 0
+        self._model: Optional[CompactThermalModel] = None
+        self._c_prewarmed = registry.counter("service.models.prewarmed")
+        self._c_shared = registry.counter("service.models.shared")
+        self._c_prewarm_failures = registry.counter(
+            "service.models.prewarm_failures"
+        )
 
     # -- dispatch -----------------------------------------------------------
 
     @property
     def busy(self) -> int:
         return len(self.workers.running)
+
+    def _shared_model(self, scenario: Scenario) -> Optional[CompactThermalModel]:
+        """The prewarmed model ``scenario``'s worker inherits, or ``None``.
+
+        One model is kept, of the last model hash dispatched: the second
+        dispatch in a row of a hash builds it (a build that raises is
+        counted, not retried), and a dispatch of another hash drops it.
+        The supervisor never runs it, so no state passes between jobs.
+        """
+        if not self._share_models:
+            return None
+        key = scenario.model_hash()
+        if key != self._model_hash:
+            self._model_hash, self._model_run, self._model = key, 0, None
+        self._model_run += 1
+        if self._model_run == 2:
+            try:
+                with get_tracer().span("service.prewarm", model_hash=key):
+                    model = build_model(scenario)
+                    model.prewarm()
+            except Exception as exc:
+                self._c_prewarm_failures.inc()
+                get_tracer().event(
+                    "service.prewarm_failed", model_hash=key, **error_report(exc)
+                )
+            else:
+                self._model = model
+                self._c_prewarmed.inc()
+        if self._model is not None:
+            self._c_shared.inc()
+        return self._model
 
     def _dispatch(self, job: Job) -> None:
         profile_path: Optional[str] = None
@@ -348,6 +395,7 @@ class Supervisor:
                 self.run_log,
                 job.trace_id,
                 profile_path,
+                self._shared_model(job.scenario),
             ),
             daemon=True,
         )

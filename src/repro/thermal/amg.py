@@ -508,5 +508,6 @@ class AmgPreconditioner:
         return self._hierarchy.cycle(b)
 
     def aslinearoperator(self) -> LinearOperator:
-        """The V-cycle as a scipy ``LinearOperator`` (Krylov ``M=``)."""
-        return LinearOperator(self.shape, matvec=self.cycle)
+        """The V-cycle as a scipy ``LinearOperator`` (Krylov ``M=``); the
+        explicit ``dtype`` spares the V-cycle scipy would run to infer it."""
+        return LinearOperator(self.shape, matvec=self.cycle, dtype=np.float64)

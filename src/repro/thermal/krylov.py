@@ -219,8 +219,9 @@ class KrylovSolver:
             raise FactorizationError(
                 f"ILU preconditioner construction failed: {exc}"
             ) from exc
+        # An explicit dtype: scipy would infer it from one ILU solve.
         self._preconditioner = LinearOperator(
-            matrix.shape, matvec=self._ilu.solve
+            matrix.shape, matvec=self._ilu.solve, dtype=np.float64
         )
         self.iterations_total = 0
         self.solve_count = 0

@@ -1028,6 +1028,15 @@ class CompactThermalModel:
         """Start every Krylov steady rung cold again, as on a fresh model."""
         self._steady_warm.clear()
 
+    def prewarm(self) -> None:
+        """Build the set-up every run of this model needs first: the block
+        masks with the power-injection operator, and the steady chain's
+        first-rung operator (LU factor or AMG hierarchy) at the current
+        flow.  Forked workers inherit a prewarmed model copy-on-write; a
+        run on it equals a run on a fresh model bitwise."""
+        self.injection_operator()
+        self.steady_operator()
+
     def steady_backend(self) -> str:
         """The resolved steady-solve backend for this model's grid.
 
