@@ -331,13 +331,11 @@ class Supervisor:
         # _shared_model); a spawned worker would get a pickled copy.
         self._share_models = multiprocessing.get_start_method() == "fork"
         self._model_hash: Optional[str] = None
-        self._model_run = 0
+        self._model_proven = self._model_tried = False
         self._model: Optional[CompactThermalModel] = None
         self._c_prewarmed = registry.counter("service.models.prewarmed")
         self._c_shared = registry.counter("service.models.shared")
-        self._c_prewarm_failures = registry.counter(
-            "service.models.prewarm_failures"
-        )
+        self._c_prewarm_failures = registry.counter("service.models.prewarm_failures")
 
     # -- dispatch -----------------------------------------------------------
 
@@ -345,24 +343,27 @@ class Supervisor:
     def busy(self) -> int:
         return len(self.workers.running)
 
-    def _shared_model(self, scenario: Scenario) -> Optional[CompactThermalModel]:
-        """The prewarmed model ``scenario``'s worker inherits, or ``None``.
+    def _shared_model(self, job: Job) -> Optional[CompactThermalModel]:
+        """The prewarmed model ``job``'s worker inherits, or ``None``.
 
-        One model is kept, of the last model hash dispatched: the second
-        dispatch in a row of a hash builds it (a build that raises is
-        counted, not retried), and a dispatch of another hash drops it.
-        The supervisor never runs it, so no state passes between jobs.
+        One model is kept, of the last model hash dispatched.  A first
+        dispatch, never a retry, builds it once a worker has run a job
+        of the hash to ``DONE`` uncached, so a set-up that crashes or
+        runs out of memory kills a worker first, not the service; a
+        build that raises is counted, not tried again.  The supervisor
+        never runs the model, so no state passes between jobs.
         """
         if not self._share_models:
             return None
-        key = scenario.model_hash()
+        key = job.scenario.model_hash()
         if key != self._model_hash:
-            self._model_hash, self._model_run, self._model = key, 0, None
-        self._model_run += 1
-        if self._model_run == 2:
+            self._model_hash, self._model = key, None
+            self._model_proven = self._model_tried = False
+        if self._model_proven and not self._model_tried and job.attempts == 0:
+            self._model_tried = True
             try:
                 with get_tracer().span("service.prewarm", model_hash=key):
-                    model = build_model(scenario)
+                    model = build_model(job.scenario)
                     model.prewarm()
             except Exception as exc:
                 self._c_prewarm_failures.inc()
@@ -382,6 +383,7 @@ class Supervisor:
             profile_path = str(
                 os.path.join(self.profiles_dir, f"{job.job_id}.collapsed")
             )
+        model = self._shared_model(job)
         self.store.transition(
             job.job_id, JobState.RUNNING, attempts=job.attempts + 1
         )
@@ -395,7 +397,7 @@ class Supervisor:
                 self.run_log,
                 job.trace_id,
                 profile_path,
-                self._shared_model(job.scenario),
+                model,
             ),
             daemon=True,
         )
@@ -497,6 +499,8 @@ class Supervisor:
             ).observe(solve_wall)
             if self.watchdog is not None:
                 self.watchdog.observe(backend, solve_wall)
+            if job.scenario.model_hash() == self._model_hash:
+                self._model_proven = True
         self.breaker.record_success(scenario_class(job.scenario))
         self.store.transition(job.job_id, JobState.DONE)
         self._c_done.inc()

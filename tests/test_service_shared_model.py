@@ -1,11 +1,12 @@
 """The job service's shared model: set-up built once, inherited by every job.
 
 The supervisor keeps one prewarmed thermal model, of the last model
-hash it dispatched: the second dispatch in a row of a hash builds it,
-each forked worker inherits it copy-on-write, and a dispatch of another
-hash drops it (DESIGN.md section 13).  A job on it must equal a fresh
-run bitwise, the supervisor's copy must never change, and the
-``service.models.*`` counters must say what happened.
+hash it dispatched: once a worker has finished a job of that hash, the
+next first dispatch of it builds the model, each forked worker inherits
+it copy-on-write, and a dispatch of another hash drops it (DESIGN.md
+section 13).  A job on it must equal a fresh run bitwise, the
+supervisor's copy must never change, and the ``service.models.*``
+counters must say what happened.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 
 from repro.obs import MemorySink, get_registry, get_tracer
 from repro.scenario import (
+    CoolingSpec,
     PolicySpec,
     ResultCache,
     Runner,
@@ -55,6 +58,19 @@ AIR_SPEC = Scenario(
     record_series=True,
 )
 """An air-cooled AC_TDVFS_LB run, with its time series compared too."""
+
+AMG_SPEC = dataclasses.replace(
+    SERVICE_SPEC, solver=SolverSpec(nx=NX, ny=NY, backend="amg")
+)
+"""A small grid whose steady rung is an AMG hierarchy, not an LU factor."""
+
+TWO_PHASE_SPEC = dataclasses.replace(
+    SERVICE_SPEC,
+    stack=StackSpec(
+        tiers=2, cooling="liquid", two_phase=True, cooling_backend=CoolingSpec()
+    ),
+)
+"""A dynamic two-phase stack: flow commands re-march its evaporator."""
 
 
 def _seeded(scenario: Scenario, seed: int) -> Scenario:
@@ -102,10 +118,10 @@ def _moved(before: dict) -> dict:
     return {name: after[name] - before[name] for name in COUNTERS}
 
 
-def _recording_supervisor(root, monkeypatch) -> Supervisor:
-    """A loop-free one-worker supervisor; its ``models`` lists the
-    ``model`` argument of every worker it starts, in dispatch order."""
-    instance = Supervisor(JobStore(root, fsync=False), max_workers=1)
+def _recording_supervisor(root, monkeypatch, max_workers: int = 1) -> Supervisor:
+    """A loop-free supervisor; its ``models`` lists the ``model``
+    argument of every worker it starts, in dispatch order."""
+    instance = Supervisor(JobStore(root, fsync=False), max_workers=max_workers)
     instance.models = []
     start = instance.workers.start
 
@@ -140,8 +156,25 @@ def _instant_worker(conn, job_id, *_args) -> None:
     conn.send({"kind": "done", "cached": False, "wall_s": 0.0})
 
 
+def _crash_once(marker, worker):
+    """A worker entry whose first call dies as an out-of-memory kill
+    would, and whose later calls run ``worker``."""
+
+    def crash_once(*args) -> None:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            worker(*args)
+        else:
+            os._exit(70)
+
+    return crash_once
+
+
 @pytest.mark.parametrize(
-    "base", [SERVICE_SPEC, AIR_SPEC], ids=["lc-fuzzy-service", "air-tdvfs"]
+    "base",
+    [SERVICE_SPEC, AIR_SPEC, AMG_SPEC, TWO_PHASE_SPEC],
+    ids=["lc-fuzzy-service", "air-tdvfs", "amg", "two-phase"],
 )
 def test_job_on_the_prewarmed_model_matches_a_fresh_run(sup, base):
     scenarios = [_seeded(base, seed) for seed in (11, 12)]
@@ -233,6 +266,20 @@ def test_dispatch_sequences_build_once_per_run_of_a_hash(
     assert len({id(model) for model in passed}) == prewarmed
 
 
+def test_a_cached_result_does_not_show_that_the_set_up_completes(
+    sup, monkeypatch
+):
+    def cached_worker(conn, job_id, *_args) -> None:
+        conn.send({"kind": "done", "cached": True, "wall_s": 0.0})
+
+    monkeypatch.setattr(supervisor, "worker_main", cached_worker)
+    before = _counts()
+    jobs = _run(sup, [_small(seed) for seed in range(3)])
+    assert all(job.state.value == "DONE" for job in jobs)
+    assert sup.models == [None, None, None]
+    assert _moved(before) == {"prewarmed": 0, "shared": 0, "prewarm_failures": 0}
+
+
 def test_a_failed_prewarm_is_counted_and_jobs_run_as_before(sup, monkeypatch):
     def broken(self) -> None:
         raise MemoryError("no room for the steady factor")
@@ -252,6 +299,44 @@ def test_a_failed_prewarm_is_counted_and_jobs_run_as_before(sup, monkeypatch):
     (failed,) = [r for r in sink.records if r.get("name") == "service.prewarm_failed"]
     assert failed["attrs"]["error_type"] == "MemoryError"
     assert "broken" in failed["attrs"]["traceback"]
+
+
+def test_a_retry_after_a_crash_builds_no_model(sup, monkeypatch, tmp_path):
+    # No worker has yet shown that the set-up completes, so the retry
+    # of a job whose worker died must not build it in the supervisor.
+    crash = _crash_once(tmp_path / "crashed", supervisor.worker_main)
+    monkeypatch.setattr(supervisor, "worker_main", crash)
+    before = _counts()
+    (job,) = _run(sup, [_small(1)])
+    assert (job.state.value, job.attempts) == ("DONE", 2)
+    assert sup.models == [None, None]
+    assert _moved(before) == {"prewarmed": 0, "shared": 0, "prewarm_failures": 0}
+    # A job of the hash has finished now, so the next one builds it.
+    (job,) = _run(sup, [_small(2)])
+    assert job.state.value == "DONE"
+    assert _moved(before) == {"prewarmed": 1, "shared": 1, "prewarm_failures": 0}
+
+
+def test_a_retry_builds_no_model_even_once_its_hash_has_finished(
+    tmp_path, monkeypatch
+):
+    # Two jobs start together: one worker dies, the other finishes, and
+    # the retry (after its backoff) is still not a first dispatch.
+    crash = _crash_once(tmp_path / "crashed", _instant_worker)
+    monkeypatch.setattr(supervisor, "worker_main", crash)
+    sup = _recording_supervisor(tmp_path / "svc", monkeypatch, max_workers=2)
+    before = _counts()
+    try:
+        jobs = _run(sup, [_small(1), _small(2)])
+        assert sorted(job.attempts for job in jobs) == [1, 2]
+        assert _moved(before)["prewarmed"] == 0
+        (job,) = _run(sup, [_small(3)])
+    finally:
+        sup.shutdown()
+        sup.store.close()
+    assert all(job.state.value == "DONE" for job in jobs + [job])
+    assert sup.models[:3] == [None, None, None]
+    assert _moved(before) == {"prewarmed": 1, "shared": 1, "prewarm_failures": 0}
 
 
 def test_no_model_is_passed_without_fork(tmp_path, monkeypatch):
