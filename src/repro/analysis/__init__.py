@@ -8,8 +8,6 @@ from .sweep import (
     SteadySweep,
     SimulationJob,
     SweepOutcome,
-    TransientSweep,
-    TransientSweepResult,
     fan_out,
     resilient_fan_out,
     run_simulations,
@@ -34,8 +32,6 @@ __all__ = [
     "SteadySweep",
     "SimulationJob",
     "SweepOutcome",
-    "TransientSweep",
-    "TransientSweepResult",
     "fan_out",
     "jittered_delay",
     "resilient_fan_out",

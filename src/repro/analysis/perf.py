@@ -12,9 +12,8 @@ construction, ``steady_state``, ``TransientStepper.step``,
 file can be pointed at an older checkout (``PYTHONPATH=<old>/src``
 with this module loaded by path) to regenerate
 ``benchmarks/baseline_seed.json`` with an identical methodology.
-Metrics of subsystems the older checkout lacks (batched transient
-sweeps, shared fan-out, batched controller inference) are import-gated
-and simply drop out of the result dict there.
+Metrics of a subsystem the older checkout lacks (the shared fan-out)
+are import-gated and simply drop out of the result dict there.
 
 Methodology notes: timings are means over ``repeats`` after one
 warm-up call, except the simulator run (one cold run including its
@@ -30,12 +29,9 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
 from repro.core import SystemSimulator, paper_policies
 from repro.geometry import build_3d_mpsoc
 from repro.thermal import CompactThermalModel, TransientStepper
-from repro.units import celsius_to_kelvin
 from repro.workload import paper_workload_suite
 
 BASELINE_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / "baseline_seed.json"
@@ -51,46 +47,6 @@ def _mean_time(fn: Callable[[], object], repeats: int) -> float:
     for _ in range(repeats):
         fn()
     return (time.perf_counter() - start) / repeats
-
-
-def bench_transient_sweep(
-    n_traces: int = 12, steps: int = 50
-) -> Dict[str, float]:
-    """Batched vs sequential transient stepping of many power traces.
-
-    Sequential stepping integrates each trace through its own
-    :class:`TransientStepper` (the pre-``TransientSweep`` workflow);
-    the batched path pushes all traces through one multi-RHS solve per
-    step.  Both produce bitwise-identical trajectories.
-    """
-    from repro.analysis.sweep import TransientSweep
-
-    stack = build_3d_mpsoc(2)
-    model = CompactThermalModel(stack)
-    order = model.block_order
-    rng = np.random.default_rng(11)
-    traces = [
-        rng.uniform(0.0, 4.0, size=(steps, len(order)))
-        for _ in range(n_traces)
-    ]
-    initial = model.steady_state({ref: 2.0 for ref in order})
-
-    start = time.perf_counter()
-    for trace in traces:
-        stepper = TransientStepper(model, 0.1, initial)
-        for step in range(steps):
-            stepper.step_packed(trace[step])
-    sequential = time.perf_counter() - start
-
-    sweep = TransientSweep(model, 0.1)
-    start = time.perf_counter()
-    sweep.run(traces, initial)
-    batched = time.perf_counter() - start
-    return {
-        "transient_sweep_sequential_s": sequential,
-        "transient_sweep_batched_s": batched,
-        "transient_sweep_speedup_x": sequential / batched,
-    }
 
 
 def bench_fanout_setup(n_jobs: int = 6) -> Dict[str, float]:
@@ -134,47 +90,6 @@ def bench_fanout_setup(n_jobs: int = 6) -> Dict[str, float]:
         "fanout_setup_plain_ms": plain_ms,
         "fanout_setup_shared_ms": shared_ms,
         "fanout_setup_speedup_x": plain_ms / shared_ms,
-    }
-
-
-def bench_controller_batch(
-    n_sims: int = 16, steps: int = 25, n_cores: int = 8
-) -> Dict[str, float]:
-    """Per-simulation vs batched fuzzy-controller inference."""
-    from repro.core import BatchFuzzyThermalController, FuzzyThermalController
-
-    cores = [("tier0", f"core{i}") for i in range(n_cores)]
-    rng = np.random.default_rng(13)
-    readings = [
-        (
-            [
-                {c: celsius_to_kelvin(rng.uniform(45.0, 90.0)) for c in cores}
-                for _ in range(n_sims)
-            ],
-            [
-                {c: float(rng.uniform(0.0, 1.0)) for c in cores}
-                for _ in range(n_sims)
-            ],
-        )
-        for _ in range(steps)
-    ]
-
-    controllers = [FuzzyThermalController() for _ in range(n_sims)]
-    start = time.perf_counter()
-    for step, (temps, utils) in enumerate(readings):
-        for sim in range(n_sims):
-            controllers[sim].decide(0.1 * step, temps[sim], utils[sim])
-    per_sim = time.perf_counter() - start
-
-    batch = BatchFuzzyThermalController.of_size(n_sims)
-    start = time.perf_counter()
-    for step, (temps, utils) in enumerate(readings):
-        batch.decide_many(0.1 * step, temps, utils)
-    batched = time.perf_counter() - start
-    return {
-        "controller_decide_per_sim_ms": per_sim / steps * 1e3,
-        "controller_decide_batched_ms": batched / steps * 1e3,
-        "controller_batch_speedup_x": per_sim / batched,
     }
 
 
@@ -282,18 +197,13 @@ def bench_thermal(
         CompactThermalModel(stack, nx=100, ny=100)
         results["assembly_4tier_100x100_s"] = time.perf_counter() - start
 
-    # Batched-sweep / shared-fan-out / batched-controller metrics only
-    # exist from the scalable-backend revision on; skip them silently
-    # when this file is pointed at an older checkout.
-    for gated in (
-        bench_transient_sweep,
-        bench_fanout_setup,
-        bench_controller_batch,
-    ):
-        try:
-            results.update(gated())
-        except ImportError:
-            pass
+    # The shared fan-out metrics only exist from the scalable-backend
+    # revision on; skip them silently when this file is pointed at an
+    # older checkout.
+    try:
+        results.update(bench_fanout_setup())
+    except ImportError:
+        pass
     return results
 
 

@@ -8,12 +8,6 @@ The layers, from cheapest to heaviest:
   with one multi-right-hand-side triangular solve.  SuperLU processes
   the RHS columns independently, so the fields are bitwise identical
   to point-by-point :meth:`CompactThermalModel.steady_state` calls.
-* :class:`TransientSweep` — batched backward-Euler stepping of many
-  power traces against one thermal model.  All traces share the flow
-  state and dt, so every step is one cached factorisation lookup, one
-  batched power injection and one multi-right-hand-side triangular
-  solve; the trajectories are bitwise identical to per-trace
-  :meth:`~repro.thermal.solver.TransientStepper.step_packed` loops.
 * One job engine for independent work items:
   :func:`resilient_fan_out` runs them serially or each in a worker
   process of its own, with retries, per-job timeouts and crash
@@ -80,14 +74,8 @@ from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
 from ..scenario.runner import Runner, build_model
 from ..scenario.spec import Scenario
-from ..thermal.diagnostics import (
-    SolverGuard,
-    validate_finite_array,
-    validate_positive_scalar,
-)
 from ..thermal.field import TemperatureField
 from ..thermal.model import BlockRef, CompactThermalModel
-from ..thermal.solver import TransientStepper
 from ..workers import AttemptTable, RetryPolicy, error_report
 from ..workload.traces import WorkloadTrace
 
@@ -159,220 +147,6 @@ class SteadySweep:
     def peak_temperatures(self, cases: Sequence[SteadyCase]) -> np.ndarray:
         """Stack peak temperature per case [K] (convenience)."""
         return np.array([field_.max() for field_ in self.solve(cases)])
-
-
-@dataclass
-class TransientSweepResult:
-    """Outcome of one batched transient sweep.
-
-    Attributes
-    ----------
-    fields:
-        Final temperature field per trace, in input order.
-    peak_k:
-        ``(steps, traces)`` stack peak temperature per step [K].
-    steps:
-        Number of backward-Euler steps taken.
-    """
-
-    fields: List[TemperatureField]
-    peak_k: np.ndarray
-    steps: int
-
-
-class TransientSweep:
-    """Batched transient stepping of many power traces on one model.
-
-    Workload studies repeatedly integrate the *same* stack under many
-    power schedules — different benchmarks, phase shifts, or
-    what-if scalings.  Stepping each trace through its own
-    :class:`~repro.thermal.solver.TransientStepper` repeats the
-    factorisation lookup, the power injection spmv and the pair of
-    triangular solves per trace per step.  This driver keeps all trace
-    states in one ``(nodes, traces)`` matrix so every step costs one
-    cached factorisation lookup, one batched injection
-    (``operator @ powers.T``) and one multi-right-hand-side
-    ``factor.solve``.
-
-    SuperLU processes right-hand-side columns independently and the
-    CSR-times-dense product accumulates each column exactly like the
-    single-vector spmv, so the trajectories are **bitwise identical**
-    to per-trace sequential stepping (asserted by the test suite).
-
-    All traces share the model's current flow state and the step
-    length — that is what makes one factorisation serve every column.
-    Callers that sweep flow as well should group traces by flow setting
-    (compare :class:`SteadySweep`).
-
-    Guard behaviour: packed powers are validated up front; if a batched
-    step produces non-finite entries, the shared factor is evicted and
-    the offending columns are re-stepped individually through a guarded
-    :class:`~repro.thermal.solver.TransientStepper` (eviction, retry,
-    dt-halving backoff), so a single diverging trace cannot poison its
-    siblings.
-
-    Parameters
-    ----------
-    model:
-        The assembled thermal model (shared by every trace).
-    dt:
-        Backward-Euler step length [s].
-    guard:
-        Numerical-guard configuration; defaults to the model's.
-    max_cached_factors:
-        LRU bound of the underlying factor cache.
-    """
-
-    def __init__(
-        self,
-        model: CompactThermalModel,
-        dt: float,
-        *,
-        guard: Optional[SolverGuard] = None,
-        max_cached_factors: int = 16,
-    ) -> None:
-        self.model = model
-        self.dt = validate_positive_scalar(dt, "dt")
-        self.guard = guard if guard is not None else model.guard
-        # The internal stepper exists for its factor cache: it builds
-        # (C/dt + A(f)) with exactly the same SPLU options and cached
-        # boundary vector as sequential stepping, which is what makes
-        # the bitwise-identity guarantee hold.
-        self._stepper = TransientStepper(
-            model,
-            self.dt,
-            TemperatureField(model.grid, np.zeros(model.grid.size)),
-            max_cached_factors=max_cached_factors,
-            guard=self.guard,
-            solver="direct",
-        )
-
-    def cache_info(self):
-        """Factor-cache statistics of the shared stepper."""
-        return self._stepper.cache_info()
-
-    def _initial_states(
-        self,
-        initial,
-        n_traces: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Build the ``(nodes, traces)`` state matrix and start times."""
-        if isinstance(initial, TemperatureField):
-            fields = [initial] * n_traces
-        else:
-            fields = list(initial)
-            if len(fields) != n_traces:
-                raise ValueError(
-                    f"{len(fields)} initial fields for {n_traces} traces"
-                )
-        states = np.empty((self.model.grid.size, n_traces))
-        times = np.empty(n_traces)
-        for column, field_ in enumerate(fields):
-            if field_.values.shape != (self.model.grid.size,):
-                raise ValueError("initial field does not match the grid")
-            states[:, column] = field_.values
-            times[column] = field_.time
-        return states, times
-
-    def _recover_step(
-        self,
-        states: np.ndarray,
-        nodal: np.ndarray,
-        solution: np.ndarray,
-        times: np.ndarray,
-    ) -> np.ndarray:
-        """Re-step non-finite columns through guarded sequential solves.
-
-        The shared factor may be poisoned: evict it so both the
-        per-column retries and the next batched step refactorise.
-        Raises :class:`~repro.thermal.diagnostics.TransientDivergenceError`
-        if a column cannot be salvaged even by the dt backoff.
-        """
-        self._stepper.evict_factor()
-        bad = np.flatnonzero(~np.all(np.isfinite(solution), axis=0))
-        for column in bad:
-            scratch = TransientStepper(
-                self.model,
-                self.dt,
-                TemperatureField(
-                    self.model.grid,
-                    states[:, column].copy(),
-                    float(times[column]),
-                ),
-                guard=self.guard,
-                solver="direct",
-            )
-            scratch.step_with_power_vector(
-                np.ascontiguousarray(nodal[:, column])
-            )
-            solution[:, column] = scratch.state.values
-        return solution
-
-    def run(
-        self,
-        packed_traces: Sequence[np.ndarray],
-        initial,
-    ) -> TransientSweepResult:
-        """Integrate every trace over its full length.
-
-        Parameters
-        ----------
-        packed_traces:
-            One ``(steps, n_blocks)`` power array per trace in the
-            model's canonical :meth:`CompactThermalModel.block_order`
-            (see :meth:`CompactThermalModel.pack_powers`).  All traces
-            must be equally long.
-        initial:
-            A single :class:`TemperatureField` shared by every trace,
-            or one field per trace.
-
-        Returns
-        -------
-        TransientSweepResult
-            Final fields (input order) plus the per-step peak
-            temperature of every trace.
-        """
-        operator = self.model.injection_operator()
-        n_blocks = operator.shape[1]
-        traces = [np.asarray(trace, dtype=float) for trace in packed_traces]
-        if not traces:
-            raise ValueError("need at least one power trace")
-        steps = traces[0].shape[0]
-        for index, trace in enumerate(traces):
-            if trace.ndim != 2 or trace.shape != (steps, n_blocks):
-                raise ValueError(
-                    f"trace {index} has shape {trace.shape}; every trace "
-                    f"must be ({steps}, {n_blocks})"
-                )
-            if self.guard.check_finite:
-                validate_finite_array(
-                    trace, f"packed trace {index}", non_negative=True
-                )
-
-        states, times = self._initial_states(initial, len(traces))
-        c_over_dt = self.model.capacitance / self.dt
-        peak_k = np.empty((steps, len(traces)))
-        # (traces, steps, blocks) so one step slices to (traces, blocks).
-        powers = np.stack(traces)
-        for step in range(steps):
-            factor, boundary, _ = self._stepper.factor_entry()
-            nodal = operator @ np.ascontiguousarray(powers[:, step, :].T)
-            rhs = c_over_dt[:, None] * states + nodal + boundary[:, None]
-            solution = factor.solve(rhs)
-            if self.guard.check_finite and not np.all(np.isfinite(solution)):
-                solution = self._recover_step(states, nodal, solution, times)
-            states = solution
-            times = times + self.dt
-            peak_k[step] = states.max(axis=0)
-        fields = [
-            TemperatureField(
-                self.model.grid,
-                np.ascontiguousarray(states[:, column]),
-                float(times[column]),
-            )
-            for column in range(len(traces))
-        ]
-        return TransientSweepResult(fields=fields, peak_k=peak_k, steps=steps)
 
 
 def fan_out(

@@ -12,7 +12,6 @@ from .backends import (
     TwoPhaseBackend,
     backend_for_cavity,
     backend_names,
-    effective_htc_for,
     register_backend,
 )
 
@@ -28,6 +27,5 @@ __all__ = [
     "TwoPhaseBackend",
     "backend_for_cavity",
     "backend_names",
-    "effective_htc_for",
     "register_backend",
 ]

@@ -515,12 +515,3 @@ def backend_for_cavity(
     if isinstance(cavity, TwoPhaseCavity):
         return TwoPhaseBackend(cavity, config)
     return SinglePhaseLiquidBackend(cavity, config)
-
-
-def effective_htc_for(cavity: Cavity) -> float:
-    """One-shot fin-enhanced footprint HTC of a cavity [W/(m^2 K)].
-
-    The single dispatch point replacing the copies formerly inlined in
-    ``thermal/model.py`` and ``thermal/blockmodel.py``.
-    """
-    return backend_for_cavity(cavity).effective_htc()

@@ -9,7 +9,7 @@ workload, scheduling, power, thermal and cooling models.
 
 from .fuzzy import TriangularMF, FuzzyVariable, FuzzyRule, MamdaniController
 from .tdvfs import TemperatureTriggeredDVFS
-from .controller import BatchFuzzyThermalController, FuzzyThermalController
+from .controller import FuzzyThermalController
 from .policies import (
     Policy,
     PolicyDecision,
@@ -29,7 +29,6 @@ __all__ = [
     "FuzzyRule",
     "MamdaniController",
     "TemperatureTriggeredDVFS",
-    "BatchFuzzyThermalController",
     "FuzzyThermalController",
     "Policy",
     "PolicyDecision",

@@ -17,7 +17,7 @@ closed-loop simulation cheap (see :mod:`repro.thermal.solver`).
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -291,36 +291,15 @@ class FuzzyThermalController:
         fuzzy DVFS from the surviving readings.  The lost sensors of
         the latest step are exposed as ``last_lost_sensors``.
         """
-        observed = self._observe(time, temperatures_k, utilisations)
-        if observed is None:
-            return self._blind(temperatures_k)
-        flow_inputs, speed_inputs, cores, lost, max_temp_c = observed
-        flow_level = self._flow_engine.infer(flow_inputs)["flow"]
-        # One batched inference call for all sighted cores (bitwise
-        # identical to the per-core loop, see
-        # MamdaniController.infer_many).
-        speeds = self._speed_engine.infer_many(speed_inputs)["speed"]
-        return self._command(flow_level, speeds, cores, lost, max_temp_c)
-
-    def _observe(
-        self,
-        time: float,
-        temperatures_k: Mapping[Hashable, float],
-        utilisations: Mapping[Hashable, float],
-    ) -> Optional[tuple]:
-        """Screen one step's readings and advance the trend.
-
-        Returns the flow and speed engine inputs, the sighted and lost
-        cores and the hottest sighted reading [degC]; ``None`` (and no
-        trend update) when every sensor is lost.
-        """
         if temperatures_k.keys() != utilisations.keys():
             raise ValueError("temperature and utilisation cores must match")
         valid = {core: t for core, t in temperatures_k.items() if math.isfinite(t)}
         lost = [core for core in temperatures_k if core not in valid]
         self.last_lost_sensors = lost
         if not valid:
-            return None
+            # Total sensor loss: max flow, everything throttled.
+            lowest = self.vf_table.lowest_index
+            return float(self.flow_grid[-1]), dict.fromkeys(temperatures_k, lowest)
         cores = list(valid)
         max_temp_c = kelvin_to_celsius(max(valid.values()))
         mean_util = sum(utilisations.values()) / len(utilisations)
@@ -333,24 +312,11 @@ class FuzzyThermalController:
             "utilisation": [utilisations[core] for core in cores],
             "temperature": [kelvin_to_celsius(t) for t in valid.values()],
         }
-        return flow_inputs, speed_inputs, cores, lost, max_temp_c
-
-    def _blind(
-        self, temperatures_k: Mapping[Hashable, float]
-    ) -> Tuple[float, Dict[Hashable, int]]:
-        """Total sensor loss: max flow, everything throttled."""
-        lowest = self.vf_table.lowest_index
-        return float(self.flow_grid[-1]), dict.fromkeys(temperatures_k, lowest)
-
-    def _command(
-        self,
-        flow_level: float,
-        speeds: np.ndarray,
-        cores: List[Hashable],
-        lost: List[Hashable],
-        max_temp_c: float,
-    ) -> Tuple[float, Dict[Hashable, int]]:
-        """Actuator commands from the defuzzified flow and speed levels."""
+        flow_level = self._flow_engine.infer(flow_inputs)["flow"]
+        # One batched inference call for all sighted cores (bitwise
+        # identical to the per-core loop, see
+        # MamdaniController.infer_many).
+        speeds = self._speed_engine.infer_many(speed_inputs)["speed"]
         flow = self._apply_flow_boost(self.quantise_flow(flow_level))
         vf: Dict[Hashable, int] = {
             core: self.speed_to_vf_index(speed)
@@ -363,131 +329,6 @@ class FuzzyThermalController:
         if lost or max_temp_c >= constants.THERMAL_THRESHOLD_C:
             flow = float(self.flow_grid[-1])
         return flow, vf
-
-
-class BatchFuzzyThermalController:
-    """Batched LC_FUZZY decisions across many lockstep simulations.
-
-    Policy-grid sweeps step many independent closed-loop simulations in
-    lockstep (see :mod:`repro.analysis.sweep`); calling
-    :meth:`FuzzyThermalController.decide` per simulation costs one flow
-    inference plus one speed inference *per simulation* per control
-    step, and the Mamdani rule evaluation dominates.  This wrapper
-    keeps one :class:`FuzzyThermalController` per simulation for its
-    scalar state — trend estimator, flow-boost degradation state, lost
-    sensors — but routes **all** fuzzy inference through two
-    :meth:`~repro.core.fuzzy.MamdaniController.infer_many` calls per
-    step: flow over the simulations, speed over the concatenation of
-    every simulation's sighted cores.
-
-    ``infer_many`` is bitwise identical per point to ``infer``, and
-    every pre/post-processing step (trend update, quantisation, boost,
-    fail-safe overrides) runs through the per-simulation controller's
-    own methods, so :meth:`decide_many` returns exactly what
-    independent ``decide()`` calls would — asserted by the test suite.
-
-    The rule bases and membership functions are module-level constants,
-    identical across :class:`FuzzyThermalController` instances whatever
-    their constructor arguments, so one engine evaluates every
-    simulation's inputs regardless of per-simulation flow grids or
-    VF tables.
-    """
-
-    def __init__(
-        self, controllers: Sequence[FuzzyThermalController]
-    ) -> None:
-        if not controllers:
-            raise ValueError("need at least one controller")
-        self.controllers = list(controllers)
-        self._flow_engine = self.controllers[0]._flow_engine
-        self._speed_engine = self.controllers[0]._speed_engine
-
-    @classmethod
-    def of_size(cls, n_sims: int, **kwargs) -> "BatchFuzzyThermalController":
-        """Build ``n_sims`` identically-configured controllers."""
-        return cls([FuzzyThermalController(**kwargs) for _ in range(n_sims)])
-
-    def __len__(self) -> int:
-        return len(self.controllers)
-
-    def reset(self) -> None:
-        """Reset every simulation's controller state."""
-        for controller in self.controllers:
-            controller.reset()
-
-    def observe_achieved_flows(
-        self, commanded: Sequence[float], achieved: Sequence[float]
-    ) -> None:
-        """Per-simulation flow-meter feedback (graceful degradation)."""
-        if len(commanded) != len(self.controllers) or len(achieved) != len(
-            self.controllers
-        ):
-            raise ValueError("feedback must cover every simulation")
-        for controller, command, actual in zip(
-            self.controllers, commanded, achieved
-        ):
-            controller.observe_achieved_flow(command, actual)
-
-    def decide_many(
-        self,
-        time: float,
-        temperatures_k: Sequence[Mapping[Hashable, float]],
-        utilisations: Sequence[Mapping[Hashable, float]],
-    ) -> List[Tuple[float, Dict[Hashable, int]]]:
-        """One control step for every simulation.
-
-        Parameters
-        ----------
-        time:
-            Simulation time [s] (shared — the simulations are lockstep).
-        temperatures_k, utilisations:
-            One sensor-reading / utilisation mapping per simulation.
-
-        Returns
-        -------
-        list
-            ``(flow_ml_min, vf_settings)`` per simulation, identical to
-            per-simulation :meth:`FuzzyThermalController.decide` calls.
-        """
-        n_sims = len(self.controllers)
-        if len(temperatures_k) != n_sims or len(utilisations) != n_sims:
-            raise ValueError("inputs must cover every simulation")
-        observed = [
-            controller._observe(time, temps, utils)
-            for controller, temps, utils in zip(
-                self.controllers, temperatures_k, utilisations
-            )
-        ]
-        active = [i for i, seen in enumerate(observed) if seen is not None]
-        decisions: List[Optional[Tuple[float, Dict[Hashable, int]]]] = [
-            None if seen is not None else controller._blind(temps)
-            for controller, seen, temps in zip(
-                self.controllers, observed, temperatures_k
-            )
-        ]
-        if not active:
-            return decisions  # type: ignore[return-value]
-        flow_levels = self._flow_engine.infer_many(
-            {
-                name: [observed[i][0][name] for i in active]
-                for name in ("temperature", "trend", "utilisation")
-            }
-        )["flow"]
-        speed_levels = self._speed_engine.infer_many(
-            {
-                name: [x for i in active for x in observed[i][1][name]]
-                for name in ("utilisation", "temperature")
-            }
-        )["speed"]
-        offset = 0
-        for i, flow_level in zip(active, flow_levels.tolist()):
-            _, _, cores, lost, max_temp_c = observed[i]
-            speeds = speed_levels[offset : offset + len(cores)]
-            offset += len(cores)
-            decisions[i] = self.controllers[i]._command(
-                flow_level, speeds, cores, lost, max_temp_c
-            )
-        return decisions  # type: ignore[return-value]
 
 
 THERMAL_THRESHOLD_K = celsius_to_kelvin(constants.THERMAL_THRESHOLD_C)

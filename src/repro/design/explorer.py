@@ -1,8 +1,8 @@
 """Design-space exploration sweeps.
 
 These helpers answer the design-time questions of Section II at
-exploration speed, using either the grid model (accurate) or the
-block-level model (fast) as the evaluation engine.
+exploration speed, with the compact grid model as the evaluation
+engine; a coarse grid keeps each evaluation cheap.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from .model import CacheInfo, CompactThermalModel, SPLU_OPTIONS
 from .solver import TransientStepper
 from .sensors import TemperatureSensors
 from .reference import dense_steady_state
-from .blockmodel import BlockThermalModel
 
 __all__ = [
     "ThermalGrid",
@@ -58,5 +57,4 @@ __all__ = [
     "TransientStepper",
     "TemperatureSensors",
     "dense_steady_state",
-    "BlockThermalModel",
 ]

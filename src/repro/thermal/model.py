@@ -159,7 +159,7 @@ _RUNG_METHODS = {"amg": AmgSolver.method, "iterative": KrylovSolver.method}
 
 # TWO_PHASE_ANCHOR_W_PER_K moved to repro.cooling with the backend
 # layer; the import above keeps this module's historical re-export for
-# blockmodel.py and tests/reference_assembly.py.
+# tests/reference_assembly.py.
 
 
 class CompactThermalModel:

@@ -198,17 +198,6 @@ class TransientStepper:
         """The resolved backend (``"direct"``/``"iterative"``/``"amg"``)."""
         return self._backend
 
-    def factor_entry(self, dt: Optional[float] = None) -> FactorEntry:
-        """The cached ``(LU factor, boundary rhs, system matrix)`` entry.
-
-        Public accessor of the direct-path cache for batched drivers
-        (see :class:`repro.analysis.sweep.TransientSweep`): the factor
-        solves ``(C/dt + A(f)) x = rhs`` for the model's *current* flow
-        state, and SuperLU handles 2-D right-hand sides column by
-        column, so many traces can share one factorisation per step.
-        """
-        return self._factor(dt)
-
     def _krylov_factor(self, dt: Optional[float] = None) -> KrylovEntry:
         """Cached ILU-preconditioned operator of ``C/dt + A(f)``."""
         dt = self.dt if dt is None else dt

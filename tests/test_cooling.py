@@ -21,7 +21,6 @@ from repro.cooling import (
     TwoPhaseBackend,
     backend_for_cavity,
     backend_names,
-    effective_htc_for,
     register_backend,
 )
 from repro.faults import DryoutFault, FaultScenario, run_fault_campaign
@@ -135,7 +134,6 @@ def test_single_phase_htc_matches_legacy_dispatch(liquid_stack_2tier):
     )
     backend = SinglePhaseLiquidBackend(cavity)
     assert backend.effective_htc() == expected
-    assert effective_htc_for(cavity) == expected
     coupling = backend.fluid_coupling()
     assert coupling.kind == "advection"
     assert coupling.effective_htc == expected

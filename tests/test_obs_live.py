@@ -240,6 +240,26 @@ def test_check_bench_history_needs_two_entries():
     assert report["skipped"]
 
 
+def test_check_bench_history_ignores_retired_metrics(tmp_path, capsys):
+    """A metric that earlier runs wrote and the newest run no longer
+    writes (its benchmark was deleted) is neither checked nor flagged."""
+    entries = [
+        {"t": i, "results": {"steady_ms": 10.0, "retired_s": 0.1 * (i + 1)}}
+        for i in range(3)
+    ]
+    entries.append({"t": 3, "results": {"steady_ms": 10.5}})
+    report = check_bench_history(entries)
+    assert report["checked"] == 1
+    assert not report["regressions"]
+    assert not any("retired_s" in reason for reason in report["skipped"])
+
+    path = tmp_path / "history.jsonl"
+    for entry in entries:
+        append_history(entry["results"], path=path)
+    assert main(["report", "bench", str(path), "--check"]) == 0
+    assert "bench check passed" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # bench history file + `repro report bench --check`
 # ---------------------------------------------------------------------------

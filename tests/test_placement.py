@@ -9,12 +9,12 @@ from repro.design import (
     thermal_aware_assignment,
 )
 from repro.geometry import build_3d_mpsoc
-from repro.thermal import BlockThermalModel
+from repro.thermal import CompactThermalModel
 
 
 @pytest.fixture(scope="module")
 def model():
-    return BlockThermalModel(build_3d_mpsoc(2))
+    return CompactThermalModel(build_3d_mpsoc(2), nx=12, ny=10)
 
 
 def test_ranking_covers_all_cores(model):
@@ -85,3 +85,31 @@ def test_validation(model):
         naive_assignment(model, [-0.1])
     with pytest.raises(ValueError):
         core_coolness_ranking(model, probe_power=0.0)
+
+
+def test_four_tier_ranking_on_the_grid_model():
+    """The 4-tier stack, where slot geography matters most.
+
+    Block means at 12x10 put the inlet-side tier-0 slots (core0/core4,
+    36.74 degC under the 5 W probe) ahead of the second-column tier-2
+    slots (core9/core13, 37.24 degC).
+    """
+    model = CompactThermalModel(build_3d_mpsoc(4), nx=12, ny=10)
+    ranking = core_coolness_ranking(model)
+    assert len(ranking) == 16
+    assert len(set(ranking)) == 16
+    position = {ref: i for i, ref in enumerate(ranking)}
+    for ahead in (("tier0_die", "core0"), ("tier0_die", "core4")):
+        for behind in (("tier2_die", "core9"), ("tier2_die", "core13")):
+            assert position[ahead] < position[behind]
+    for demands in (
+        [1.0, 1.0, 0.1, 0.1] * 4,
+        [0.9, 0.1] * 8,
+        [0.2, 0.4, 0.6, 0.8] * 4,
+        [0.5] * 16,
+    ):
+        naive_peak, aware_peak = placement_gain(model, demands)
+        assert aware_peak <= naive_peak + 1e-9
+    # Two full-load threads on 14 idle cores: 2.83 K at 12x10.
+    naive_peak, aware_peak = placement_gain(model, [1.0, 1.0] + [0.0] * 14)
+    assert naive_peak - aware_peak > 1.0
