@@ -6,9 +6,10 @@ the grid is computed once per session and cached.  Trace duration and
 grid resolution are chosen to keep a full harness run in minutes while
 staying at the calibration resolution of DESIGN.md.
 
-The grid runs through the sweep engine's simulation fan-out; set
-``REPRO_BENCH_PROCESSES=<n>`` to spread the 32 independent runs over
-``n`` worker processes (default: serial, bitwise identical either way).
+The grid runs as 32 scenarios through the sweep engine's simulation
+fan-out, which shares one thermal model between the runs on one stack;
+set ``REPRO_BENCH_PROCESSES=<n>`` to spread the runs over ``n`` worker
+processes (default: serial, bitwise identical either way).
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from repro.analysis import SimulationJob, run_simulations
-from repro.core import SimulationResult, paper_policies
-from repro.geometry import build_3d_mpsoc
-from repro.workload import paper_workload_suite
+from repro.analysis import run_simulations
+from repro.core import SimulationResult
+from repro.scenario import PolicySpec, Scenario, StackSpec, WorkloadSpec
 
 TRACE_DURATION = 60
+POLICIES = ("AC_LB", "AC_TDVFS_LB", "LC_LB", "LC_FUZZY")
 WORKLOADS = ("web", "database", "multimedia", "max-utilisation")
 GridKey = Tuple[int, str, str]  # (tiers, policy, workload)
 
@@ -35,21 +36,23 @@ def _bench_processes() -> Optional[int]:
 
 def run_policy_grid() -> Dict[GridKey, SimulationResult]:
     """All (tiers, policy, workload) closed-loop runs of Section IV-A."""
-    jobs = []
-    for tiers in (2, 4):
-        threads = 32 * (tiers // 2)
-        suite = paper_workload_suite(threads=threads, duration=TRACE_DURATION)
-        for policy in paper_policies():
-            for workload in WORKLOADS:
-                jobs.append(
-                    SimulationJob(
-                        stack=build_3d_mpsoc(tiers, policy.cooling),
-                        policy=policy,
-                        trace=suite[workload],
-                        key=(tiers, policy.name, workload),
-                    )
-                )
-    return dict(run_simulations(jobs, processes=_bench_processes()))
+    keys = [
+        (tiers, policy, workload)
+        for tiers in (2, 4)
+        for policy in POLICIES
+        for workload in WORKLOADS
+    ]
+    jobs = [
+        Scenario(
+            stack=StackSpec(tiers=tiers, cooling=PolicySpec(name=policy).cooling),
+            workload=WorkloadSpec(name=workload, duration=TRACE_DURATION),
+            policy=PolicySpec(name=policy),
+            label=f"{tiers}-tier {policy} on {workload}",
+        )
+        for tiers, policy, workload in keys
+    ]
+    results = run_simulations(jobs, processes=_bench_processes())
+    return {key: result for key, (_, result) in zip(keys, results)}
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ from .sweep import (
     JobFailure,
     SteadyCase,
     SteadySweep,
-    SimulationJob,
     SweepOutcome,
     fan_out,
     resilient_fan_out,
@@ -30,7 +29,6 @@ __all__ = [
     "JobFailure",
     "SteadyCase",
     "SteadySweep",
-    "SimulationJob",
     "SweepOutcome",
     "fan_out",
     "jittered_delay",

@@ -52,39 +52,35 @@ def _mean_time(fn: Callable[[], object], repeats: int) -> float:
 def bench_fanout_setup(n_jobs: int = 6) -> Dict[str, float]:
     """Per-job setup overhead: a fresh model per job vs the sweep's shared one.
 
-    "plain" is what a job costs without model sharing, as in a spawn
-    worker: one pickle round-trip of the job plus a full thermal-model
-    assembly.  "shared" is what a simulation sweep pays per job, serial
-    or in a fork worker: the job arrives without pickling and reuses
-    the one model the sweep assembled for its stack and grid.  Measured
-    in-process over jobs at the default grid resolution.
+    "plain" is what a scenario job costs without model sharing, as in a
+    spawn worker: one pickle round-trip of the job plus building its
+    simulator, a full thermal-model assembly included.  "shared" is
+    what a simulation sweep pays per job, serial or in a fork worker:
+    the job arrives without pickling and its simulator reuses the one
+    model the sweep assembled for its model hash.  Either way the job
+    builds its policy, trace and faults from the spec.  Measured
+    in-process over 2-tier LC_LB jobs at the default grid resolution.
     """
-    from repro.analysis.sweep import SimulationJob, _SweepModels
+    from repro.analysis.sweep import _SweepModels
+    from repro.scenario import PolicySpec, Scenario, WorkloadSpec, build_simulator
 
-    policy = next(p for p in paper_policies() if p.name == "LC_LB")
-    stack = build_3d_mpsoc(2, policy.cooling)
-    suite = paper_workload_suite(threads=32, duration=1)
-    jobs = [
-        SimulationJob(stack, policy, suite["database"], key=index)
-        for index in range(n_jobs)
-    ]
+    base = Scenario(
+        policy=PolicySpec(name="LC_LB"),
+        workload=WorkloadSpec(name="database", duration=1),
+    )
+    jobs = [base.with_label(f"job-{index}") for index in range(n_jobs)]
 
-    def setup(job: SimulationJob, model=None) -> SystemSimulator:
-        return SystemSimulator(
-            job.stack, job.policy, job.trace, model=model, **job.kwargs
-        )
-
-    setup(jobs[0])  # warm imports and lazy grid caches
+    build_simulator(jobs[0])  # warm imports and lazy grid caches
     start = time.perf_counter()
     for job in jobs:
-        setup(pickle.loads(pickle.dumps(job)))
+        build_simulator(pickle.loads(pickle.dumps(job)))
     plain_ms = (time.perf_counter() - start) / n_jobs * 1e3
 
     models = _SweepModels(jobs[:1] + jobs, None)
-    setup(jobs[0], models.model(jobs[0]))  # one assembly, then shared
+    build_simulator(jobs[0], model=models.model(jobs[0]))  # one assembly
     start = time.perf_counter()
     for job in jobs:
-        setup(job, models.model(job))
+        build_simulator(job, model=models.model(job))
     shared_ms = (time.perf_counter() - start) / n_jobs * 1e3
     return {
         "fanout_setup_plain_ms": plain_ms,

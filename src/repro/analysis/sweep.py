@@ -15,22 +15,21 @@ The layers, from cheapest to heaviest:
   first failure.  Its workers, deadlines and backoffs are the
   :class:`repro.workers.AttemptTable` the job service drives too; the
   engine adds serial mode, checkpoints, strict mode and model sharing.
-* :class:`SimulationJob` / :func:`run_simulations` /
-  :func:`run_simulations_resilient` — closed-loop
-  :class:`~repro.core.simulator.SystemSimulator` runs as jobs of that
-  engine.  Every (stack, policy, workload) combination is
-  independent, which is what makes the benchmark grids embarrassingly
-  parallel.  A job is either a bundle of live objects (legacy) or a
-  declarative :class:`~repro.scenario.Scenario`; scenario-backed jobs
-  can be served from the hash-keyed on-disk result cache
-  (``cache_dir=...``) so repeated sweep points are never recomputed.
+* :func:`run_simulations` / :func:`run_simulations_resilient` —
+  closed-loop runs as jobs of that engine.  A job is a declarative
+  :class:`~repro.scenario.Scenario`, keyed by its ``label``.  Every
+  (stack, policy, workload) combination is independent, which is what
+  makes the benchmark grids embarrassingly parallel, and a job can be
+  served from the hash-keyed on-disk result cache (``cache_dir=...``)
+  so repeated sweep points are never recomputed.
 
 A worker process costs a fork per job, so processes only win when each
 job runs for seconds (closed-loop simulations, fine-grid steady maps)
 — the benchmark harness keeps them opt-in via ``REPRO_BENCH_PROCESSES``.
 Under the fork start method workers inherit the job list, so nothing
 is pickled on the way in, and a simulation sweep assembles each
-thermal model that two or more jobs need once, in the parent, for
+thermal model that two or more jobs need (one
+:meth:`~repro.scenario.Scenario.model_hash`) once, in the parent, for
 every worker to share copy-on-write.
 """
 
@@ -40,7 +39,7 @@ import multiprocessing
 import pickle
 import time as _time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -60,24 +59,16 @@ from typing import (
 import numpy as np
 
 from .. import constants
-from ..core.policies import Policy
-from ..core.simulator import (
-    DEFAULT_NX,
-    DEFAULT_NY,
-    SimulationResult,
-    SystemSimulator,
-)
-from ..geometry.stack import StackDesign
+from ..core.simulator import SimulationResult
 from ..obs import capture_telemetry, is_obs_payload
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
-from ..scenario.runner import Runner, build_model
+from ..scenario.runner import build_model, run_scenario
 from ..scenario.spec import Scenario
 from ..thermal.field import TemperatureField
 from ..thermal.model import BlockRef, CompactThermalModel
 from ..workers import AttemptTable, RetryPolicy, error_report
-from ..workload.traces import WorkloadTrace
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -179,122 +170,31 @@ def fan_out(
     return [value for _, value in outcome.results]
 
 
-@dataclass
-class SimulationJob:
-    """One picklable closed-loop simulation.
-
-    The single job type behind every fan-out below, in one of two
-    construction modes:
-
-    * **scenario-backed** (preferred): ``scenario`` holds a declarative
-      :class:`~repro.scenario.Scenario`; the stack, policy, trace,
-      thermal model and fault set are built from it and the run can be
-      served from the hash-keyed result cache.
-    * **legacy objects**: ``stack``/``policy``/``trace`` carry live
-      instances and ``kwargs`` are forwarded to
-      :class:`SystemSimulator` (grid resolution, control period, ...).
-
-    ``key`` is an opaque caller label carried through to make result
-    bookkeeping trivial after a fan-out; scenario-backed jobs default
-    it to the scenario's ``label``.
-    """
-
-    stack: Optional[StackDesign] = None
-    policy: Optional[Policy] = None
-    trace: Optional[WorkloadTrace] = None
-    key: object = None
-    kwargs: Dict[str, object] = field(default_factory=dict)
-    scenario: Optional[Scenario] = None
-
-    def __post_init__(self) -> None:
-        if self.scenario is not None:
-            if (
-                self.stack is not None
-                or self.policy is not None
-                or self.trace is not None
-                or self.kwargs
-            ):
-                raise ValueError(
-                    "a scenario-backed job must not also carry live "
-                    "stack/policy/trace objects or kwargs — put the "
-                    "configuration into the Scenario"
-                )
-            if self.key is None:
-                self.key = self.scenario.label
-        elif self.stack is None or self.policy is None or self.trace is None:
-            raise ValueError(
-                "a job needs either a Scenario or all three of "
-                "stack, policy and trace"
-            )
-
-    @classmethod
-    def from_scenario(
-        cls, scenario: Scenario, key: object = None
-    ) -> "SimulationJob":
-        """A job for one declarative scenario (``key`` defaults to its
-        label)."""
-        return cls(scenario=scenario, key=key)
-
-    def run(
-        self,
-        cache: Optional[ResultCache] = None,
-        model: Optional[CompactThermalModel] = None,
-    ) -> SimulationResult:
-        """Execute the job (scenario jobs may hit the result cache).
-
-        ``model`` is a pre-assembled thermal model of the job's stack
-        and grid to run on; without one the run assembles its own.  A
-        ``model`` in a legacy job's ``kwargs`` takes precedence.
-        """
-        if self.scenario is not None:
-            return Runner(self.scenario, model=model, cache=cache).run()
-        kwargs = {"model": model, **self.kwargs}
-        return SystemSimulator(self.stack, self.policy, self.trace, **kwargs).run()
-
-
-JobLike = Union[SimulationJob, Scenario]
-
-
-def _coerce_jobs(jobs: Sequence[JobLike]) -> List[SimulationJob]:
-    """Accept bare scenarios anywhere a job sequence is expected."""
-    return [
-        SimulationJob.from_scenario(job)
-        if isinstance(job, Scenario)
-        else job
-        for job in jobs
-    ]
-
-
 class _SweepModels:
     """The thermal models one simulation sweep shares between its jobs.
 
     Jobs need the same model when they share a
-    :meth:`Scenario.model_hash`, or a stack object and grid (legacy
-    jobs; the job list holds each stack, so its ``id`` stays unique).
-    Only a key that two or more jobs use is shared: any other job
-    assembles its own model where it runs, as a plain run does, and a
-    serial sweep drops a shared model after its key's last job.  A
-    reused model is reset to the flow and the cold Krylov starts of a
-    fresh one, so every run equals a fresh run bitwise.
+    :meth:`Scenario.model_hash`.  Only a hash that two or more jobs use
+    is shared: any other job assembles its own model where it runs, as
+    a plain run does, and a serial sweep drops a shared model after its
+    hash's last job.  A reused model is reset to the flow and the cold
+    Krylov starts of a fresh one, so every run equals a fresh run
+    bitwise.
     """
 
-    def __init__(self, jobs: Sequence[SimulationJob], cache_dir: Optional[str]) -> None:
+    def __init__(self, jobs: Sequence[Scenario], cache_dir: Optional[str]) -> None:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.uses = Counter(self.key(job) for job in jobs)
-        self.models: Dict[object, CompactThermalModel] = {}
+        self.models: Dict[str, CompactThermalModel] = {}
 
-    def key(self, job: SimulationJob) -> object:
-        """``job``'s model key; ``None`` when the result cache already
+    def key(self, job: Scenario) -> Optional[str]:
+        """``job``'s model hash; ``None`` when the result cache already
         holds its result, so that it needs no model."""
-        if job.scenario is None:
-            nx = int(job.kwargs.get("nx", DEFAULT_NX))
-            ny = int(job.kwargs.get("ny", DEFAULT_NY))
-            return (id(job.stack), nx, ny)
-        if self.cache is not None and self.cache.path(job.scenario).exists():
+        if self.cache is not None and self.cache.path(job).exists():
             return None
-        return job.scenario.model_hash()
+        return job.model_hash()
 
-    def model(self, job: SimulationJob) -> Optional[CompactThermalModel]:
+    def model(self, job: Scenario) -> Optional[CompactThermalModel]:
         """The shared model for ``job``, or ``None`` for its own."""
         key = self.key(job)
         if key is None:
@@ -306,39 +206,33 @@ class _SweepModels:
             model.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
             model.clear_warm_starts()
         elif left > 1:
-            model = self.models[key] = self._assemble(job, key)
+            model = self.models[key] = build_model(job)
         return model
 
-    def prewarm(self, jobs: Sequence[SimulationJob]) -> None:
+    def prewarm(self, jobs: Sequence[Scenario]) -> None:
         """Assemble and prewarm every shared model
         (:meth:`CompactThermalModel.prewarm`), for fork workers to
         inherit copy-on-write; a spawn worker assembles its own."""
         for job in jobs:
             key = self.key(job)
             if key is not None and self.uses[key] > 1 and key not in self.models:
-                model = self.models[key] = self._assemble(job, key)
+                model = self.models[key] = build_model(job)
                 model.prewarm()
 
-    @staticmethod
-    def _assemble(job: SimulationJob, key: object) -> CompactThermalModel:
-        if job.scenario is not None:
-            return build_model(job.scenario)
-        return CompactThermalModel(job.stack, nx=key[1], ny=key[2])
-
-    def run(self, job: SimulationJob, capture: bool = False) -> object:
+    def run(self, job: Scenario, capture: bool = False) -> object:
         if not capture:
-            return job.run(self.cache, self.model(job))
+            return run_scenario(job, model=self.model(job), cache=self.cache)
         payload: Dict[str, object] = {}
         with capture_telemetry(payload):
-            result = job.run(self.cache, self.model(job))
+            result = self.run(job)
         return result, payload
 
 
 def _job_runner(
-    jobs: Sequence[SimulationJob],
+    jobs: Sequence[Scenario],
     processes: Optional[int],
     cache_dir: Optional[Union[str, Path]],
-) -> Callable[[SimulationJob], object]:
+) -> Callable[[Scenario], object]:
     """The per-job function of one simulation sweep."""
     models = _SweepModels(jobs, None if cache_dir is None else str(cache_dir))
     parallel = processes is not None and processes > 1
@@ -351,34 +245,32 @@ def _job_runner(
 
 
 def run_simulations(
-    jobs: Sequence[JobLike],
+    jobs: Sequence[Scenario],
     processes: Optional[int] = None,
     *,
     cache_dir: Optional[Union[str, Path]] = None,
-) -> List[Tuple[object, SimulationResult]]:
-    """Run independent simulations, optionally across processes.
+) -> List[Tuple[Optional[str], SimulationResult]]:
+    """Run independent scenarios, optionally across processes.
 
     The strict form of :func:`run_simulations_resilient`, as
     :func:`fan_out` is of :func:`resilient_fan_out`: the first failed
-    job raises.  ``jobs`` may mix :class:`SimulationJob` instances and
-    bare :class:`~repro.scenario.Scenario` specs.  Jobs that share a
-    thermal model (one :meth:`Scenario.model_hash`, or one stack object
-    and grid) assemble it once per sweep; results equal fresh per-job
-    runs.  With ``cache_dir`` set, scenario-backed jobs are served from
-    (and written to) the on-disk result cache keyed by scenario content
-    hash + code version, so a repeated sweep point costs a pickle load
-    instead of a solve.
+    job raises.  Jobs that share a thermal model (one
+    :meth:`Scenario.model_hash`) assemble it once per sweep; results
+    equal fresh :func:`~repro.scenario.run_scenario` runs.  With
+    ``cache_dir`` set, jobs are served from (and written to) the
+    on-disk result cache keyed by scenario content hash + code version,
+    so a repeated sweep point costs a pickle load instead of a solve.
 
-    Returns ``(job.key, result)`` pairs in job order.
+    Returns ``(scenario.label, result)`` pairs in job order.
     """
-    jobs = _coerce_jobs(jobs)
+    jobs = list(jobs)
     tracer = get_tracer()
     with tracer.span(
         "sweep.run_simulations", jobs=len(jobs), processes=processes or 1
     ):
         values = fan_out(_job_runner(jobs, processes, cache_dir), jobs, processes)
         return [
-            (job.key, _merge_worker_value(tracer, job.key, value))
+            (job.label, _merge_worker_value(tracer, job.label, value))
             for job, value in zip(jobs, values)
         ]
 
@@ -787,7 +679,7 @@ def resilient_fan_out(
 
 
 def run_simulations_resilient(
-    jobs: Sequence[JobLike],
+    jobs: Sequence[Scenario],
     processes: Optional[int] = None,
     *,
     timeout_s: Optional[float] = None,
@@ -802,14 +694,14 @@ def run_simulations_resilient(
 
     Where :func:`run_simulations` re-raises the first failure and
     loses the whole grid, this returns a :class:`SweepOutcome` whose
-    ``results`` are ``(job.key, SimulationResult)`` pairs for the
+    ``results`` are ``(scenario.label, SimulationResult)`` pairs for the
     jobs that completed and whose ``failures`` carry a structured
     :class:`JobFailure` per job that could not be salvaged.  See
     :func:`resilient_fan_out` for the retry/timeout/crash semantics.
     Models are shared and ``cache_dir`` honoured exactly as in
     :func:`run_simulations`.
     """
-    jobs = _coerce_jobs(jobs)
+    jobs = list(jobs)
     tracer = get_tracer()
     with tracer.span(
         "sweep.run_simulations_resilient",
@@ -820,7 +712,7 @@ def run_simulations_resilient(
             _job_runner(jobs, processes, cache_dir),
             jobs,
             processes,
-            keys=[job.key for job in jobs],
+            keys=[job.label for job in jobs],
             timeout_s=timeout_s,
             retries=retries,
             backoff_s=backoff_s,

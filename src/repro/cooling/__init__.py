@@ -1,9 +1,7 @@
 """Pluggable cooling-backend layer (air / single-phase / two-phase)."""
 
 from .backends import (
-    BACKENDS,
     TWO_PHASE_ANCHOR_W_PER_K,
-    AirSinkBackend,
     CoolingBackend,
     CoolingConfig,
     FluidCoupling,
@@ -11,14 +9,10 @@ from .backends import (
     SinglePhaseLiquidBackend,
     TwoPhaseBackend,
     backend_for_cavity,
-    backend_names,
-    register_backend,
 )
 
 __all__ = [
-    "BACKENDS",
     "TWO_PHASE_ANCHOR_W_PER_K",
-    "AirSinkBackend",
     "CoolingBackend",
     "CoolingConfig",
     "FluidCoupling",
@@ -26,6 +20,4 @@ __all__ = [
     "SinglePhaseLiquidBackend",
     "TwoPhaseBackend",
     "backend_for_cavity",
-    "backend_names",
-    "register_backend",
 ]

@@ -3,22 +3,23 @@
 The paper's §III treats the cooling technology — forced air, single-phase
 liquid, two-phase flow boiling — as the design axis that decides whether
 a 3D MPSoC is thermally viable.  This module makes that axis a real
-abstraction: every cavity (and the air sink) is served by a
-:class:`CoolingBackend` that owns
+abstraction: every cavity is served by a :class:`CoolingBackend`,
+picked by :func:`backend_for_cavity` from the cavity's type, that owns
 
 * the fin-enhanced footprint heat transfer coefficient
   (:meth:`CoolingBackend.effective_htc`),
 * the kind of fluid coupling the thermal assembly must emit for its
   level (:meth:`CoolingBackend.fluid_coupling` — an advection stencil
-  for single-phase liquid, a saturation anchor for two-phase, a lumped
-  sink for air), and
+  for single-phase liquid, a saturation anchor for two-phase), and
 * the run-time response to a flow command
   (:meth:`CoolingBackend.respond_to_flow` /
   :meth:`CoolingBackend.hydraulic_state`).
 
-The single-phase and air backends are stateless shims over the existing
+The single-phase backend is a stateless shim over the existing
 correlations in :mod:`repro.heat_transfer.convection` — byte-for-byte
-the coefficients the assembly used before the refactor.  The two-phase
+the coefficients the assembly used before the refactor.  The air sink
+on top of the stack has no backend: the thermal model assembles it as
+a lumped node.  The two-phase
 backend wraps the §III marching evaporator of
 :mod:`repro.twophase.evaporator`: per control step the commanded flow
 and the footprint heat-flux pattern drive the marcher, whose
@@ -33,11 +34,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..geometry.stack import Cavity, StackDesign, TwoPhaseCavity
+from ..geometry.stack import Cavity, TwoPhaseCavity
 from ..heat_transfer.convection import cavity_effective_htc
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
@@ -68,7 +69,7 @@ class FluidCoupling:
         ``"advection"`` — upwind advective transport at the commanded
         capacity rate (single-phase liquid); ``"anchor"`` — cells
         pinned at a saturation temperature through a large conductance
-        (two-phase); ``"sink"`` — lumped convective sink (air).
+        (two-phase).
     effective_htc:
         Fin-enhanced footprint heat transfer coefficient coupling the
         cavity to the dies above/below [W/(m^2 K)].
@@ -91,8 +92,8 @@ class HydraulicState:
     Attributes
     ----------
     backend, cavity:
-        Backend registry name and the cavity it serves (``None`` for
-        the stack-level air sink).
+        Backend name and the cavity it serves (``None`` for a backend
+        built without one).
     flow_ml_min:
         Last commanded flow [ml/min] (``None`` before any command).
     dynamic:
@@ -161,7 +162,8 @@ class CoolingConfig:
 class CoolingBackend:
     """Base cooling backend: static, flow-insensitive coupling."""
 
-    #: Registry name; subclasses override.
+    #: Backend name, reported in :class:`HydraulicState`; subclasses
+    #: override.
     name = "static"
 
     def __init__(
@@ -235,26 +237,6 @@ class SinglePhaseLiquidBackend(CoolingBackend):
 
     def fluid_coupling(self) -> FluidCoupling:
         return FluidCoupling(kind="advection", effective_htc=self.effective_htc())
-
-
-class AirSinkBackend(CoolingBackend):
-    """Forced-air heat sink on top of the stack (no cavity)."""
-
-    name = "air_sink"
-
-    def __init__(
-        self,
-        stack: Optional[StackDesign] = None,
-        config: Optional[CoolingConfig] = None,
-    ) -> None:
-        super().__init__(cavity=None, config=config)
-        self.stack = stack
-
-    def effective_htc(self) -> float:
-        raise NotImplementedError("the air sink couples as a lumped node")
-
-    def fluid_coupling(self) -> FluidCoupling:
-        return FluidCoupling(kind="sink", effective_htc=0.0)
 
 
 class TwoPhaseBackend(CoolingBackend):
@@ -477,35 +459,6 @@ class TwoPhaseBackend(CoolingBackend):
         self._last_solution = None
         self._last_rows = None
         self._min_dryout_margin = None
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-BACKENDS: Dict[str, type] = {
-    SinglePhaseLiquidBackend.name: SinglePhaseLiquidBackend,
-    AirSinkBackend.name: AirSinkBackend,
-    TwoPhaseBackend.name: TwoPhaseBackend,
-}
-"""Registered cooling backends by name."""
-
-
-def register_backend(name: str, backend_class: type) -> None:
-    """Register (or replace) a cooling backend class."""
-    if not (
-        isinstance(backend_class, type)
-        and issubclass(backend_class, CoolingBackend)
-    ):
-        raise TypeError(
-            f"{backend_class!r} is not a CoolingBackend subclass"
-        )
-    BACKENDS[name] = backend_class
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(BACKENDS))
 
 
 def backend_for_cavity(

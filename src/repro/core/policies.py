@@ -17,7 +17,7 @@ LC_FUZZY         liquid   fuzzy, per core     fuzzy, run-time varying
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional
 
 from .. import constants

@@ -48,11 +48,10 @@ BlockRef = Tuple[str, str]
 
 DEFAULT_NX = 23
 DEFAULT_NY = 20
-"""Default thermal-grid resolution of closed-loop runs.
+"""Default thermal-grid resolution of a closed-loop run built by hand.
 
-Module-level so fan-out drivers (see :mod:`repro.analysis.sweep`) can
-pre-assemble and cache thermal models for jobs that do not override
-``nx``/``ny`` without duplicating the defaults.
+:class:`~repro.scenario.SolverSpec` carries the same defaults for runs
+described by a scenario.
 """
 
 
@@ -123,9 +122,11 @@ class SystemSimulator:
         Pre-assembled :class:`CompactThermalModel` to reuse instead of
         assembling a fresh one (must have been built for ``stack``;
         ``nx``/``ny`` are ignored then).  Simulation sweeps pass the
-        model their jobs on one stack and grid share, so repeated short
-        jobs skip the assembly cost entirely — warm factor caches carry
-        over and stay valid because they are keyed by flow signature.
+        model their scenario jobs of one
+        :meth:`~repro.scenario.Scenario.model_hash` share, so repeated
+        short jobs skip the assembly cost entirely — warm factor caches
+        carry over and stay valid because they are keyed by flow
+        signature.
     """
 
     def __init__(
@@ -204,21 +205,6 @@ class SystemSimulator:
         self._all_masks = self.model.block_masks()
         self._block_reduction = BlockReduction(self.model.grid, self._all_masks)
         self._block_order = self.model.block_order
-
-    @classmethod
-    def from_scenario(cls, scenario) -> "SystemSimulator":
-        """The fully-wired simulator a declarative
-        :class:`~repro.scenario.Scenario` describes.
-
-        Equivalent to building stack, policy, trace, model and faults
-        by hand with the legacy constructors — the scenario layer's
-        builders use the same defaults, so the resulting run is
-        bitwise identical.
-        """
-        # Imported lazily: the scenario layer builds on this module.
-        from ..scenario.runner import build_simulator
-
-        return build_simulator(scenario)
 
     # ------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import List, Mapping, Optional, Sequence
 
 from .. import constants
 from ..geometry.channels import MicroChannelGeometry
-from ..geometry.stack import StackDesign, build_3d_mpsoc, CoolingMode
+from ..geometry.stack import build_3d_mpsoc, CoolingMode
 from ..geometry.tsv import TSVArray
 from ..hydraulics.friction import channel_pressure_drop, pumping_power
 from ..materials.fluids import Liquid, WATER

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .. import constants
-from ..geometry.stack import CoolingMode, StackDesign, build_3d_mpsoc
+from ..geometry.stack import CoolingMode, build_3d_mpsoc
 from ..thermal.model import BlockRef, CompactThermalModel
 
 

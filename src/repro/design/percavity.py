@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-import numpy as np
-
 from .. import constants
 from ..hydraulics.pump import PumpModel, TABLE_I_PUMP
 from ..thermal.model import BlockRef, CompactThermalModel

@@ -1,21 +1,17 @@
 """Fault-campaign driver: quantify policy degradation under faults.
 
-A campaign runs one fault-free baseline plus one closed-loop simulation
-per :class:`FaultScenario` over the same (stack, policy, workload)
-combination, fanned out through the resilient sweep runner so a
-scenario that crashes or diverges yields a structured
-:class:`~repro.analysis.sweep.JobFailure` instead of sinking the
-campaign.  Each surviving scenario is reported as deltas against the
-baseline: peak temperature, time-over-threshold (the paper's hot-spot
-metric as seconds) and system energy.
+A campaign runs one fault-free baseline of a base
+:class:`~repro.scenario.Scenario` plus one closed-loop simulation per
+:class:`FaultScenario`: the base overlaid with that entry's
+:class:`~repro.scenario.FaultSpec`.  The runs fan out through the
+resilient sweep runner, so a scenario that crashes or diverges yields a
+structured :class:`~repro.analysis.sweep.JobFailure` instead of sinking
+the campaign.  Each surviving scenario is reported as deltas against
+the baseline: peak temperature, time-over-threshold (the paper's
+hot-spot metric as seconds) and system energy.
 
-The base experiment may be given either as live ``(stack, policy,
-trace)`` objects (the legacy form) or as one declarative
-:class:`~repro.scenario.Scenario`; in the declarative form each
-campaign entry is the base scenario overlaid with that entry's
-:class:`~repro.scenario.FaultSpec`, so the whole campaign is a pure
-function of JSON-serialisable specs and can hit the on-disk result
-cache.
+The whole campaign is a pure function of JSON-serialisable specs, so
+it can hit the on-disk result cache.
 """
 
 from __future__ import annotations
@@ -25,50 +21,26 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from ..analysis.report import Table
-from ..analysis.sweep import (
-    JobFailure,
-    SimulationJob,
-    run_simulations_resilient,
-)
-from ..core.policies import Policy
+from ..analysis.sweep import JobFailure, run_simulations_resilient
 from ..core.simulator import SimulationResult
-from ..geometry.stack import StackDesign
 from ..obs.trace import get_tracer
-from ..scenario.runner import (
-    build_faults,
-    build_policy,
-    build_stack,
-    build_trace,
-    simulator_kwargs,
-)
+from ..scenario.runner import build_faults
 from ..scenario.spec import FaultSpec, Scenario
-from ..workload.traces import WorkloadTrace
-from .models import FaultSet
 
 _BASELINE_KEY = "__baseline__"
 
 
 @dataclass(frozen=True)
 class FaultScenario:
-    """One named fault configuration to campaign over.
-
-    ``faults`` is either a live :class:`FaultSet` (legacy) or a
-    declarative :class:`~repro.scenario.FaultSpec` overlay.
-    """
+    """One named :class:`~repro.scenario.FaultSpec` overlay to campaign
+    over."""
 
     name: str
-    faults: Union[FaultSet, FaultSpec]
+    faults: FaultSpec
 
     def __post_init__(self) -> None:
         if self.name == _BASELINE_KEY:
             raise ValueError(f"{_BASELINE_KEY!r} is reserved")
-
-
-def _describe_faults(faults: Union[FaultSet, FaultSpec]) -> str:
-    if isinstance(faults, FaultSpec):
-        built = build_faults(faults)
-        return built.describe() if built is not None else "none"
-    return faults.describe()
 
 
 def _time_over_threshold_s(result: SimulationResult) -> float:
@@ -164,92 +136,9 @@ class FaultCampaignReport:
         return table
 
 
-def _campaign_jobs(
-    base: Union[StackDesign, Scenario],
-    policy: Optional[Policy],
-    trace: Optional[WorkloadTrace],
-    scenarios: Sequence[FaultScenario],
-    sim_kwargs: dict,
-) -> List[SimulationJob]:
-    """Baseline + one job per fault scenario, legacy or declarative."""
-    if isinstance(base, Scenario):
-        if policy is not None or trace is not None or sim_kwargs:
-            raise ValueError(
-                "a Scenario base fully describes the experiment; do "
-                "not also pass policy/trace objects or simulator "
-                "kwargs — put the configuration into the Scenario"
-            )
-        jobs = [
-            SimulationJob.from_scenario(
-                replace(base, faults=None, label=_BASELINE_KEY),
-                key=_BASELINE_KEY,
-            )
-        ]
-        for scenario in scenarios:
-            if isinstance(scenario.faults, FaultSpec):
-                jobs.append(
-                    SimulationJob.from_scenario(
-                        replace(
-                            base,
-                            faults=scenario.faults,
-                            label=scenario.name,
-                        ),
-                        key=scenario.name,
-                    )
-                )
-            else:
-                # Live FaultSet overlays are stateful and cannot be
-                # hashed into a scenario; bridge them through a legacy
-                # object job built from the same spec.
-                stack_obj = build_stack(base.stack)
-                jobs.append(
-                    SimulationJob(
-                        stack=stack_obj,
-                        policy=build_policy(base.policy),
-                        trace=build_trace(base.workload, base.stack),
-                        key=scenario.name,
-                        kwargs={
-                            **simulator_kwargs(base),
-                            "faults": scenario.faults,
-                        },
-                    )
-                )
-        return jobs
-    if policy is None or trace is None:
-        raise ValueError(
-            "a legacy campaign needs stack, policy and trace; pass a "
-            "Scenario as the first argument for the declarative form"
-        )
-    jobs = [
-        SimulationJob(
-            stack=base,
-            policy=policy,
-            trace=trace,
-            key=_BASELINE_KEY,
-            kwargs=dict(sim_kwargs),
-        )
-    ]
-    for scenario in scenarios:
-        faults = scenario.faults
-        if isinstance(faults, FaultSpec):
-            faults = build_faults(faults)
-        jobs.append(
-            SimulationJob(
-                stack=base,
-                policy=policy,
-                trace=trace,
-                key=scenario.name,
-                kwargs={**sim_kwargs, "faults": faults},
-            )
-        )
-    return jobs
-
-
 def run_fault_campaign(
-    stack: Union[StackDesign, Scenario],
-    policy: Optional[Policy] = None,
-    trace: Optional[WorkloadTrace] = None,
-    scenarios: Sequence[FaultScenario] = (),
+    base: Scenario,
+    scenarios: Sequence[FaultScenario],
     *,
     processes: Optional[int] = None,
     timeout_s: Optional[float] = None,
@@ -257,29 +146,23 @@ def run_fault_campaign(
     backoff_s: float = 0.0,
     checkpoint_path: Optional[Path] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    **sim_kwargs: object,
 ) -> FaultCampaignReport:
-    """Run baseline + scenarios and report degradation deltas.
+    """Run the baseline + one run per scenario; report degradation deltas.
 
-    ``stack`` may instead be a declarative
-    :class:`~repro.scenario.Scenario`: the campaign then becomes the
-    base scenario overlaid per entry with its
-    :class:`~repro.scenario.FaultSpec` (``policy``/``trace``/kwargs
-    must stay unset — the scenario holds the whole configuration), and
-    ``cache_dir`` lets repeated baselines be served from the on-disk
-    result cache.
-
-    In the legacy form extra keyword arguments are forwarded to
-    :class:`~repro.core.simulator.SystemSimulator` (grid resolution,
-    control period, ...).  The fan-out is resilient: failed scenarios
-    appear in the report with their :class:`JobFailure` while the rest
-    complete.  A baseline failure is fatal — without it no delta means
-    anything — and re-raises the underlying error summary.
+    Each run is ``base`` with its :class:`~repro.scenario.FaultSpec`
+    (none for the baseline), so ``cache_dir`` can serve repeated runs
+    from the on-disk result cache.  The fan-out is resilient: failed
+    scenarios appear in the report with their :class:`JobFailure` while
+    the rest complete.  A baseline failure is fatal — without it no
+    delta means anything — and re-raises the underlying error summary.
     """
     names = [scenario.name for scenario in scenarios]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate scenario names in {names}")
-    jobs = _campaign_jobs(stack, policy, trace, scenarios, sim_kwargs)
+    jobs = [replace(base, faults=None, label=_BASELINE_KEY)] + [
+        replace(base, faults=scenario.faults, label=scenario.name)
+        for scenario in scenarios
+    ]
     with get_tracer().span(
         "faults.campaign", scenarios=len(scenarios), jobs=len(jobs)
     ):
@@ -308,6 +191,7 @@ def run_fault_campaign(
     outcomes: List[ScenarioOutcome] = []
     for scenario in scenarios:
         result = results.get(scenario.name)
+        faults = build_faults(scenario.faults).describe()
         if result is not None:
             hot_s = _time_over_threshold_s(result)
             margin_delta = None
@@ -321,7 +205,7 @@ def run_fault_campaign(
             outcomes.append(
                 ScenarioOutcome(
                     name=scenario.name,
-                    faults=_describe_faults(scenario.faults),
+                    faults=faults,
                     result=result,
                     peak_delta_c=result.peak_temperature_c
                     - baseline.peak_temperature_c,
@@ -336,13 +220,13 @@ def run_fault_campaign(
             outcomes.append(
                 ScenarioOutcome(
                     name=scenario.name,
-                    faults=_describe_faults(scenario.faults),
+                    faults=faults,
                     failure=failures[scenario.name],
                 )
             )
     return FaultCampaignReport(
-        policy=baseline.policy if policy is None else policy.name,
-        workload=baseline.workload if trace is None else trace.name,
+        policy=baseline.policy,
+        workload=baseline.workload,
         baseline=baseline,
         outcomes=outcomes,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 

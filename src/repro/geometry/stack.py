@@ -108,17 +108,6 @@ class Cavity:
         """Cavity (channel) height [m]."""
         return self.geometry.height
 
-    def cooling_backend(self, config=None):
-        """The :mod:`repro.cooling` backend serving this cavity.
-
-        Dispatch on the cavity type (two-phase cavities get the
-        marching-evaporator backend).  Imported lazily: the cooling
-        layer builds on this module.
-        """
-        from ..cooling import backend_for_cavity
-
-        return backend_for_cavity(self, config)
-
 
 def refrigerant_liquid(refrigerant) -> Liquid:
     """Saturated-liquid view of a refrigerant as a :class:`Liquid`.

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fluids import Liquid
-from .solids import SolidMaterial
 
 MAX_PRACTICAL_LOADING = 0.10
 """Volume fractions beyond ~10 % are outside the dilute-suspension

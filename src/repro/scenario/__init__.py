@@ -4,9 +4,9 @@ One spec format — a frozen, JSON-round-trippable :class:`Scenario`
 dataclass tree — describes every closed-loop experiment of the paper
 (stack geometry, cavity config, workload, policy, solver backend,
 faults, horizon).  :class:`Runner` executes a spec bit-for-bit
-identically to the legacy hand-wired ``SystemSimulator`` path, and the
-scenario content hash keys both the on-disk :class:`ResultCache` and
-the shared fan-out model cache.
+identically to the same ``SystemSimulator`` wired by hand.  The
+scenario content hash keys the on-disk :class:`ResultCache`, and the
+model hash the thermal models a sweep shares between its jobs.
 """
 
 from .cache import CACHE_DIR_ENV, ResultCache, default_cache_root
@@ -19,7 +19,6 @@ from .runner import (
     build_stack,
     build_trace,
     run_scenario,
-    simulator_kwargs,
 )
 from .spec import (
     SCHEMA_VERSION,
@@ -62,5 +61,4 @@ __all__ = [
     "build_trace",
     "default_cache_root",
     "run_scenario",
-    "simulator_kwargs",
 ]

@@ -1,14 +1,15 @@
 """Build and run experiments from declarative :class:`Scenario` specs.
 
-The builders translate each spec node into the live object the legacy
-entry points constructed by hand (``build_3d_mpsoc`` calls, workload
-generators, policy classes, fault models, the compact thermal model),
-and :class:`Runner` wires them into one
-:class:`~repro.core.simulator.SystemSimulator` run.  Every translation
-is deterministic and uses the same defaults as the hand-wired paths, so
-``Runner(scenario).run()`` is **bitwise identical** to the legacy
-``SystemSimulator(stack, policy, trace, ...).run()`` it replaces
-(asserted on the Fig. 6 policy suite by the test suite).
+The builders translate each spec node into the live object it
+describes (``build_3d_mpsoc`` calls, workload generators, policy
+classes, fault models, the compact thermal model), and :class:`Runner`
+wires them into one :class:`~repro.core.simulator.SystemSimulator` run.
+Every translation is deterministic and uses the constructors' own
+defaults, so ``Runner(scenario).run()`` is **bitwise identical** to the
+same ``SystemSimulator(stack, policy, trace, ...).run()`` wired by hand
+(asserted on the Fig. 6 policy suite by the test suite).  Sweeps and
+fault campaigns take scenarios only; the engine itself stays open to a
+trace or stack no spec can express.
 """
 
 from __future__ import annotations
@@ -254,23 +255,6 @@ def build_model(
         ),
         cooling=cooling,
     )
-
-
-def simulator_kwargs(scenario: Scenario) -> Dict[str, object]:
-    """Legacy ``SystemSimulator`` keyword arguments of a scenario.
-
-    The bridge for call sites that still thread ad-hoc kwargs (fault
-    campaigns mixing live :class:`FaultSet` objects into a scenario
-    base); new code should go through :class:`Runner` instead.
-    """
-    return {
-        "nx": scenario.solver.nx,
-        "ny": scenario.solver.ny,
-        "control_period": scenario.control.period,
-        "lb_threshold": scenario.control.lb_threshold,
-        "sensor_noise": scenario.control.sensor_noise,
-        "record_series": scenario.record_series,
-    }
 
 
 def build_simulator(

@@ -25,9 +25,22 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from .. import constants
 from ..thermal.krylov import SOLVER_CHOICES
@@ -72,15 +85,6 @@ def _require_mapping(data: Any, path: str) -> Mapping:
     return data
 
 
-def _reject_unknown(data: Mapping, cls, path: str) -> None:
-    allowed = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in allowed:
-            raise ScenarioError(
-                f"{path}.{key}: unknown field; {_suggest(key, allowed)}"
-            )
-
-
 def _typed(
     data: Mapping,
     key: str,
@@ -112,7 +116,83 @@ def _typed(
     return value
 
 
-def _build(cls, kwargs: Dict[str, Any], path: str):
+class _Field(NamedTuple):
+    """How one spec field is parsed, resolved from its annotation."""
+
+    name: str
+    kind: str
+    """``"leaf"``, ``"spec"``, ``"optional-spec"`` or ``"specs"``."""
+    arg: Any
+    """A leaf's accepted types; the nested spec class otherwise."""
+    default: Any
+    required: bool
+
+
+@lru_cache(maxsize=None)
+def _field_plan(cls) -> Tuple[FrozenSet[str], Tuple[_Field, ...]]:
+    """``cls``'s field names and the parse step of each field, in order."""
+    hints = get_type_hints(cls)
+    plan = []
+    for spec_field in fields(cls):
+        hint = hints[spec_field.name]
+        optional = get_origin(hint) is Union  # Optional[X]
+        if optional:
+            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        if is_dataclass(hint):
+            kind = "optional-spec" if optional else "spec"
+        elif get_origin(hint) is tuple:  # Tuple[Spec, ...]
+            kind, hint = "specs", get_args(hint)[0]
+        else:
+            kind, hint = "leaf", (hint,)
+        plan.append(
+            _Field(
+                spec_field.name,
+                kind,
+                hint,
+                spec_field.default,
+                spec_field.metadata.get("required", False),
+            )
+        )
+    return frozenset(step.name for step in plan), tuple(plan)
+
+
+def _from_plain(cls, data: Any, path: str, extra: FrozenSet[str] = frozenset()):
+    """Parse one spec node of type ``cls`` from plain data at ``path``.
+
+    Keys outside ``cls``'s fields (and ``extra``) are rejected with a
+    suggestion.  Each field is parsed by its annotation: a leaf through
+    :func:`_typed`, a nested spec recursively (an absent one keeps its
+    default, ``None`` too when it is optional), and a tuple of specs
+    item by item under ``path.name[i]``.  A validation error of the
+    built node is re-raised under ``path``.
+    """
+    data = _require_mapping(data, path)
+    names, plan = _field_plan(cls)
+    for key in data:
+        if key not in names and key not in extra:
+            raise ScenarioError(
+                f"{path}.{key}: unknown field; {_suggest(key, names | extra)}"
+            )
+    kwargs: Dict[str, Any] = {}
+    for name, kind, arg, default, required in plan:
+        if kind == "leaf":
+            kwargs[name] = _typed(
+                data, name, arg, path, required=required, default=default
+            )
+            continue
+        value = data.get(name)
+        if kind == "specs":
+            items = value or ()
+            if not isinstance(items, (list, tuple)):
+                raise ScenarioError(f"{path}.{name}: expected a list")
+            kwargs[name] = tuple(
+                _from_plain(arg, item, f"{path}.{name}[{index}]")
+                for index, item in enumerate(items)
+            )
+        elif value is None and (kind == "optional-spec" or name not in data):
+            kwargs[name] = default
+        else:
+            kwargs[name] = _from_plain(arg, value, f"{path}.{name}")
     try:
         return cls(**kwargs)
     except ScenarioError as exc:
@@ -161,16 +241,6 @@ class ChannelSpec:
                 f"the pitch {self.pitch!r}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "channel") -> "ChannelSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs = {
-            name: _typed(data, name, (float,), path, default=getattr(cls, name))
-            for name in ("width", "height", "pitch")
-        }
-        return _build(cls, kwargs, path)
-
 
 @dataclass(frozen=True)
 class CoolingSpec:
@@ -184,7 +254,9 @@ class CoolingSpec:
     Attributes
     ----------
     backend:
-        Registered :mod:`repro.cooling` backend name.
+        Cooling technology of the stack, one of
+        :data:`COOLING_BACKEND_CHOICES`; it must match the stack's
+        cooling mode.
     refrigerant:
         Working fluid of the two-phase loop (ASHRAE designation).
     saturation_c:
@@ -228,41 +300,6 @@ class CoolingSpec:
                 f"segments_per_row: must be >= 1, "
                 f"got {self.segments_per_row!r}"
             )
-
-    @classmethod
-    def from_dict(
-        cls, data: Any, path: str = "stack.cooling_backend"
-    ) -> "CoolingSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs: Dict[str, Any] = {
-            "backend": _typed(
-                data, "backend", (str,), path, default=cls.backend
-            ),
-            "refrigerant": _typed(
-                data, "refrigerant", (str,), path, default=cls.refrigerant
-            ),
-            "saturation_c": _typed(
-                data, "saturation_c", (float,), path,
-                default=cls.saturation_c,
-            ),
-            "design_flux_w_m2": _typed(
-                data, "design_flux_w_m2", (float,), path,
-                default=cls.design_flux_w_m2,
-            ),
-            "dynamic": _typed(
-                data, "dynamic", (bool,), path, default=cls.dynamic
-            ),
-            "inlet_quality": _typed(
-                data, "inlet_quality", (float,), path,
-                default=cls.inlet_quality,
-            ),
-            "segments_per_row": _typed(
-                data, "segments_per_row", (int,), path,
-                default=cls.segments_per_row,
-            ),
-        }
-        return _build(cls, kwargs, path)
 
 
 @dataclass(frozen=True)
@@ -330,45 +367,6 @@ class StackSpec:
         pattern = self.tier_pattern or "cm" * (self.tiers // 2)
         return 8 * pattern.count("c")
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "stack") -> "StackSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        channel = data.get("channel")
-        cooling_backend = data.get("cooling_backend")
-        kwargs: Dict[str, Any] = {
-            "tiers": _typed(data, "tiers", (int,), path, default=cls.tiers),
-            "cooling": _typed(
-                data, "cooling", (str,), path, default=cls.cooling
-            ),
-            "two_phase": _typed(
-                data, "two_phase", (bool,), path, default=cls.two_phase
-            ),
-            "tier_pattern": _typed(data, "tier_pattern", (str,), path),
-            "die_thickness": _typed(
-                data, "die_thickness", (float,), path,
-                default=cls.die_thickness,
-            ),
-            "wiring_thickness": _typed(
-                data, "wiring_thickness", (float,), path,
-                default=cls.wiring_thickness,
-            ),
-            "lid_thickness": _typed(
-                data, "lid_thickness", (float,), path,
-                default=cls.lid_thickness,
-            ),
-            "channel": None
-            if channel is None
-            else ChannelSpec.from_dict(channel, f"{path}.channel"),
-            "cooling_backend": None
-            if cooling_backend is None
-            else CoolingSpec.from_dict(
-                cooling_backend, f"{path}.cooling_backend"
-            ),
-            "name": _typed(data, "name", (str,), path),
-        }
-        return _build(cls, kwargs, path)
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -403,21 +401,6 @@ class WorkloadSpec:
                 f"duration: must be >= 1 second, got {self.duration!r}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "workload") -> "WorkloadSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs = {
-            "name": _typed(data, "name", (str,), path, default=cls.name),
-            "source": _typed(data, "source", (str,), path, default=cls.source),
-            "threads": _typed(data, "threads", (int,), path),
-            "duration": _typed(
-                data, "duration", (int,), path, default=cls.duration
-            ),
-            "seed": _typed(data, "seed", (int,), path),
-        }
-        return _build(cls, kwargs, path)
-
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -451,22 +434,6 @@ class PolicySpec:
     def cooling(self) -> str:
         """Cooling mode this policy requires."""
         return "air" if self.name in _AIR_POLICIES else "liquid"
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "policy") -> "PolicySpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs = {
-            "name": _typed(data, "name", (str,), path, default=cls.name),
-            "flow_ml_min": _typed(data, "flow_ml_min", (float,), path),
-            "flow_control": _typed(
-                data, "flow_control", (bool,), path, default=cls.flow_control
-            ),
-            "dvfs_control": _typed(
-                data, "dvfs_control", (bool,), path, default=cls.dvfs_control
-            ),
-        }
-        return _build(cls, kwargs, path)
 
 
 @dataclass(frozen=True)
@@ -509,26 +476,6 @@ class SolverSpec:
                 f"fill_factor: must be >= 1, got {self.fill_factor!r}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "solver") -> "SolverSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs: Dict[str, Any] = {
-            "backend": _typed(
-                data, "backend", (str,), path, default=cls.backend
-            ),
-            "nx": _typed(data, "nx", (int,), path, default=cls.nx),
-            "ny": _typed(data, "ny", (int,), path, default=cls.ny),
-            "maxiter": _typed(
-                data, "maxiter", (int,), path, default=cls.maxiter
-            ),
-        }
-        for name in ("rtol", "atol", "drop_tol", "fill_factor"):
-            kwargs[name] = _typed(
-                data, name, (float,), path, default=getattr(cls, name)
-            )
-        return _build(cls, kwargs, path)
-
 
 @dataclass(frozen=True)
 class ControlSpec:
@@ -549,26 +496,14 @@ class ControlSpec:
                 f"sensor_noise: must be >= 0, got {self.sensor_noise!r}"
             )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "control") -> "ControlSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs = {
-            name: _typed(
-                data, name, (float,), path, default=getattr(cls, name)
-            )
-            for name in ("period", "lb_threshold", "sensor_noise")
-        }
-        return _build(cls, kwargs, path)
-
 
 @dataclass(frozen=True)
 class SensorFaultSpec:
     """One declarative sensor fault bound to a (layer, block) address."""
 
     kind: str = "dead"
-    layer: str = ""
-    block: str = ""
+    layer: str = field(default="", metadata={"required": True})
+    block: str = field(default="", metadata={"required": True})
     start: float = 0.0
     end: Optional[float] = None
     value_k: Optional[float] = None
@@ -593,24 +528,6 @@ class SensorFaultSpec:
                 "value_k: only 'stuck' sensor faults take a held value"
             )
         _check_positive(self.sigma_k, "sigma_k")
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "SensorFaultSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs = {
-            "kind": _typed(data, "kind", (str,), path, default=cls.kind),
-            "layer": _typed(data, "layer", (str,), path, required=True),
-            "block": _typed(data, "block", (str,), path, required=True),
-            "start": _typed(data, "start", (float,), path, default=cls.start),
-            "end": _typed(data, "end", (float,), path),
-            "value_k": _typed(data, "value_k", (float,), path),
-            "sigma_k": _typed(
-                data, "sigma_k", (float,), path, default=cls.sigma_k
-            ),
-            "seed": _typed(data, "seed", (int,), path, default=cls.seed),
-        }
-        return _build(cls, kwargs, path)
 
 
 @dataclass(frozen=True)
@@ -654,23 +571,6 @@ class FlowFaultSpec:
                     f"got {self.inlet_quality!r}"
                 )
 
-    @classmethod
-    def from_dict(cls, data: Any, path: str) -> "FlowFaultSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        kwargs = {
-            "kind": _typed(data, "kind", (str,), path, default=cls.kind),
-            "remaining_fraction": _typed(
-                data, "remaining_fraction", (float,), path,
-                default=cls.remaining_fraction,
-            ),
-            "cavity": _typed(data, "cavity", (str,), path),
-            "start": _typed(data, "start", (float,), path, default=cls.start),
-            "end": _typed(data, "end", (float,), path),
-            "inlet_quality": _typed(data, "inlet_quality", (float,), path),
-        }
-        return _build(cls, kwargs, path)
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -702,31 +602,6 @@ class FaultSpec:
                     f"sensors: duplicate fault on block {ref!r}"
                 )
             seen.add(ref)
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "faults") -> "FaultSpec":
-        data = _require_mapping(data, path)
-        _reject_unknown(data, cls, path)
-        sensors = data.get("sensors") or ()
-        flows = data.get("flows") or ()
-        if not isinstance(sensors, (list, tuple)):
-            raise ScenarioError(f"{path}.sensors: expected a list")
-        if not isinstance(flows, (list, tuple)):
-            raise ScenarioError(f"{path}.flows: expected a list")
-        kwargs = {
-            "sensors": tuple(
-                SensorFaultSpec.from_dict(item, f"{path}.sensors[{i}]")
-                for i, item in enumerate(sensors)
-            ),
-            "flows": tuple(
-                FlowFaultSpec.from_dict(item, f"{path}.flows[{i}]")
-                for i, item in enumerate(flows)
-            ),
-            "actuator_lag_periods": _typed(
-                data, "actuator_lag_periods", (int,), path
-            ),
-        }
-        return _build(cls, kwargs, path)
 
 
 # ---------------------------------------------------------------------------
@@ -855,45 +730,15 @@ class Scenario:
         (``scenario.policy.name: ...``) and, for enum-like fields, the
         valid choices with a nearest-match suggestion.
         """
-        data = _require_mapping(data, path)
-        version = data.get("schema_version", SCHEMA_VERSION)
+        version = _require_mapping(data, path).get(
+            "schema_version", SCHEMA_VERSION
+        )
         if version != SCHEMA_VERSION:
             raise ScenarioError(
                 f"{path}.schema_version: this build reads version "
                 f"{SCHEMA_VERSION}, got {version!r}"
             )
-        allowed = {f.name for f in fields(cls)} | {"schema_version"}
-        for key in data:
-            if key not in allowed:
-                raise ScenarioError(
-                    f"{path}.{key}: unknown field; {_suggest(key, allowed)}"
-                )
-        faults = data.get("faults")
-        kwargs: Dict[str, Any] = {
-            "stack": StackSpec.from_dict(
-                data.get("stack", {}), f"{path}.stack"
-            ),
-            "workload": WorkloadSpec.from_dict(
-                data.get("workload", {}), f"{path}.workload"
-            ),
-            "policy": PolicySpec.from_dict(
-                data.get("policy", {}), f"{path}.policy"
-            ),
-            "solver": SolverSpec.from_dict(
-                data.get("solver", {}), f"{path}.solver"
-            ),
-            "control": ControlSpec.from_dict(
-                data.get("control", {}), f"{path}.control"
-            ),
-            "faults": None
-            if faults is None
-            else FaultSpec.from_dict(faults, f"{path}.faults"),
-            "record_series": _typed(
-                data, "record_series", (bool,), path, default=False
-            ),
-            "label": _typed(data, "label", (str,), path),
-        }
-        return _build(cls, kwargs, path)
+        return _from_plain(cls, data, path, extra=frozenset({"schema_version"}))
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         """Serialise to JSON text."""

@@ -20,7 +20,7 @@ Recovery invariants (asserted by the chaos suite):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union

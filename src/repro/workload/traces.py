@@ -11,7 +11,7 @@ names (web server, database management, multimedia processing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

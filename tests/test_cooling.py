@@ -1,6 +1,6 @@
 """The pluggable cooling-backend layer (``repro.cooling``).
 
-Covers the backend registry and dispatch, the single-phase HTC dedupe,
+Covers the backend dispatch, the single-phase HTC dedupe,
 the dynamic two-phase coupling (Fig. 8 fidelity, LRU caching, dry-out
 taxonomy, fault forcing), the closed-loop actuation path, and the
 hash-stability contract: specs written before the cooling layer keep
@@ -14,14 +14,11 @@ import pytest
 
 from repro.cooling import (
     TWO_PHASE_ANCHOR_W_PER_K,
-    AirSinkBackend,
     CoolingBackend,
     CoolingConfig,
     SinglePhaseLiquidBackend,
     TwoPhaseBackend,
     backend_for_cavity,
-    backend_names,
-    register_backend,
 )
 from repro.faults import DryoutFault, FaultScenario, run_fault_campaign
 from repro.geometry.channels import MicroChannelGeometry
@@ -97,20 +94,8 @@ def twophase_scenario(duration: int = 2, **stack_extra) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# registry and dispatch
+# dispatch
 # ---------------------------------------------------------------------------
-
-
-def test_registry_names_are_sorted_and_complete():
-    names = backend_names()
-    assert names == tuple(sorted(names))
-    for expected in ("single_phase_liquid", "air_sink", "two_phase"):
-        assert expected in names
-
-
-def test_register_backend_rejects_non_backends():
-    with pytest.raises(TypeError):
-        register_backend("bogus", dict)
 
 
 def test_backend_for_cavity_dispatches_on_cavity_type(liquid_stack_2tier):
@@ -119,9 +104,6 @@ def test_backend_for_cavity_dispatches_on_cavity_type(liquid_stack_2tier):
     )
     assert isinstance(backend_for_cavity(cavity), SinglePhaseLiquidBackend)
     assert isinstance(backend_for_cavity(fig8_cavity()), TwoPhaseBackend)
-    assert isinstance(
-        fig8_cavity().cooling_backend(CoolingConfig()), TwoPhaseBackend
-    )
 
 
 def test_single_phase_htc_matches_legacy_dispatch(liquid_stack_2tier):
@@ -148,13 +130,6 @@ def test_two_phase_static_coupling_exposes_anchor():
     assert coupling.anchor_w_per_k == TWO_PHASE_ANCHOR_W_PER_K
     assert coupling.anchor_temperature_k == cavity.saturation_k
     assert not backend.dynamic  # default config is static
-
-
-def test_air_sink_backend_has_no_cavity_htc(air_stack_2tier):
-    backend = AirSinkBackend(air_stack_2tier)
-    assert backend.fluid_coupling().kind == "sink"
-    with pytest.raises(NotImplementedError):
-        backend.effective_htc()
 
 
 def test_base_backend_records_flow_and_resets():

@@ -22,6 +22,15 @@ from repro.faults import (
     StuckSensorFault,
     run_fault_campaign,
 )
+from repro.scenario import (
+    FaultSpec,
+    FlowFaultSpec,
+    PolicySpec,
+    Scenario,
+    SensorFaultSpec,
+    SolverSpec,
+    WorkloadSpec,
+)
 from repro.thermal import TemperatureSensors
 from tests.conftest import make_constant_trace
 
@@ -284,34 +293,40 @@ def test_sensor_loss_keeps_peak_below_uncontrolled_baseline(
 # ---------------------------------------------------------------------------
 
 
+def _campaign_base() -> Scenario:
+    """A short 2-tier LC_FUZZY run on the coarse grid."""
+    return Scenario(
+        workload=WorkloadSpec(name="max-utilisation", duration=3),
+        policy=PolicySpec(name="LC_FUZZY"),
+        solver=SolverSpec(nx=12, ny=10),
+    )
+
+
+def _dead_sensor(ref) -> SensorFaultSpec:
+    return SensorFaultSpec(kind="dead", layer=ref[0], block=ref[1])
+
+
 @pytest.mark.parametrize("processes", [None, 2])
 def test_campaign_dead_sensor_and_pump_degradation(
     liquid_stack_2tier, processes
 ):
     """Acceptance: the headline campaign completes end-to-end.
 
-    With ``processes=2`` the legacy jobs, whose kwargs carry a
-    ``FaultSet``, run in worker processes.
+    With ``processes=2`` the baseline and the faulted run go to worker
+    processes, each building its fault set from the spec.
     """
-    trace = make_constant_trace(0.8, intervals=3)
     core = _core_refs(liquid_stack_2tier)[0]
     scenarios = [
         FaultScenario(
             "dead-sensor+pump-30%",
-            FaultSet(
-                sensor_faults={core: DeadSensorFault()},
-                flow_faults=[PumpDegradationFault(remaining_fraction=0.7)],
+            FaultSpec(
+                sensors=(_dead_sensor(core),),
+                flows=(FlowFaultSpec(remaining_fraction=0.7),),
             ),
         ),
     ]
     report = run_fault_campaign(
-        liquid_stack_2tier,
-        LiquidFuzzy(),
-        trace,
-        scenarios,
-        processes=processes,
-        nx=12,
-        ny=10,
+        _campaign_base(), scenarios, processes=processes
     )
     assert report.complete
     outcome = report.outcomes[0]
@@ -323,59 +338,35 @@ def test_campaign_dead_sensor_and_pump_degradation(
     assert "dead-sensor+pump-30%" in rendered
 
 
-class _ExplodingFlowFault:
-    """A fault whose application itself fails, to poison one scenario."""
-
-    def apply(self, time, flows):
-        raise RuntimeError("hydraulic model exploded")
-
-
-def test_campaign_survives_a_failing_scenario(
-    liquid_stack_2tier, short_trace
-):
+def test_campaign_survives_a_failing_scenario(liquid_stack_2tier):
     core = _core_refs(liquid_stack_2tier)[0]
     scenarios = [
         FaultScenario(
-            "healthy-scenario",
-            FaultSet(sensor_faults={core: DeadSensorFault()}),
+            "healthy-scenario", FaultSpec(sensors=(_dead_sensor(core),))
         ),
+        # A dead sensor on a block the stack lacks fails at run time.
         FaultScenario(
             "broken-scenario",
-            FaultSet(flow_faults=[_ExplodingFlowFault()]),
+            FaultSpec(sensors=(_dead_sensor((core[0], "core99")),)),
         ),
     ]
-    report = run_fault_campaign(
-        liquid_stack_2tier,
-        LiquidFuzzy(),
-        short_trace,
-        scenarios,
-        nx=12,
-        ny=10,
-        retries=0,
-    )
+    report = run_fault_campaign(_campaign_base(), scenarios, retries=0)
     assert not report.complete
     by_name = {outcome.name: outcome for outcome in report.outcomes}
     assert by_name["healthy-scenario"].completed
     failure = by_name["broken-scenario"].failure
     assert failure is not None
     assert failure.phase == "exception"
-    assert failure.error_type == "RuntimeError"
+    assert failure.error_type == "KeyError"
     assert "FAILED" in str(report.table())
 
 
-def test_campaign_scenario_name_validation(liquid_stack_2tier, short_trace):
+def test_campaign_scenario_name_validation():
     with pytest.raises(ValueError):
-        FaultScenario("__baseline__", FaultSet())
+        FaultScenario("__baseline__", FaultSpec())
     duplicated = [
-        FaultScenario("twin", FaultSet()),
-        FaultScenario("twin", FaultSet()),
+        FaultScenario("twin", FaultSpec()),
+        FaultScenario("twin", FaultSpec()),
     ]
     with pytest.raises(ValueError):
-        run_fault_campaign(
-            liquid_stack_2tier,
-            LiquidFuzzy(),
-            short_trace,
-            duplicated,
-            nx=12,
-            ny=10,
-        )
+        run_fault_campaign(_campaign_base(), duplicated)

@@ -18,16 +18,20 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    SimulationJob,
     SweepOutcome,
     jittered_delay,
     resilient_fan_out,
     run_simulations_resilient,
 )
-from repro.core.policies import LiquidLoadBalancing
-from repro.geometry import CoolingMode, build_3d_mpsoc
 from repro.obs import capture_telemetry, get_registry, get_tracer
-from tests.conftest import make_constant_trace
+from repro.scenario import (
+    FaultSpec,
+    PolicySpec,
+    Scenario,
+    SensorFaultSpec,
+    SolverSpec,
+    WorkloadSpec,
+)
 
 
 def _square(x: int) -> int:
@@ -361,27 +365,24 @@ def test_checkpoint_with_wrong_total_is_ignored(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _job(label: str, **overrides) -> Scenario:
+    """A short 2-tier LC_LB run on the coarse grid."""
+    return Scenario(
+        workload=WorkloadSpec(name="web", duration=2),
+        policy=PolicySpec(name="LC_LB"),
+        solver=SolverSpec(nx=12, ny=10),
+        label=label,
+        **overrides,
+    )
+
+
 def test_bad_simulation_job_fails_while_sibling_completes():
-    liquid = build_3d_mpsoc(2, CoolingMode.LIQUID)
-    air = build_3d_mpsoc(2, CoolingMode.AIR)
-    trace = make_constant_trace(0.5, intervals=2)
+    # A dead sensor on a block the stack lacks: the simulator rejects
+    # it when it installs the fault, which must surface as a JobFailure.
+    missing = SensorFaultSpec(kind="dead", layer="tier0_die", block="core99")
     jobs = [
-        SimulationJob(
-            stack=liquid,
-            policy=LiquidLoadBalancing(),
-            trace=trace,
-            key="good",
-            kwargs={"nx": 12, "ny": 10},
-        ),
-        # A liquid policy on an air stack: the simulator constructor
-        # rejects the mismatch, which must surface as a JobFailure.
-        SimulationJob(
-            stack=air,
-            policy=LiquidLoadBalancing(),
-            trace=trace,
-            key="bad",
-            kwargs={"nx": 12, "ny": 10},
-        ),
+        _job("good"),
+        _job("bad", faults=FaultSpec(sensors=(missing,))),
     ]
     outcome = run_simulations_resilient(jobs, retries=0)
     assert outcome.succeeded == 1
@@ -390,7 +391,7 @@ def test_bad_simulation_job_fails_while_sibling_completes():
     (failure,) = outcome.failures
     assert failure.key == "bad"
     assert failure.phase == "exception"
-    assert failure.error_type == "ValueError"
+    assert failure.error_type == "KeyError"
 
 
 def test_resumed_capture_tuple_unwraps_with_no_sink(tmp_path):
@@ -405,13 +406,7 @@ def test_resumed_capture_tuple_unwraps_with_no_sink(tmp_path):
     checkpoint.write_bytes(
         pickle.dumps({"results": {0: ("done", payload)}, "total": 1})
     )
-    job = SimulationJob(
-        stack=build_3d_mpsoc(2, CoolingMode.LIQUID),
-        policy=LiquidLoadBalancing(),
-        trace=make_constant_trace(0.5, intervals=2),
-        key="resumed",
-        kwargs={"nx": 12, "ny": 10},
-    )
+    job = _job("resumed")
     counter = get_registry().counter("test.resumed_capture")
     before = counter.value
     assert not get_tracer().has_sinks

@@ -235,6 +235,255 @@ def test_rom_backend_spec_fails_loudly(tmp_path):
         main(["run", str(spec)])
 
 
+def _full_spec() -> dict:
+    """A plain spec with every kind of node: leaves, nested specs and
+    tuples of specs."""
+    data = _scenario(
+        faults=FaultSpec(
+            sensors=(SensorFaultSpec(layer="tier0_die", block="core0"),),
+            flows=(
+                FlowFaultSpec(),
+                FlowFaultSpec(
+                    kind="clogged-cavity",
+                    cavity="cavity0",
+                    remaining_fraction=0.5,
+                ),
+            ),
+            actuator_lag_periods=2,
+        )
+    ).to_dict()
+    data["stack"]["channel"] = {"width": 5e-05}
+    data["stack"]["cooling_backend"] = {"backend": "single_phase_liquid"}
+    return data
+
+
+_DELETE = object()
+
+_MALFORMED = [
+    # (dotted path, value set there or _DELETE, the whole message)
+    # a wrong type for each leaf type
+    ("stack.tiers", "2", "scenario.stack.tiers: expected int, got str ('2')"),
+    ("stack.tiers", 2.0, "scenario.stack.tiers: expected int, got float (2.0)"),
+    ("stack.tiers", True, "scenario.stack.tiers: expected int, got bool"),
+    ("stack.cooling", 1, "scenario.stack.cooling: expected str, got int (1)"),
+    (
+        "stack.two_phase",
+        "yes",
+        "scenario.stack.two_phase: expected bool, got str ('yes')",
+    ),
+    ("stack.two_phase", 1, "scenario.stack.two_phase: expected bool, got int (1)"),
+    (
+        "stack.die_thickness",
+        "thin",
+        "scenario.stack.die_thickness: expected float, got str ('thin')",
+    ),
+    (
+        "stack.die_thickness",
+        False,
+        "scenario.stack.die_thickness: expected float, got bool",
+    ),
+    ("stack.tier_pattern", 5, "scenario.stack.tier_pattern: expected str, got int (5)"),
+    (
+        "workload.threads",
+        1.5,
+        "scenario.workload.threads: expected int, got float (1.5)",
+    ),
+    ("workload.seed", "0", "scenario.workload.seed: expected int, got str ('0')"),
+    (
+        "policy.flow_ml_min",
+        "fast",
+        "scenario.policy.flow_ml_min: expected float, got str ('fast')",
+    ),
+    (
+        "policy.flow_control",
+        0,
+        "scenario.policy.flow_control: expected bool, got int (0)",
+    ),
+    ("solver.nx", [23], "scenario.solver.nx: expected int, got list ([23])"),
+    ("solver.rtol", {}, "scenario.solver.rtol: expected float, got dict ({})"),
+    (
+        "control.period",
+        "0.1",
+        "scenario.control.period: expected float, got str ('0.1')",
+    ),
+    ("record_series", "no", "scenario.record_series: expected bool, got str ('no')"),
+    ("label", 7, "scenario.label: expected str, got int (7)"),
+    (
+        "faults.actuator_lag_periods",
+        2.5,
+        "scenario.faults.actuator_lag_periods: expected int, got float (2.5)",
+    ),
+    (
+        "stack.channel.width",
+        "wide",
+        "scenario.stack.channel.width: expected float, got str ('wide')",
+    ),
+    (
+        "stack.cooling_backend.dynamic",
+        "true",
+        "scenario.stack.cooling_backend.dynamic: expected bool, got str ('true')",
+    ),
+    (
+        "stack.cooling_backend.segments_per_row",
+        4.0,
+        "scenario.stack.cooling_backend.segments_per_row: expected int, got float (4.0)",
+    ),
+    (
+        "faults.sensors.0.seed",
+        "7",
+        "scenario.faults.sensors[0].seed: expected int, got str ('7')",
+    ),
+    # out-of-range values
+    ("stack.tiers", 3, "scenario.stack.tiers: must be an even number >= 2, got 3"),
+    (
+        "policy.name",
+        "LC_FUZY",
+        "scenario.policy.name: unknown value 'LC_FUZY'; choose from ['AC_LB', 'AC_TDVFS_LB', 'LC_FUZZY', 'LC_LB'] (did you mean 'LC_FUZZY'?)",
+    ),
+    ("solver.nx", 1, "scenario.solver.nx/ny: grid resolution must be >= 2, got 1 x 10"),
+    ("control.period", 0, "scenario.control.period: must be positive, got 0.0"),
+    ("workload.duration", 0, "scenario.workload.duration: must be >= 1 second, got 0"),
+    (
+        "stack.channel.width",
+        0.0002,
+        "scenario.stack.channel.width: channel width 0.0002 must be smaller than the pitch 0.00015",
+    ),
+    (
+        "stack.cooling_backend.backend",
+        "air_sink",
+        "scenario.stack.cooling_backend.backend: air_sink requires cooling='air'",
+    ),
+    (
+        "stack.cooling_backend.saturation_c",
+        200,
+        "scenario.stack.cooling_backend.saturation_c: implausible saturation temperature 200.0 degC",
+    ),
+    # unknown fields, with and without a suggestion
+    (
+        "polcy",
+        {},
+        "scenario.polcy: unknown field; choose from ['control', 'faults', 'label', 'policy', 'record_series', 'schema_version', 'solver', 'stack', 'workload'] (did you mean 'policy'?)",
+    ),
+    (
+        "extra",
+        1,
+        "scenario.extra: unknown field; choose from ['control', 'faults', 'label', 'policy', 'record_series', 'schema_version', 'solver', 'stack', 'workload']",
+    ),
+    (
+        "solver.bakend",
+        "direct",
+        "scenario.solver.bakend: unknown field; choose from ['atol', 'backend', 'drop_tol', 'fill_factor', 'maxiter', 'nx', 'ny', 'rtol'] (did you mean 'backend'?)",
+    ),
+    (
+        "stack.channel.pich",
+        0.0001,
+        "scenario.stack.channel.pich: unknown field; choose from ['height', 'pitch', 'width'] (did you mean 'pitch'?)",
+    ),
+    (
+        "faults.sensors.0.blok",
+        "core1",
+        "scenario.faults.sensors[0].blok: unknown field; choose from ['block', 'end', 'kind', 'layer', 'seed', 'sigma_k', 'start', 'value_k'] (did you mean 'block'?)",
+    ),
+    # a missing required sensor field
+    (
+        "faults.sensors.0.layer",
+        _DELETE,
+        "scenario.faults.sensors[0].layer: field is required",
+    ),
+    (
+        "faults.sensors.0.layer",
+        None,
+        "scenario.faults.sensors[0].layer: field is required",
+    ),
+    (
+        "faults.sensors.0.block",
+        _DELETE,
+        "scenario.faults.sensors[0].block: field is required",
+    ),
+    # a tuple of specs that is not a list
+    ("faults.sensors", "core0", "scenario.faults.sensors: expected a list"),
+    ("faults.sensors", {"kind": "dead"}, "scenario.faults.sensors: expected a list"),
+    ("faults.flows", 3, "scenario.faults.flows: expected a list"),
+    # errors inside faults.flows[1]
+    (
+        "faults.flows.1.kind",
+        "clog",
+        "scenario.faults.flows[1].kind: unknown value 'clog'; choose from ['clogged-cavity', 'dryout', 'pump-degradation']",
+    ),
+    (
+        "faults.flows.1.remaining_fraction",
+        1.5,
+        "scenario.faults.flows[1].remaining_fraction: must be in (0, 1], got 1.5",
+    ),
+    (
+        "faults.flows.1.cavity",
+        _DELETE,
+        "scenario.faults.flows[1].cavity: clogged-cavity faults need the cavity name (e.g. 'cavity0')",
+    ),
+    (
+        "faults.flows.1",
+        "clogged",
+        "scenario.faults.flows[1]: expected an object/mapping, got str",
+    ),
+    # a bad schema_version
+    ("schema_version", 2, "scenario.schema_version: this build reads version 1, got 2"),
+    (
+        "schema_version",
+        "1",
+        "scenario.schema_version: this build reads version 1, got '1'",
+    ),
+    # a node of the wrong type
+    ("stack", None, "scenario.stack: expected an object/mapping, got NoneType"),
+    ("solver", [1], "scenario.solver: expected an object/mapping, got list"),
+    ("faults", "none", "scenario.faults: expected an object/mapping, got str"),
+    ("stack.channel", 5, "scenario.stack.channel: expected an object/mapping, got int"),
+    # cross-field checks
+    (
+        "policy.name",
+        "AC_LB",
+        "scenario.policy.name: AC_LB requires air cooling but stack.cooling is 'liquid'",
+    ),
+    (
+        "workload.threads",
+        4,
+        "scenario.workload.threads: 4 threads cannot occupy the stack's 8 cores; leave threads unset to derive 4 SMT threads per core",
+    ),
+    (
+        "faults.sensors.0.value_k",
+        300,
+        "scenario.faults.sensors[0].value_k: only 'stuck' sensor faults take a held value",
+    ),
+]
+
+
+def test_full_spec_parses():
+    Scenario.from_dict(_full_spec())
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    _MALFORMED,
+    ids=[
+        f"{path}={'deleted' if value is _DELETE else value!r}"
+        for path, value, _ in _MALFORMED
+    ],
+)
+def test_malformed_spec_message(path, value, message):
+    """Every parse error names its field path, byte for byte."""
+    data = _full_spec()
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = data
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    with pytest.raises(ScenarioError) as raised:
+        Scenario.from_dict(data)
+    assert str(raised.value) == message
+
+
 def test_rom_options_block_fails_loudly():
     data = _scenario().to_dict()
     data["solver"]["rom"] = {"modes": 64}

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    SimulationJob,
-    run_simulations,
-    run_simulations_resilient,
-)
+from repro.analysis import run_simulations, run_simulations_resilient
 from repro.analysis.sweep import _SweepModels
 from repro.core import SystemSimulator, paper_policies
 from repro.faults import FaultScenario, run_fault_campaign
@@ -77,12 +73,6 @@ def test_runner_bitwise_equals_legacy(policy_name):
     legacy = SystemSimulator(stack, policy, trace, nx=NX, ny=NY).run()
 
     assert _fields(via_runner) == _fields(legacy)
-
-
-def test_from_scenario_classmethod_matches_runner():
-    scenario = _scenario()
-    direct = SystemSimulator.from_scenario(scenario).run()
-    assert _fields(direct) == _fields(run_scenario(scenario))
 
 
 # -- result cache -----------------------------------------------------------
@@ -174,15 +164,6 @@ def test_run_simulations_accepts_bare_scenarios():
         assert _fields(result) == _fields(run_scenario(scenario))
 
 
-def test_scenario_job_rejects_mixed_construction():
-    scenario = _scenario()
-    stack = build_3d_mpsoc(2)
-    with pytest.raises(ValueError, match="scenario-backed"):
-        SimulationJob(stack=stack, scenario=scenario)
-    with pytest.raises(ValueError, match="either a Scenario"):
-        SimulationJob(stack=stack)
-
-
 def test_shared_serial_matches_plain_for_scenarios():
     scenarios = [_scenario(workload="web"), _scenario(workload="database")]
     plain = [(s.label, run_scenario(s)) for s in scenarios]
@@ -195,7 +176,7 @@ def test_shared_serial_matches_plain_for_scenarios():
 def test_shared_payload_dedupes_scenarios_and_models():
     a = _scenario(workload="web")
     b = _scenario(workload="database")
-    jobs = [SimulationJob.from_scenario(s) for s in (a, a, b)]
+    jobs = [a, a, b]
     models = _SweepModels(jobs, None)
     # same stack + solver spec -> one shared thermal model for all jobs
     assert list(models.uses) == [a.model_hash()]
@@ -205,10 +186,7 @@ def test_shared_payload_dedupes_scenarios_and_models():
 
 
 def test_shared_model_reused_across_scenario_jobs():
-    jobs = [
-        SimulationJob.from_scenario(_scenario(workload="web")),
-        SimulationJob.from_scenario(_scenario(workload="database")),
-    ]
+    jobs = [_scenario(workload="web"), _scenario(workload="database")]
     models = _SweepModels(jobs, None)
     first = models.model(jobs[0])
     second = models.model(jobs[1])
@@ -258,13 +236,6 @@ def test_campaign_with_scenario_base(tmp_path):
     assert report.policy == "LC_FUZZY" and report.workload == "database"
     outcome = report.outcomes[0]
     assert outcome.completed and outcome.peak_delta_c is not None
-
-
-def test_campaign_scenario_base_rejects_extra_objects():
-    base = _scenario()
-    policy = next(p for p in paper_policies() if p.name == "LC_FUZZY")
-    with pytest.raises(ValueError, match="Scenario base"):
-        run_fault_campaign(base, policy=policy, scenarios=[])
 
 
 def test_campaign_baseline_served_from_cache(tmp_path, monkeypatch):

@@ -1,40 +1,45 @@
 """Model sharing in simulation sweeps: shared-model runs match plain ones.
 
-A sweep assembles one thermal model per stack and grid that two or
-more jobs use and reuses it across them (serially, or copy-on-write in
-fork workers).  Every run must still equal a plain run that assembles
-its own model.
+A sweep assembles one thermal model per model hash (stack and solver
+spec) that two or more jobs use and reuses it across them (serially, or
+copy-on-write in fork workers).  Every run must still equal a plain run
+that assembles its own model.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis import SimulationJob, run_simulations
+from repro.analysis import run_simulations
 from repro.analysis.sweep import _SweepModels
-from repro.core import paper_policies
-from repro.geometry import build_3d_mpsoc
-from repro.workload import paper_workload_suite
+from repro.scenario import (
+    PolicySpec,
+    Scenario,
+    SolverSpec,
+    StackSpec,
+    WorkloadSpec,
+    run_scenario,
+)
+
+
+def _scenario(policy, workload):
+    spec = PolicySpec(name=policy)
+    return Scenario(
+        stack=StackSpec(tiers=2, cooling=spec.cooling),
+        workload=WorkloadSpec(name=workload, duration=2),
+        policy=spec,
+        solver=SolverSpec(nx=12, ny=10),
+        label=f"{policy}/{workload}",
+    )
 
 
 def _jobs():
-    policies = {p.name: p for p in paper_policies()}
-    policy = policies["LC_LB"]
-    suite = paper_workload_suite(threads=32, duration=2)
-    stack = build_3d_mpsoc(2, policy.cooling)
-    return [
-        SimulationJob(
-            stack=stack,
-            policy=policy,
-            trace=suite[workload],
-            key=workload,
-            kwargs={"nx": 12, "ny": 10},
-        )
-        for workload in ("web", "database")
-    ]
+    return [_scenario("LC_LB", workload) for workload in ("web", "database")]
 
 
 def _plain(jobs):
     """Fresh per-job runs: every job assembles its own model."""
-    return [(job.key, job.run()) for job in jobs]
+    return [(job.label, run_scenario(job)) for job in jobs]
 
 
 def _flat(results):
@@ -83,8 +88,32 @@ def test_worker_reuses_cached_model_across_jobs():
 def test_model_of_a_single_job_is_not_shared():
     """A key no other job uses gets no sweep model and no prewarm."""
     jobs = _jobs()
-    jobs[1].stack = build_3d_mpsoc(2, jobs[1].policy.cooling)
+    jobs[1] = replace(jobs[1], solver=SolverSpec(nx=13, ny=10))
     models = _SweepModels(jobs, None)
     models.prewarm(jobs)
     assert not models.models
     assert models.model(jobs[0]) is None and models.model(jobs[1]) is None
+
+
+def _policy_grid():
+    """The Fig. 6/7 policies on two workloads: two stacks, four jobs each."""
+    return [
+        _scenario(policy, workload)
+        for policy in ("AC_LB", "AC_TDVFS_LB", "LC_LB", "LC_FUZZY")
+        for workload in ("web", "database")
+    ]
+
+
+def test_policies_on_one_stack_share_its_model():
+    jobs = _policy_grid()
+    # The air policies share the air stack's model, the liquid ones
+    # the liquid stack's.
+    assert len(_SweepModels(jobs, None).uses) == 2
+    assert _flat(run_simulations(jobs)) == _flat(_plain(jobs))
+
+
+@pytest.mark.parametrize("start_method", ["fork"], indirect=True)
+def test_policies_on_one_stack_share_its_model_in_workers(start_method):
+    jobs = _policy_grid()
+    got = _flat(run_simulations(jobs, processes=2))
+    assert got == _flat(_plain(jobs))

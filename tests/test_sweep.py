@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    SimulationJob,
     SteadyCase,
     SteadySweep,
     fan_out,
     run_simulations,
 )
-from repro.core import paper_policies
 from repro.geometry import build_3d_mpsoc
+from repro.scenario import (
+    PolicySpec,
+    Scenario,
+    SolverSpec,
+    StackSpec,
+    WorkloadSpec,
+)
 from repro.thermal import CompactThermalModel
-from repro.workload import paper_workload_suite
 
 
 def _cases(model, flows):
@@ -76,16 +80,13 @@ def test_fan_out_orders_and_parallelises():
 
 @pytest.mark.parametrize("processes", [None, 2])
 def test_run_simulations_fan_out(processes):
-    policies = {p.name: p for p in paper_policies()}
-    policy = policies["LC_LB"]
-    suite = paper_workload_suite(threads=32, duration=2)
     jobs = [
-        SimulationJob(
-            stack=build_3d_mpsoc(2, policy.cooling),
-            policy=policy,
-            trace=suite[workload],
-            key=workload,
-            kwargs={"nx": 12, "ny": 10},
+        Scenario(
+            stack=StackSpec(tiers=2, cooling="liquid"),
+            workload=WorkloadSpec(name=workload, duration=2),
+            policy=PolicySpec(name="LC_LB"),
+            solver=SolverSpec(nx=12, ny=10),
+            label=workload,
         )
         for workload in ("web", "database")
     ]
