@@ -26,21 +26,21 @@ or hand-wired::
 
 __version__ = "1.0.0"
 
-from .geometry import build_3d_mpsoc, CoolingMode, StackDesign
-from .thermal import CompactThermalModel, TransientStepper, TemperatureSensors
-from .power import PowerModel, NIAGARA_VF_TABLE
-from .hydraulics import PumpModel, TABLE_I_PUMP
 from .core import (
-    SystemSimulator,
-    SimulationResult,
-    FuzzyThermalController,
     AirLoadBalancing,
     AirTDVFSLoadBalancing,
-    LiquidLoadBalancing,
+    FuzzyThermalController,
     LiquidFuzzy,
+    LiquidLoadBalancing,
+    SimulationResult,
+    SystemSimulator,
     paper_policies,
 )
+from .geometry import CoolingMode, StackDesign, build_3d_mpsoc
+from .hydraulics import TABLE_I_PUMP, PumpModel
+from .power import NIAGARA_VF_TABLE, PowerModel
 from .scenario import ResultCache, Runner, Scenario, run_scenario
+from .thermal import CompactThermalModel, TemperatureSensors, TransientStepper
 
 __all__ = [
     "build_3d_mpsoc",

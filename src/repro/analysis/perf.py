@@ -119,8 +119,8 @@ def solver_observability() -> Dict[str, object]:
             for label, model in models
         },
         "transient_cache": {
-            label: stepper.cache_info()._asdict()
-            for label, stepper in steppers.items()
+            label: model.transient_cache_info()._asdict()
+            for label, model in models
         },
         "steady_stats": {
             label: model.steady_stats.as_dict()

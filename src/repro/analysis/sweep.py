@@ -58,7 +58,6 @@ from typing import (
 
 import numpy as np
 
-from .. import constants
 from ..core.simulator import SimulationResult
 from ..obs import capture_telemetry, is_obs_payload
 from ..obs.metrics import get_registry
@@ -177,9 +176,9 @@ class _SweepModels:
     :meth:`Scenario.model_hash`.  Only a hash that two or more jobs use
     is shared: any other job assembles its own model where it runs, as
     a plain run does, and a serial sweep drops a shared model after its
-    hash's last job.  A reused model is reset to the flow and the cold
-    Krylov starts of a fresh one, so every run equals a fresh run
-    bitwise.
+    hash's last job.  A reused model is reset to a fresh one's run state
+    (:meth:`CompactThermalModel.reset_run_state`) and keeps its factors,
+    so every run equals a fresh run bitwise.
     """
 
     def __init__(self, jobs: Sequence[Scenario], cache_dir: Optional[str]) -> None:
@@ -203,8 +202,7 @@ class _SweepModels:
         self.uses[key] -= 1
         model = self.models.get(key) if left > 1 else self.models.pop(key, None)
         if model is not None:
-            model.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
-            model.clear_warm_starts()
+            model.reset_run_state()
         elif left > 1:
             model = self.models[key] = build_model(job)
         return model

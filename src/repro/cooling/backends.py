@@ -213,7 +213,7 @@ class CoolingBackend:
         )
 
     def reset(self) -> None:
-        """Clear run-state between simulation runs (cache survives)."""
+        """Clear run-state between simulation runs."""
         self._flow_ml_min = None
 
 
@@ -453,9 +453,14 @@ class TwoPhaseBackend(CoolingBackend):
         )
 
     def reset(self) -> None:
-        """Clear run-state (margin tracker, last march); cache survives
-        — marches are pure functions of their quantised key."""
+        """Clear run-state: the margin tracker, the last march and the
+        march cache with its statistics.  A cached march is the march of
+        the exact flux of the first command in its quantised key, not a
+        function of the key, so it must not outlive the run."""
         super().reset()
+        self._cache.clear()
+        self._cache_hits = 0
+        self._cache_misses = 0
         self._last_solution = None
         self._last_rows = None
         self._min_dryout_margin = None

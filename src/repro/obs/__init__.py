@@ -34,12 +34,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from .manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    read_manifest,
-    write_manifest,
-)
 from .live import (
     PROFILE_ENV,
     MetricsRing,
@@ -54,6 +48,12 @@ from .live import (
     record_job_id,
     render_prometheus,
     set_current_trace,
+)
+from .manifest import (
+    MANIFEST_SCHEMA_VERSION,
+    build_manifest,
+    read_manifest,
+    write_manifest,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
 from .report import (

@@ -34,15 +34,7 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..thermal.krylov import KrylovOptions
 from ..thermal.model import CompactThermalModel
-from ..workload.generators import (
-    THREADS_PER_CORE,
-    database_trace,
-    idle_trace,
-    max_utilisation_trace,
-    multimedia_trace,
-    paper_workload_suite,
-    web_server_trace,
-)
+from ..workload.generators import SUITE_TRACES, THREADS_PER_CORE, idle_trace
 from ..workload.traces import WorkloadTrace
 from .cache import ResultCache
 from .spec import (
@@ -55,10 +47,7 @@ from .spec import (
 )
 
 _GENERATORS: Dict[str, Callable[..., WorkloadTrace]] = {
-    "web": web_server_trace,
-    "database": database_trace,
-    "multimedia": multimedia_trace,
-    "max-utilisation": max_utilisation_trace,
+    **{name: generator for name, (generator, _) in SUITE_TRACES.items()},
     "idle": idle_trace,
 }
 
@@ -129,11 +118,10 @@ def build_trace(spec: WorkloadSpec, stack: StackSpec) -> WorkloadTrace:
         if spec.threads is not None
         else THREADS_PER_CORE * stack.core_count
     )
-    if spec.source == "suite":
+    if spec.source == "suite":  # the one trace of the suite, at its seed
+        generator, offset = SUITE_TRACES[spec.name]
         seed = 0 if spec.seed is None else spec.seed
-        return paper_workload_suite(
-            threads=threads, duration=spec.duration, seed=seed
-        )[spec.name]
+        return generator(threads, spec.duration, seed + offset)
     generator = _GENERATORS[spec.name]
     if spec.seed is None:
         return generator(threads=threads, duration=spec.duration)

@@ -1,13 +1,16 @@
 """Worker supervision: the service's retries, breaker and drain.
 
-Each job attempt runs in a worker process of its own on the
+Job attempts run in worker processes on the
 :class:`repro.workers.AttemptTable` the sweeps use too, which keeps the
 deadlines, the heartbeat check (a worker-side thread sends ``hb``
 every few hundred milliseconds; a stale heartbeat means hung, not
-slow), the jittered retry backoffs and the reaping.  The supervisor
-keeps what is the service's own on top: WAL transitions, the breaker,
-the solve log, the profiler, the reconstructed trace records, cancel
-and drain.
+slow), the jittered retry backoffs and the reaping.  A worker is warm:
+it keeps the thermal model of its jobs' :meth:`Scenario.model_hash`,
+with every LU factor it has built, and after a job that ends ``DONE``
+it parks until the supervisor hands it the next job of that hash.  The
+supervisor keeps what is the service's own on top: which worker runs
+which job, WAL transitions, the breaker, the solve log, the profiler,
+the reconstructed trace records, cancel and drain.
 
 Failure policy, in order of escalation:
 
@@ -33,7 +36,7 @@ section 13).
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 import random
 import threading
@@ -101,6 +104,33 @@ def _append_run_log(path: str, payload: dict) -> None:
         os.close(fd)
 
 
+class KeptModel:
+    """The thermal model one worker keeps between its jobs."""
+
+    def __init__(self) -> None:
+        self.key: Optional[str] = None
+        self.model: Optional[CompactThermalModel] = None
+
+    def for_run(
+        self, scenario: Scenario, cache: ResultCache
+    ) -> Optional[CompactThermalModel]:
+        """The model ``scenario`` runs on: built on the first job of its
+        model hash, and reset to a fresh model's run state
+        (:meth:`CompactThermalModel.reset_run_state`) for every later
+        one, so each run equals a run on a model of its own, bitwise.
+        ``None`` when the result cache already holds the result, which
+        needs no model."""
+        if cache.path(scenario).exists():
+            return None
+        key = scenario.model_hash()
+        if key != self.key or self.model is None:
+            self.key, self.model = key, None  # free the old model first
+            self.model = build_model(scenario)
+        else:
+            self.model.reset_run_state()
+        return self.model
+
+
 def worker_main(
     conn,
     job_id: str,
@@ -109,28 +139,29 @@ def worker_main(
     run_log: Optional[str] = None,
     trace_id: Optional[str] = None,
     profile_path: Optional[str] = None,
-    model: Optional[CompactThermalModel] = None,
+    *,
+    kept: Optional[KeptModel] = None,
 ) -> None:
-    """Process-worker entry: solve one scenario, report, exit.
+    """Process-worker entry: solve one scenario and report.
 
-    Runs in a child process.  The result lands in the shared
-    :class:`ResultCache` (and its run manifest next to it) *before*
-    the ``done`` message is sent, so a crash after the cache write at
-    worst reruns a job whose rerun is a pure cache hit.
+    Runs in a worker process, once per job the worker is handed.  The
+    result lands in the shared :class:`ResultCache` (and its run
+    manifest next to it) *before* the ``done`` message is sent, so a
+    crash after the cache write at worst reruns a job whose rerun is a
+    pure cache hit.  ``kept`` is the worker's :class:`KeptModel`: the
+    thermal model outlives the job there, so the next job of its hash
+    skips the assembly and every factorisation this one made.
 
     ``trace_id`` is the propagated client trace context — stamped on
     heartbeats (the supervisor's only live view into the worker) and
     installed as the process-wide current trace.  ``profile_path``
     turns on the sampling profiler for the solve and writes the
     collapsed stacks there; hot frames ride back in the ``done``
-    message.  ``model`` is the supervisor's prewarmed thermal model of
-    the scenario's stack, inherited under fork; the run equals one on a
-    model of its own, bitwise.
+    message.
     """
     send_lock = threading.Lock()
     stop = threading.Event()
-    if trace_id:
-        set_current_trace(TraceContext(trace_id))
+    set_current_trace(TraceContext(trace_id) if trace_id else None)
 
     def send(message: dict) -> None:
         with send_lock:
@@ -160,6 +191,7 @@ def worker_main(
             profiler = SamplingProfiler()
         telemetry: Dict[str, object] = {}
         with capture_telemetry(telemetry):
+            model = None if kept is None else kept.for_run(scenario, cache)
             runner = Runner(scenario, model=model, cache=cache)
             if profiler is not None:
                 with profiler:
@@ -201,11 +233,9 @@ def worker_main(
         stop.set()
         send(error_report(exc))
     finally:
+        # No heartbeat of this job may follow the worker's next message.
         stop.set()
-        try:
-            conn.close()
-        except OSError:
-            pass
+        ticker.join()
 
 
 class CircuitBreaker:
@@ -285,7 +315,9 @@ class Supervisor:
     the loop thread and the WAL sees a serialised history.  The
     workers, their deadlines, heartbeats and backoffs are the
     ``workers`` :class:`~repro.workers.AttemptTable`, keyed by job id;
-    a loop sets its event hooks.
+    a loop sets its event hooks.  At most ``max_workers`` workers live,
+    running or parked; a parked worker keeps the model of one
+    :meth:`Scenario.model_hash` and takes only jobs of that hash.
     """
 
     def __init__(
@@ -327,15 +359,8 @@ class Supervisor:
         self._g_queue_depth = registry.gauge("service.queue.depth")
         self._g_workers_alive = registry.gauge("service.workers.alive")
         self._g_wal_bytes = registry.gauge("service.wal.bytes")
-        # The one prewarmed model the forked workers inherit (see
-        # _shared_model); a spawned worker would get a pickled copy.
-        self._share_models = multiprocessing.get_start_method() == "fork"
-        self._model_hash: Optional[str] = None
-        self._model_proven = self._model_tried = False
-        self._model: Optional[CompactThermalModel] = None
-        self._c_prewarmed = registry.counter("service.models.prewarmed")
-        self._c_shared = registry.counter("service.models.shared")
-        self._c_prewarm_failures = registry.counter("service.models.prewarm_failures")
+        self._c_forked = registry.counter("service.workers.forked")
+        self._c_handovers = registry.counter("service.workers.handovers")
 
     # -- dispatch -----------------------------------------------------------
 
@@ -343,39 +368,23 @@ class Supervisor:
     def busy(self) -> int:
         return len(self.workers.running)
 
-    def _shared_model(self, job: Job) -> Optional[CompactThermalModel]:
-        """The prewarmed model ``job``'s worker inherits, or ``None``.
-
-        One model is kept, of the last model hash dispatched.  A first
-        dispatch, never a retry, builds it once a worker has run a job
-        of the hash to ``DONE`` uncached, so a set-up that crashes or
-        runs out of memory kills a worker first, not the service; a
-        build that raises is counted, not tried again.  The supervisor
-        never runs the model, so no state passes between jobs.
-        """
-        if not self._share_models:
-            return None
-        key = job.scenario.model_hash()
-        if key != self._model_hash:
-            self._model_hash, self._model = key, None
-            self._model_proven = self._model_tried = False
-        if self._model_proven and not self._model_tried and job.attempts == 0:
-            self._model_tried = True
-            try:
-                with get_tracer().span("service.prewarm", model_hash=key):
-                    model = build_model(job.scenario)
-                    model.prewarm()
-            except Exception as exc:
-                self._c_prewarm_failures.inc()
-                get_tracer().event(
-                    "service.prewarm_failed", model_hash=key, **error_report(exc)
-                )
-            else:
-                self._model = model
-                self._c_prewarmed.inc()
-        if self._model is not None:
-            self._c_shared.inc()
-        return self._model
+    def _start(self, job: Job, args: tuple) -> Attempt:
+        """Run ``job``'s attempt in a parked worker of its model hash, or
+        in a new worker, reaping the least recently used parked worker
+        first when every slot holds one.  A parked worker found dead
+        costs the job nothing: it is reaped and the next option taken."""
+        group = job.scenario.model_hash()
+        table = self.workers
+        for worker in [w for w in reversed(table.parked) if w.group == group]:
+            attempt = table.hand_over(worker, job.job_id, args)
+            if attempt is not None:
+                self._c_handovers.inc()
+                return attempt
+        if table.parked and len(table.running) + len(table.parked) >= self.max_workers:
+            table.reap(table.parked[0])
+        self._c_forked.inc()
+        target = functools.partial(worker_main, kept=KeptModel())
+        return table.start(job.job_id, target, args, daemon=True, group=group)
 
     def _dispatch(self, job: Job) -> None:
         profile_path: Optional[str] = None
@@ -383,13 +392,11 @@ class Supervisor:
             profile_path = str(
                 os.path.join(self.profiles_dir, f"{job.job_id}.collapsed")
             )
-        model = self._shared_model(job)
         self.store.transition(
             job.job_id, JobState.RUNNING, attempts=job.attempts + 1
         )
-        attempt = self.workers.start(
-            job.job_id,
-            worker_main,
+        attempt = self._start(
+            job,
             (
                 job.job_id,
                 job.scenario.to_dict(),
@@ -397,9 +404,7 @@ class Supervisor:
                 self.run_log,
                 job.trace_id,
                 profile_path,
-                model,
             ),
-            daemon=True,
         )
         pid = attempt.process.pid
         self.store.jobs[job.job_id].worker_pid = pid
@@ -499,8 +504,6 @@ class Supervisor:
             ).observe(solve_wall)
             if self.watchdog is not None:
                 self.watchdog.observe(backend, solve_wall)
-            if job.scenario.model_hash() == self._model_hash:
-                self._model_proven = True
         self.breaker.record_success(scenario_class(job.scenario))
         self.store.transition(job.job_id, JobState.DONE)
         self._c_done.inc()
@@ -586,13 +589,14 @@ class Supervisor:
                 if job.state == JobState.PENDING
             )
         )
-        self._g_workers_alive.set(self.busy)
+        self._g_workers_alive.set(self.busy + len(self.workers.parked))
         self._g_wal_bytes.set(self.store.wal.size_bytes())
 
     # -- control ------------------------------------------------------------
 
     def cancel(self, job_id: str) -> Job:
-        """Cancel a pending or running job (kills its worker)."""
+        """Cancel a pending or running job (kills its worker, warm or
+        not)."""
         self.workers.cancel(job_id)
         return self.store.transition(job_id, JobState.CANCELLED)
 
@@ -603,7 +607,7 @@ class Supervisor:
         ``timeout_s`` to finish, the drain waking on their pipes.
         Whatever is still running then is terminated and journaled back
         to ``PENDING`` — the WAL is the checkpoint, so a restart resumes
-        exactly there.
+        exactly there.  Parked workers are reaped last.
         """
         self.draining = True
         report = DrainReport()
@@ -620,6 +624,7 @@ class Supervisor:
             if not self.store.jobs[job_id].state.terminal:
                 self.store.transition(job_id, JobState.PENDING)
                 report.requeued.append(job_id)
+        self.workers.close()
         get_tracer().event(
             "service.drained",
             finished=len(report.finished),
@@ -628,5 +633,6 @@ class Supervisor:
         return report
 
     def shutdown(self) -> None:
-        """Hard stop: kill every worker without touching job states."""
+        """Hard stop: kill every running worker and reap every parked one,
+        without touching job states."""
         self.workers.close()

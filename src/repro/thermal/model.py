@@ -49,7 +49,7 @@ from collections import OrderedDict, namedtuple
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import splu
 
 from .. import constants
@@ -108,6 +108,12 @@ FlowSignature = Tuple[Tuple[str, float], ...]
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "currsize", "maxsize"])
 """``functools.lru_cache``-style cache statistics."""
+
+FactorKey = Tuple[FlowSignature, float]
+"""Cache key of one transient factorisation: ``(flow signature, dt)``."""
+
+FactorEntry = Tuple[object, np.ndarray, csr_matrix]
+"""One transient cache entry: ``(LU factor, boundary rhs, system matrix)``."""
 
 SPLU_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A",
@@ -178,6 +184,10 @@ class CompactThermalModel:
     max_steady_factors:
         Upper bound on cached steady-solve operators per tier (LRU):
         LU factorisations, ILU preconditioners and AMG hierarchies.
+    max_transient_factors:
+        Upper bound on cached LU factorisations of the transient
+        system ``C/dt + A(f)`` (LRU), shared by every stepper and run
+        of this model.
     solver:
         Steady-solve backend: ``"direct"`` (sparse LU), ``"iterative"``
         (ILU-preconditioned BiCGSTAB with warm starts and a guarded
@@ -207,12 +217,13 @@ class CompactThermalModel:
         ambient: float = DEFAULT_AMBIENT_K,
         inlet_temperature: float = DEFAULT_INLET_K,
         max_steady_factors: int = 8,
+        max_transient_factors: int = 16,
         guard: Optional[SolverGuard] = None,
         solver: str = "auto",
         krylov: Optional[KrylovOptions] = None,
         cooling: Optional[CoolingConfig] = None,
     ) -> None:
-        if max_steady_factors < 1:
+        if max_steady_factors < 1 or max_transient_factors < 1:
             raise ValueError("cache must hold at least one factorisation")
         self.guard = guard if guard is not None else SolverGuard()
         if solver not in SOLVER_CHOICES:
@@ -258,6 +269,27 @@ class CompactThermalModel:
         )
         self._g_steady_maxsize.set(self._max_steady_factors)
         self._g_steady_currsize.set(0)
+        # Transient LU factors of C/dt + A(f), keyed by (flow signature,
+        # dt) and counted the same way.  Each entry also holds the
+        # boundary rhs b(f) and the matrix, so a cached step costs one
+        # spmv and one triangular solve pair.  They outlive every
+        # stepper, so runs on one model factorise each pump level once.
+        self._transient_factors: "OrderedDict[FactorKey, FactorEntry]" = (
+            OrderedDict()
+        )
+        self._max_transient_factors = int(max_transient_factors)
+        self._transient_hits = Counter("transient_cache.hits")
+        self._transient_misses = Counter("transient_cache.misses")
+        self._g_transient_hits = registry.counter("thermal.transient_cache.hits")
+        self._g_transient_misses = registry.counter(
+            "thermal.transient_cache.misses"
+        )
+        registry.gauge("thermal.transient_cache.maxsize").set(
+            float(self._max_transient_factors)
+        )
+        self._g_transient_currsize = registry.gauge(
+            "thermal.transient_cache.currsize"
+        )
         # Krylov-rung state, keyed like the LU cache: one
         # preconditioned operator per (tier, flow state) — ILU
         # preconditioners and AMG hierarchies in one LRU per tier —
@@ -811,10 +843,11 @@ class CompactThermalModel:
         """Clear run-time cooling state between simulation runs.
 
         Resets the dynamic anchor deltas, re-aims every dynamic cavity
-        at the shared pump flow and clears the backends' dry-out margin
-        trackers (their march caches survive: marches are pure
-        functions of the quantised key).  Models are shared across runs
-        by the sweep fan-out prewarm, so per-run state must not leak.
+        at the shared pump flow and resets the backends: their dry-out
+        margin trackers and their march caches, whose marches hold the
+        flux of an earlier command of this run.  Models are shared
+        across runs by sweeps and service workers, so per-run state
+        must not leak.
         """
         self._b_cooling = None
         self._flux_power = None
@@ -1028,6 +1061,21 @@ class CompactThermalModel:
         """Start every Krylov steady rung cold again, as on a fresh model."""
         self._steady_warm.clear()
 
+    def reset_run_state(self) -> None:
+        """Return to a fresh model's run state before reusing it for a run.
+
+        The flow goes back to the shared 32.3 ml/min pump setting, the
+        Krylov steady rungs start cold and the cooling state is cleared
+        (:meth:`reset_cooling_state`).  What stays is keyed by the full
+        matrix it came from: steady and transient LU factors, ILU
+        preconditioners, AMG hierarchies, the block masks and the
+        injection operator.  So a run on a reused model equals a run on
+        a fresh one bitwise.
+        """
+        self.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
+        self.clear_warm_starts()
+        self.reset_cooling_state()
+
     def prewarm(self) -> None:
         """Build the set-up every run of this model needs first: the block
         masks with the power-injection operator, and the steady chain's
@@ -1036,6 +1084,50 @@ class CompactThermalModel:
         run on it equals a run on a fresh model bitwise."""
         self.injection_operator()
         self.steady_operator()
+
+    def transient_factor(self, dt: float) -> FactorEntry:
+        """Cached ``(LU factor, boundary rhs, matrix)`` of ``C/dt + A(f)``
+        at the current flow state (see :class:`TransientStepper`).
+
+        Keyed by ``(flow signature, dt)`` and bounded by
+        ``max_transient_factors`` (LRU); the boundary rhs is taken at
+        the model's fixed ``inlet_temperature`` and ``ambient``.
+        """
+        key: FactorKey = (self.flow_signature(), dt)
+        entry = self._transient_factors.get(key)
+        if entry is not None:
+            self._transient_factors.move_to_end(key)
+            self._transient_hits.inc()
+            self._g_transient_hits.inc()
+            return entry
+        self._transient_misses.inc()
+        self._g_transient_misses.inc()
+        matrix = self.system_matrix() + diags(self._capacitance / dt)
+        factor = factorize(matrix, "transient", f"key {key!r}")
+        entry = (factor, self.boundary_rhs(), matrix)
+        self._transient_factors[key] = entry
+        if len(self._transient_factors) > self._max_transient_factors:
+            self._transient_factors.popitem(last=False)
+        self._g_transient_currsize.set(float(len(self._transient_factors)))
+        return entry
+
+    def evict_transient_factor(self, dt: float) -> bool:
+        """Drop the transient factor of the current flow state at ``dt``;
+        returns whether one was cached (a poisoned-factor escape hatch)."""
+        key: FactorKey = (self.flow_signature(), dt)
+        if self._transient_factors.pop(key, None) is None:
+            return False
+        self._g_transient_currsize.set(float(len(self._transient_factors)))
+        return True
+
+    def transient_cache_info(self) -> CacheInfo:
+        """Hit/miss statistics of the transient-factor cache."""
+        return CacheInfo(
+            hits=self._transient_hits.value,
+            misses=self._transient_misses.value,
+            currsize=len(self._transient_factors),
+            maxsize=self._max_transient_factors,
+        )
 
     def steady_backend(self) -> str:
         """The resolved steady-solve backend for this model's grid.

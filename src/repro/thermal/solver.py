@@ -8,7 +8,9 @@ The factorisation depends only on ``(flow signature, dt)``.  The
 run-time policies quantise the flow rate to a handful of settings, so an
 LRU cache of LU factors makes every step after the first a pair of
 triangular solves — this is what makes minutes-long closed-loop
-simulations with 100 ms control periods cheap.  The boundary vector
+simulations with 100 ms control periods cheap.  The cache lives on the
+model (:meth:`CompactThermalModel.transient_factor`), next to its steady
+factors, so every run on one model shares it.  The boundary vector
 ``b(f)`` depends on the same signature and is cached alongside the
 factor, so a cached step performs exactly one spmv (power injection),
 one triangular solve pair, and one vector add.
@@ -42,23 +44,11 @@ from .diagnostics import (
     validate_finite_array,
     validate_positive_scalar,
 )
-from ..obs.metrics import Counter, get_registry
+from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .field import TemperatureField
 from .krylov import KrylovOptions, KrylovSolver, choose_backend
-from .model import (
-    BlockRef,
-    CacheInfo,
-    CompactThermalModel,
-    FlowSignature,
-    factorize,
-)
-
-FactorKey = Tuple[FlowSignature, float]
-"""Cache key of one factorisation: ``(flow signature, dt)``."""
-
-FactorEntry = Tuple[object, np.ndarray, object]
-"""One cache entry: ``(LU factor, boundary rhs, system matrix)``."""
+from .model import BlockRef, CompactThermalModel, FactorEntry, FactorKey
 
 KrylovEntry = Tuple[KrylovSolver, np.ndarray]
 """One iterative-path cache entry: ``(preconditioned solver, boundary rhs)``."""
@@ -83,8 +73,6 @@ class TransientStepper:
         Initial temperature field; the paper initialises simulations with
         steady-state values, so callers usually pass
         ``model.steady_state(...)``.
-    max_cached_factors:
-        Upper bound on retained LU factorisations (LRU eviction).
     guard:
         Numerical-guard configuration; defaults to the model's.
     solver:
@@ -103,10 +91,12 @@ class TransientStepper:
 
     Notes
     -----
-    The per-entry boundary vector is cached against the model's
-    ``inlet_temperature``/``ambient`` at factorisation time; mutate
-    those only through a fresh stepper (the closed-loop simulator never
-    changes them mid-run).
+    The LU factors live in the model's transient cache, which every
+    stepper of the model shares; the ILU operators of the iterative
+    path depend on this stepper's ``krylov`` options and stay here,
+    bounded like the model's cache.  Cached boundary vectors are taken
+    at the model's ``inlet_temperature``/``ambient``, which no run
+    changes.
     """
 
     def __init__(
@@ -114,14 +104,11 @@ class TransientStepper:
         model: CompactThermalModel,
         dt: float,
         initial: TemperatureField,
-        max_cached_factors: int = 16,
         guard: Optional[SolverGuard] = None,
         solver: Optional[str] = None,
         krylov: Optional[KrylovOptions] = None,
     ) -> None:
         dt = validate_positive_scalar(dt, "dt")
-        if max_cached_factors < 1:
-            raise ValueError("cache must hold at least one factorisation")
         self.model = model
         self.dt = float(dt)
         self.guard = guard if guard is not None else model.guard
@@ -135,31 +122,15 @@ class TransientStepper:
         self.krylov_options = (
             krylov if krylov is not None else model.krylov_options
         )
-        self._max_cached = max_cached_factors
-        # Each entry holds (LU factor, boundary rhs, system matrix) for
-        # one flow signature at one dt — the rhs costs as much to
-        # rebuild per step as the triangular solves it accompanies, and
-        # the matrix (already assembled for the factorisation) backs
-        # the optional residual check.
-        self._factors: "OrderedDict[FactorKey, FactorEntry]" = OrderedDict()
-        # Iterative-path twin: one ILU-preconditioned operator plus its
-        # boundary rhs per (flow signature, dt).
+        # Iterative-path twin of the model's LU cache: one
+        # ILU-preconditioned operator plus its boundary rhs per (flow
+        # signature, dt), counted in the same registry counters.
         self._krylov: "OrderedDict[FactorKey, KrylovEntry]" = OrderedDict()
-        # Per-stepper cache counters mirrored into the global registry
-        # (same pattern as the model's steady-factor cache).
-        self._hits = Counter("transient_cache.hits")
-        self._misses = Counter("transient_cache.misses")
+        self._max_krylov = model.transient_cache_info().maxsize
         registry = get_registry()
         self._g_hits = registry.counter("thermal.transient_cache.hits")
         self._g_misses = registry.counter("thermal.transient_cache.misses")
         self._c_steps = registry.counter("thermal.transient_steps")
-        # Capacity/occupancy gauges (process-global rollup: with several
-        # live steppers the last writer wins, which is fine for the
-        # single-simulator runs these exist to observe).
-        registry.gauge("thermal.transient_cache.maxsize").set(
-            float(self._max_cached)
-        )
-        self._g_currsize = registry.gauge("thermal.transient_cache.currsize")
         self._c_over_dt = model.capacitance / self.dt
         # The health record of every step that the first direct solve
         # settles with no residual check: frozen, so one instance
@@ -174,24 +145,7 @@ class TransientStepper:
         return self.model.capacitance / dt
 
     def _factor(self, dt: Optional[float] = None) -> FactorEntry:
-        dt = self.dt if dt is None else dt
-        key: FactorKey = (self.model.flow_signature(), dt)
-        entry = self._factors.get(key)
-        if entry is not None:
-            self._factors.move_to_end(key)
-            self._hits.inc()
-            self._g_hits.inc()
-            return entry
-        self._misses.inc()
-        self._g_misses.inc()
-        matrix = self.model.system_matrix() + diags(self._c_over(dt))
-        factor = factorize(matrix, "transient", f"key {key!r}")
-        entry = (factor, self.model.boundary_rhs(), matrix)
-        self._factors[key] = entry
-        if len(self._factors) > self._max_cached:
-            self._factors.popitem(last=False)
-        self._g_currsize.set(float(len(self._factors)))
-        return entry
+        return self.model.transient_factor(self.dt if dt is None else dt)
 
     @property
     def backend(self) -> str:
@@ -205,16 +159,14 @@ class TransientStepper:
         entry = self._krylov.get(key)
         if entry is not None:
             self._krylov.move_to_end(key)
-            self._hits.inc()
             self._g_hits.inc()
             return entry
-        self._misses.inc()
         self._g_misses.inc()
         matrix = self.model.system_matrix() + diags(self._c_over(dt))
         solver = KrylovSolver(matrix, self.krylov_options)
         entry = (solver, self.model.boundary_rhs())
         self._krylov[key] = entry
-        if len(self._krylov) > self._max_cached:
+        if len(self._krylov) > self._max_krylov:
             self._krylov.popitem(last=False)
         return entry
 
@@ -231,26 +183,9 @@ class TransientStepper:
         (in either the direct or the iterative cache).
         """
         dt = self.dt if dt is None else dt
-        key: FactorKey = (self.model.flow_signature(), dt)
-        dropped_lu = self._factors.pop(key, None) is not None
-        dropped_ilu = self._krylov.pop(key, None) is not None
-        if dropped_lu:
-            self._g_currsize.set(float(len(self._factors)))
+        dropped_lu = self.model.evict_transient_factor(dt)
+        dropped_ilu = self._evict_krylov(dt)
         return dropped_lu or dropped_ilu
-
-    @property
-    def cached_factor_count(self) -> int:
-        """Number of LU factorisations currently cached."""
-        return len(self._factors)
-
-    def cache_info(self) -> CacheInfo:
-        """``lru_cache``-style statistics of the factor cache."""
-        return CacheInfo(
-            hits=self._hits.value,
-            misses=self._misses.value,
-            currsize=len(self._factors),
-            maxsize=self._max_cached,
-        )
 
     def step(self, block_powers: Dict[BlockRef, float]) -> TemperatureField:
         """Advance one time step under the given block powers.

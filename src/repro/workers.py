@@ -1,15 +1,25 @@
-"""Worker processes: one job attempt per process, one table of attempts.
+"""Worker processes: job attempts in processes of their own, one table.
 
 The sweep engine (:func:`repro.analysis.sweep.resilient_fan_out`) and
 the job service (:class:`repro.service.supervisor.Supervisor`) both run
-every job attempt in a process of its own, so a segfault, an OOM kill
-or an ``os._exit`` loses that attempt and nothing else.  Both drive an
+every job attempt in a worker process, so a segfault, an OOM kill or
+an ``os._exit`` loses that attempt and nothing else.  Both drive an
 :class:`AttemptTable`, the one place that starts a worker with a
-one-way result pipe, reads its ``{"kind": "hb"|"done"|"error", ...}``
-messages, settles it once (on its outcome, as a crash when it exits
-without one, as a timeout when it is overdue), reaps it, and schedules
-a failed job's retry after a jittered backoff.  A caller decides what
-to run, how many workers may be alive and what an outcome means.
+one-way result pipe, reads its ``{"kind": "hb"|"done"|"error"|"parked",
+...}`` messages, settles each attempt once (on its outcome, as a crash
+when the worker exits without one, as a timeout when it is overdue),
+reaps workers, and schedules a failed job's retry after a jittered
+backoff.
+
+A worker runs attempts until it is handed none.  One started without
+a ``group`` (every sweep worker) is handed none after its first and
+exits.  One started with a group parks after an attempt that ends
+``done`` and waits on a second pipe: the parent may hand it the next
+attempt of that group (:meth:`AttemptTable.hand_over`), so the state
+the worker keeps between attempts (a service worker's thermal model)
+is reused, or reap it.  A parked worker exits on EOF from its parent,
+so it never outlives the parent.  A caller decides what to run, how
+many workers may be alive and what an outcome means.
 """
 
 from __future__ import annotations
@@ -24,14 +34,29 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 EXIT_GRACE_S = 1.0
 """Seconds a worker gets to exit, after its outcome or a terminate,
 before it is killed."""
 
 
-def _child_main(target: Callable[..., None], conn: Connection, *args) -> None:
+def _child_main(
+    target: Callable[..., None],
+    conn: Connection,
+    inbox: Optional[Connection],
+    inherited: Sequence[Connection],
+    *args,
+) -> None:
     # A forked child inherits its parent's signal set-up.  Under the
     # service loop that is a no-op SIGTERM handler and the wakeup fd
     # through which the loop learns of signals.  Undo both, so
@@ -39,7 +64,20 @@ def _child_main(target: Callable[..., None], conn: Connection, *args) -> None:
     # reaches the parent.
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    target(conn, *args)
+    # It also inherits the parent's ends of every worker pipe, its own
+    # included.  Close them: a work pipe reports EOF only once no
+    # process but the parent holds its write end.
+    for end in inherited:
+        end.close()
+    while True:
+        target(conn, *args)
+        if inbox is None:
+            return
+        try:
+            conn.send({"kind": "parked"})
+            args = inbox.recv()
+        except (EOFError, OSError):  # reaped, or the parent is gone
+            return
 
 
 def error_report(exc: BaseException) -> Dict[str, str]:
@@ -123,6 +161,11 @@ class Attempt:
     last_heartbeat: float
     last_heartbeat_wall: float
     outcome: Optional[dict] = None  # the one outcome, once settled
+    # Write end of the worker's work pipe; None for a one-attempt worker
+    # and once the worker may take no further attempt.
+    inbox: Optional[Connection] = None
+    group: Optional[Hashable] = None  # the attempts the worker may take
+    parked: bool = False  # the worker reported that it waits for work
 
 
 def _ignore(_value: float) -> None:
@@ -139,7 +182,10 @@ class AttemptTable:
     time.  A loop sets the hooks instead: ``watch(fd)`` and
     ``unwatch(fd)`` receive each worker's result-pipe descriptor at
     start and at reap, ``wake_at(t)`` the ``time.monotonic()`` instant
-    a backoff ends; on each it calls :meth:`poll`.  Single-threaded.
+    a backoff ends; on each it calls :meth:`poll`.  ``running`` holds
+    the attempts in flight by key, ``parked`` the workers that wait for
+    an attempt of their group, least recently used first.
+    Single-threaded.
     """
 
     def __init__(
@@ -155,6 +201,7 @@ class AttemptTable:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.rng = rng
         self.running: Dict[Hashable, Attempt] = {}
+        self.parked: List[Attempt] = []
         self.not_before: Dict[Hashable, float] = {}
         self.watch: Callable[[int], None] = _ignore
         self.unwatch: Callable[[int], None] = _ignore
@@ -167,6 +214,11 @@ class AttemptTable:
             and self.not_before.get(key, 0.0) <= time.monotonic()
         )
 
+    def _ends(self) -> List[Connection]:
+        """The parent's end of every worker pipe."""
+        workers = [*self.running.values(), *self.parked]
+        return [end for w in workers for end in (w.conn, w.inbox) if end]
+
     def start(
         self,
         key: Hashable,
@@ -174,6 +226,7 @@ class AttemptTable:
         args: Sequence[object],
         *,
         daemon: bool,
+        group: Optional[Hashable] = None,
     ) -> Attempt:
         """Run ``target(conn, *args)`` in a new worker for ``key``.
 
@@ -181,36 +234,83 @@ class AttemptTable:
         no copy of it, so the read end reports EOF once the worker has
         exited, with or without sending anything.  The process uses the
         default start method: under fork, ``target`` and ``args`` are
-        inherited, not pickled.
+        inherited, not pickled.  With a ``group`` the worker parks after
+        a ``done`` attempt instead of exiting (see :meth:`hand_over`).
         """
         context = multiprocessing.get_context()
         reader, writer = context.Pipe(duplex=False)
+        work, inbox = context.Pipe(duplex=False) if group is not None else (None, None)
+        inherited = [reader, *([inbox] if inbox else []), *self._ends()]
+        if context.get_start_method() != "fork":
+            inherited = []  # nothing is inherited, and a pickled copy would be
         process = context.Process(
-            target=_child_main, args=(target, writer, *args), daemon=daemon
+            target=_child_main,
+            args=(target, writer, work, inherited, *args),
+            daemon=daemon,
         )
         try:
             process.start()
         finally:
             writer.close()
+            if work is not None:
+                work.close()
         now, wall = time.monotonic(), time.time()
         attempt = self.running[key] = Attempt(
-            key, process, reader, now, wall, now, wall
+            key, process, reader, now, wall, now, wall, inbox=inbox, group=group
         )
         self.not_before.pop(key, None)
         self.watch(reader.fileno())
         return attempt
 
-    def reap(self, attempt: Attempt, *, terminate: bool = False) -> Optional[int]:
-        """Take ``attempt`` off the table and join its worker.
+    def hand_over(
+        self, worker: Attempt, key: Hashable, args: Sequence[object]
+    ) -> Optional[Attempt]:
+        """Run ``key``'s attempt in the parked ``worker``: its target,
+        called with ``args``, which are pickled through the work pipe.
 
-        With ``terminate`` the worker is first asked to stop (SIGTERM).
-        A worker still alive after :data:`EXIT_GRACE_S` is killed.  The
-        attempt leaves the table first, so a worker that has exited
-        holds no slot.  Returns the exit code.
+        Returns the attempt, whose deadline counts from now; ``None``
+        when the worker has died while parked, and is reaped.
         """
-        del self.running[attempt.key]
+        try:
+            if not worker.process.is_alive():
+                raise BrokenPipeError("the parked worker has exited")
+            worker.inbox.send(tuple(args))
+        except (OSError, ValueError):
+            self.reap(worker)
+            return None
+        self.parked.remove(worker)
+        now, wall = time.monotonic(), time.time()
+        attempt = self.running[key] = Attempt(
+            key,
+            worker.process,
+            worker.conn,
+            now,
+            wall,
+            now,
+            wall,
+            inbox=worker.inbox,
+            group=worker.group,
+        )
+        self.not_before.pop(key, None)
+        return attempt
+
+    def reap(self, attempt: Attempt, *, terminate: bool = False) -> Optional[int]:
+        """Take ``attempt``, running or parked, off the table and join its
+        worker.
+
+        The worker's work pipe closes, so a parked worker exits on the
+        EOF.  With ``terminate`` the worker is first asked to stop
+        (SIGTERM).  A worker still alive after :data:`EXIT_GRACE_S` is
+        killed.  The attempt leaves the table first, so a worker that
+        has exited holds no slot.  Returns the exit code.
+        """
+        if self.running.get(attempt.key) is attempt:
+            del self.running[attempt.key]
+        else:
+            self.parked.remove(attempt)
         self.unwatch(attempt.conn.fileno())
         attempt.conn.close()
+        self._close_inbox(attempt)
         process = attempt.process
         if terminate:
             try:
@@ -228,6 +328,12 @@ class AttemptTable:
             pass
         return exitcode
 
+    def _close_inbox(self, attempt: Attempt) -> None:
+        """Hand ``attempt``'s worker no further attempt."""
+        if attempt.inbox is not None:
+            attempt.inbox.close()
+            attempt.inbox = None
+
     def cancel(self, key: Hashable) -> None:
         """Kill ``key``'s worker, if it has one, and drop its backoff."""
         if key in self.running:
@@ -235,9 +341,11 @@ class AttemptTable:
         self.not_before.pop(key, None)
 
     def close(self) -> None:
-        """Terminate and reap every running worker."""
+        """Terminate every running worker and reap every worker."""
         for attempt in list(self.running.values()):
             self.reap(attempt, terminate=True)
+        for worker in list(self.parked):
+            self.reap(worker)
 
     def _read(self, attempt: Attempt) -> bool:
         """Take every message waiting on ``attempt``'s pipe; True at EOF."""
@@ -252,11 +360,16 @@ class AttemptTable:
                 message = error_report(exc)
             # A heartbeat, or the outcome, from which the exit grace counts.
             attempt.last_heartbeat = time.monotonic()
-            if message.get("kind") == "hb":
+            kind = message.get("kind")
+            if kind == "hb":
                 attempt.last_heartbeat_wall = float(message.get("t", time.time()))
+            elif kind == "parked":
+                attempt.parked = True
             elif attempt.outcome is None:
                 attempt.outcome = message
                 attempt.last_heartbeat_wall = time.time()
+                if kind != "done":  # a worker that failed takes no more
+                    self._close_inbox(attempt)
 
     def _due(self, attempt: Attempt) -> Tuple[float, str]:
         """When ``attempt`` falls overdue (``time.monotonic()``), and why."""
@@ -280,9 +393,14 @@ class AttemptTable:
         ``{"kind": "timeout"}`` when it is overdue and killed; these
         two carry a ``message`` and the ``elapsed_s`` since the start.
         A worker that sent its outcome is joined after the caller has
-        handled it, once its pipe reports EOF.
+        handled it, once its pipe reports EOF, or parked once it reports
+        that it waits for work.  A parked worker that exits is reaped
+        and settles nothing.
         """
         now = time.monotonic()
+        for worker in list(self.parked):
+            if self._read(worker) or not worker.process.is_alive():
+                self.reap(worker)
         for attempt in list(self.running.values()):
             reported = attempt.outcome is not None
             # Looked at before the read: a worker that has exited has
@@ -293,8 +411,15 @@ class AttemptTable:
             if attempt.outcome is not None:
                 if not reported:
                     yield attempt
-                if exited or now >= due:
-                    self.reap(attempt, terminate=not exited)
+                    if self.running.get(attempt.key) is not attempt:
+                        continue  # the caller has reaped it
+                if exited:
+                    self.reap(attempt)
+                elif attempt.parked and attempt.inbox is not None:
+                    del self.running[attempt.key]
+                    self.parked.append(attempt)
+                elif now >= due:
+                    self.reap(attempt, terminate=True)
                 continue
             if exited:
                 code = self.reap(attempt)
@@ -327,7 +452,7 @@ class AttemptTable:
             wake = min(wake, now + timeout)
         if self.running or wake < math.inf:
             connection.wait(
-                [attempt.conn for attempt in self.running.values()],
+                [attempt.conn for attempt in (*self.running.values(), *self.parked)],
                 None if wake == math.inf else max(0.0, wake - now),
             )
 

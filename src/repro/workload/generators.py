@@ -24,7 +24,7 @@ All generators take an explicit seed and return a
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -114,6 +114,16 @@ def idle_trace(threads: int = 32, duration: int = 300, seed: int = 5) -> Workloa
     return WorkloadTrace("idle", _clip(base))
 
 
+SUITE_TRACES: Dict[str, Tuple[Callable[..., WorkloadTrace], int]] = {
+    "web": (web_server_trace, 1),
+    "database": (database_trace, 2),
+    "multimedia": (multimedia_trace, 3),
+    "max-utilisation": (max_utilisation_trace, 4),
+}
+"""Each trace of the Section IV-A benchmark set: its generator and the
+offset added to the suite seed."""
+
+
 def paper_workload_suite(
     threads: int = 32, duration: int = 300, seed: int = 0
 ) -> Dict[str, WorkloadTrace]:
@@ -125,8 +135,6 @@ def paper_workload_suite(
     "maximum utilization" benchmark.
     """
     return {
-        "web": web_server_trace(threads, duration, seed + 1),
-        "database": database_trace(threads, duration, seed + 2),
-        "multimedia": multimedia_trace(threads, duration, seed + 3),
-        "max-utilisation": max_utilisation_trace(threads, duration, seed + 4),
+        name: generator(threads, duration, seed + offset)
+        for name, (generator, offset) in SUITE_TRACES.items()
     }

@@ -154,24 +154,26 @@ def test_stepper_cache_info_counts():
     stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
     stepper.step(powers)
     stepper.step(powers)
-    assert stepper.cache_info()[:2] == (1, 1)
+    assert model.transient_cache_info()[:2] == (1, 1)
     model.set_flow(model.flow_ml_min / 2.0)
     stepper.step(powers)
-    info = stepper.cache_info()
+    info = model.transient_cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    # A second stepper (a second run) on the model reuses its factors.
+    model.set_flow(model.flow_ml_min * 2.0)
+    TransientStepper(model, 0.1, model.uniform_field(300.0)).step(powers)
+    assert model.transient_cache_info()[:3] == (2, 2, 2)
 
 
 def test_stepper_cache_eviction_bound():
-    model = _model()
+    model = _model(max_transient_factors=1)
     powers = _powers(model)
-    stepper = TransientStepper(
-        model, 0.1, model.uniform_field(300.0), max_cached_factors=1
-    )
+    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
     base_flow = model.flow_ml_min
     for flow in (base_flow, base_flow / 2.0, base_flow):
         model.set_flow(flow)
         stepper.step(powers)
-    info = stepper.cache_info()
+    info = model.transient_cache_info()
     # Only one slot: the ping-pong refactorises every time.
     assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
 
@@ -213,12 +215,9 @@ def test_pack_powers_validates_and_accumulates():
 def test_lu_cache_size_explicit_argument_wins():
     from repro.obs.metrics import get_registry
 
-    model = _model(max_steady_factors=5)
+    model = _model(max_steady_factors=5, max_transient_factors=7)
     assert model.steady_cache_info().maxsize == 5
-    stepper = TransientStepper(
-        model, 0.1, model.uniform_field(300.0), max_cached_factors=7
-    )
-    assert stepper.cache_info().maxsize == 7
+    assert model.transient_cache_info().maxsize == 7
     registry = get_registry()
     assert registry.gauge("thermal.steady_cache.maxsize").value == 5
     assert registry.gauge("thermal.transient_cache.maxsize").value == 7
@@ -228,7 +227,7 @@ def test_cache_occupancy_gauges_track_inserts_and_evictions():
     from repro.obs.metrics import get_registry
 
     registry = get_registry()
-    model = _model(max_steady_factors=1)
+    model = _model(max_steady_factors=1, max_transient_factors=2)
     powers = _powers(model)
     model.steady_state(powers)
     assert registry.gauge("thermal.steady_cache.currsize").value == 1
@@ -239,9 +238,7 @@ def test_cache_occupancy_gauges_track_inserts_and_evictions():
     model.clear_steady_cache()
     assert registry.gauge("thermal.steady_cache.currsize").value == 0
 
-    stepper = TransientStepper(
-        model, 0.1, model.uniform_field(300.0), max_cached_factors=2
-    )
+    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
     stepper.step(powers)
     assert registry.gauge("thermal.transient_cache.currsize").value == 1
 
@@ -310,3 +307,21 @@ def test_march_cache_hits_share_one_read_only_profile():
     profile = backend.respond_to_flow(20.0, flux)
     assert backend.respond_to_flow(20.0, flux) is profile
     assert not profile.flags.writeable
+
+
+def test_reset_drops_a_march_another_flux_put_in_the_cache():
+    # A cached march is the march of the first flux that landed in its
+    # quantised key.  A reused model must not serve it to the next run:
+    # after the reset, a flux 30 W/m^2 away (inside the 100 W/m^2
+    # quantum) gets its own march, as on a fresh model.
+    model = _two_phase_model()
+    (name,) = model.cooled_cavity_names
+    backend = model.cooling_backend(name)
+    first = backend.respond_to_flow(20.0, np.full(model.grid.nx, 2.0e5))
+    model.reset_cooling_state()
+    nudged = np.full(model.grid.nx, 2.0e5 + 30.0)
+    again = backend.respond_to_flow(20.0, nudged)
+    fresh = _two_phase_model().cooling_backend(name).respond_to_flow(20.0, nudged)
+    assert np.array_equal(again, fresh)
+    assert not np.array_equal(first, fresh)
+    assert backend.hydraulic_state().cache[:3] == (0, 1, 1)

@@ -19,6 +19,8 @@ from repro.scenario import (
     WorkloadSpec,
     run_scenario,
 )
+from repro.scenario.runner import build_trace
+from repro.scenario.spec import SUITE_WORKLOADS
 from repro.workload import paper_workload_suite
 
 NX, NY = 12, 10
@@ -73,6 +75,18 @@ def test_runner_bitwise_equals_legacy(policy_name):
     legacy = SystemSimulator(stack, policy, trace, nx=NX, ny=NY).run()
 
     assert _fields(via_runner) == _fields(legacy)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_suite_traces_equal_the_suites_traces_bitwise(seed):
+    """``build_trace`` builds one generator; the suite builds all four."""
+    suite = paper_workload_suite(threads=64, duration=30, seed=seed or 0)
+    for name, expected in suite.items():
+        spec = WorkloadSpec(name=name, source="suite", duration=30, seed=seed)
+        trace = build_trace(spec, StackSpec(tiers=4))
+        assert (trace.name, trace.period) == (expected.name, expected.period)
+        assert trace.utilisation.tobytes() == expected.utilisation.tobytes()
+    assert set(suite) == set(SUITE_WORKLOADS)
 
 
 # -- result cache -----------------------------------------------------------

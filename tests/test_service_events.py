@@ -68,6 +68,11 @@ def test_supervisor_runs_on_tick_alone_without_a_loop(tmp_path):
         time.sleep(0.01)
     assert store.jobs[job.job_id].state is JobState.DONE
     assert store.jobs[job.job_id].attempts == 1
+    # The worker is warm: parked for the next job of its model hash
+    # until the supervisor shuts down.
+    (parked,) = sup.workers.parked
+    assert multiprocessing.active_children() == [parked.process]
+    sup.shutdown()
     assert multiprocessing.active_children() == []
     store.close()
 
@@ -87,7 +92,7 @@ def test_submit_dispatches_and_finishes_without_the_tick(tmp_path):
         service.stop_background()
 
 
-def _failing_worker(conn, job_id, *_args) -> None:
+def _failing_worker(conn, job_id, *_args, **_kwargs) -> None:
     conn.send(
         {"kind": "error", "error_type": "RuntimeError", "message": job_id}
     )
@@ -112,7 +117,7 @@ def test_retry_is_redispatched_when_its_backoff_ends(tmp_path, monkeypatch):
         service.stop_background()
 
 
-def _lingering_worker(conn, job_id, *_args) -> None:
+def _lingering_worker(conn, job_id, *_args, **_kwargs) -> None:
     conn.send({"kind": "done", "cached": False, "wall_s": 0.0})
     time.sleep(60.0)  # reported, but never exits on its own
 

@@ -178,8 +178,9 @@ def test_poisoned_transient_factor_refactorised(fresh_stepper):
     stepper, powers = fresh_stepper
     stepper.step(powers)  # primes the (signature, dt) cache entry
     key = (stepper.model.flow_signature(), stepper.dt)
-    factor, boundary, matrix = stepper._factors[key]
-    stepper._factors[key] = (_NaNFactor(), boundary, matrix)
+    factors = stepper.model._transient_factors
+    factor, boundary, matrix = factors[key]
+    factors[key] = (_NaNFactor(), boundary, matrix)
 
     state = stepper.step(powers)
 

@@ -58,28 +58,26 @@ def test_temperature_rises_monotonically_under_step_load(
     assert all(b >= a - 1e-9 for a, b in zip(maxima, maxima[1:]))
 
 
-def test_lu_cache_one_factor_per_flow_setting(
-    liquid_model_coarse, liquid_stack_2tier
-):
-    model = liquid_model_coarse
+def test_lu_cache_one_factor_per_flow_setting(liquid_stack_2tier):
+    model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
     powers = core_powers(liquid_stack_2tier)
     stepper = TransientStepper(model, dt=0.1, initial=model.uniform_field(300.15))
     for flow in (10.0, 20.0, 32.3, 10.0, 32.3, 20.0):
         model.set_flow(flow)
         stepper.step(powers)
-    assert stepper.cached_factor_count == 3
+    assert model.transient_cache_info().currsize == 3
 
 
-def test_lru_eviction_bounds_cache(liquid_model_coarse, liquid_stack_2tier):
-    model = liquid_model_coarse
-    powers = core_powers(liquid_stack_2tier)
-    stepper = TransientStepper(
-        model, dt=0.1, initial=model.uniform_field(300.15), max_cached_factors=2
+def test_lru_eviction_bounds_cache(liquid_stack_2tier):
+    model = CompactThermalModel(
+        liquid_stack_2tier, nx=12, ny=10, max_transient_factors=2
     )
+    powers = core_powers(liquid_stack_2tier)
+    stepper = TransientStepper(model, dt=0.1, initial=model.uniform_field(300.15))
     for flow in (10.0, 15.0, 20.0, 25.0):
         model.set_flow(flow)
         stepper.step(powers)
-    assert stepper.cached_factor_count == 2
+    assert model.transient_cache_info().currsize == 2
 
 
 def test_time_advances(liquid_model_coarse, liquid_stack_2tier):
@@ -96,12 +94,7 @@ def test_invalid_parameters_rejected(liquid_model_coarse):
             liquid_model_coarse, dt=0.0, initial=liquid_model_coarse.uniform_field(300.0)
         )
     with pytest.raises(ValueError):
-        TransientStepper(
-            liquid_model_coarse,
-            dt=0.1,
-            initial=liquid_model_coarse.uniform_field(300.0),
-            max_cached_factors=0,
-        )
+        CompactThermalModel(liquid_model_coarse.stack, max_transient_factors=0)
 
 
 def test_air_sink_time_constant_visible(air_model_coarse, air_stack_2tier):
