@@ -197,12 +197,11 @@ def _pids(sup: Supervisor) -> list:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "base",
-    [SERVICE_SPEC, AIR_SPEC, AMG_SPEC, TWO_PHASE_SPEC, FAULTED_SPEC],
-    ids=["lc-fuzzy-service", "air-tdvfs", "amg", "two-phase", "faulted"],
-)
-def test_warm_jobs_match_fresh_runs(tmp_path, base):
+def _serve_warm(tmp_path, scenarios, queued: bool) -> None:
+    """Run ``scenarios`` through a one-slot ``ScenarioJobService`` and
+    check that one warm worker ran them all and that each equals a fresh
+    run bitwise.  ``queued`` submits every job before waiting for any;
+    otherwise each is submitted once the one before it is ``DONE``."""
     service = ScenarioJobService(
         tmp_path / "svc",
         max_workers=1,
@@ -210,25 +209,44 @@ def test_warm_jobs_match_fresh_runs(tmp_path, base):
         poll_interval_s=0.02,
         drain_timeout_s=10.0,
     )
-    scenarios = [_seeded(base, seed) for seed in (21, 22, 23)]
     before = _counts()
     service.start_background()
     try:
         client = ServiceClient(service.address)
-        for scenario in scenarios:  # one at a time: each finds the worker parked
-            job_id = client.submit(scenario.to_dict())["job_id"]
+        ids = []
+        for scenario in scenarios:
+            ids.append(client.submit(scenario.to_dict())["job_id"])
+            if not queued:  # each job finds the worker parked
+                job = client.wait_for(ids[-1], timeout=120.0)
+                assert (job["state"], job["attempts"]) == ("DONE", 1)
+        for job_id in ids:
             job = client.wait_for(job_id, timeout=120.0)
             assert (job["state"], job["attempts"]) == ("DONE", 1)
         metrics = client.request({"op": "metrics"})["metrics"]
     finally:
         service.stop_background()
-    assert _moved(before) == {"forked": 1, "handovers": 2}
+    assert _moved(before) == {"forked": 1, "handovers": len(scenarios) - 1}
     for name in COUNTERS:
         assert metrics[f"service.workers.{name}"]["type"] == "counter"
     assert len(set(entry["pid"] for entry in read_run_log(service.root))) == 1
     cache = ResultCache(service.root / "cache")
     for scenario in scenarios:
         assert _fields(cache.get(scenario)) == _fields(Runner(scenario).run())
+
+
+@pytest.mark.parametrize(
+    "base",
+    [SERVICE_SPEC, AIR_SPEC, AMG_SPEC, TWO_PHASE_SPEC, FAULTED_SPEC],
+    ids=["lc-fuzzy-service", "air-tdvfs", "amg", "two-phase", "faulted"],
+)
+def test_warm_jobs_match_fresh_runs(tmp_path, base):
+    _serve_warm(tmp_path, [_seeded(base, seed) for seed in (21, 22, 23)], False)
+
+
+def test_queued_service_jobs_run_on_one_warm_worker(tmp_path):
+    # Submitted together: the second and third job wait in the queue
+    # while the first runs, then each is handed to the parked worker.
+    _serve_warm(tmp_path, [_seeded(SERVICE_SPEC, seed) for seed in (31, 32, 33)], True)
 
 
 # ---------------------------------------------------------------------------
