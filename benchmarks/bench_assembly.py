@@ -16,6 +16,7 @@ trajectory.
 """
 
 import os
+import time
 
 import pytest
 
@@ -54,13 +55,15 @@ def test_transient_step_packed(benchmark):
     os.environ.get("REPRO_BENCH_LARGE", "1") == "0",
     reason="large-grid sample disabled via REPRO_BENCH_LARGE=0",
 )
-def test_assembly_large_grid(benchmark):
+def test_assembly_large_grid():
+    # Timed here, not by pytest-benchmark, whose stats are None when
+    # benchmarking is off (--benchmark-disable).
     stack = build_3d_mpsoc(4)
-    model = benchmark.pedantic(
-        lambda: CompactThermalModel(stack, nx=100, ny=100),
-        rounds=3,
-        iterations=1,
-    )
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        model = CompactThermalModel(stack, nx=100, ny=100)
+        times.append(time.perf_counter() - start)
     # The acceptance criterion: 100x100 4-tier well under ~2 s.
-    assert benchmark.stats.stats.mean < 2.0
+    assert sum(times) / len(times) < 2.0
     assert model.grid.size >= 100 * 100 * len(model.stack.elements)

@@ -50,19 +50,19 @@ def _mean_time(fn: Callable[[], object], repeats: int) -> float:
 
 
 def bench_fanout_setup(n_jobs: int = 6) -> Dict[str, float]:
-    """Per-job setup overhead: a fresh model per job vs the sweep's shared one.
+    """Per-job setup overhead: a fresh model per job vs a kept one.
 
-    "plain" is what a scenario job costs without model sharing, as in a
-    spawn worker: one pickle round-trip of the job plus building its
-    simulator, a full thermal-model assembly included.  "shared" is
-    what a simulation sweep pays per job, serial or in a fork worker:
-    the job arrives without pickling and its simulator reuses the one
-    model the sweep assembled for its model hash.  Either way the job
-    builds its policy, trace and faults from the spec.  Measured
-    in-process over 2-tier LC_LB jobs at the default grid resolution.
+    "plain" is what a scenario job costs without a kept model: one
+    pickle round-trip of the job plus building its simulator, a full
+    thermal-model assembly included.  "shared" is what a later job of
+    a model hash pays in a sweep or a warm service worker: its
+    simulator reuses the process's ``KeptModel``, reset to a fresh
+    model's run state.  Either way the job builds its policy, trace and
+    faults from the spec.  Measured in-process over 2-tier LC_LB jobs
+    at the default grid resolution.
     """
-    from repro.analysis.sweep import _SweepModels
     from repro.scenario import PolicySpec, Scenario, WorkloadSpec, build_simulator
+    from repro.scenario.runner import KeptModel
 
     base = Scenario(
         policy=PolicySpec(name="LC_LB"),
@@ -76,11 +76,11 @@ def bench_fanout_setup(n_jobs: int = 6) -> Dict[str, float]:
         build_simulator(pickle.loads(pickle.dumps(job)))
     plain_ms = (time.perf_counter() - start) / n_jobs * 1e3
 
-    models = _SweepModels(jobs[:1] + jobs, None)
-    build_simulator(jobs[0], model=models.model(jobs[0]))  # one assembly
+    kept = KeptModel()
+    build_simulator(jobs[0], model=kept.for_run(jobs[0]))  # one assembly
     start = time.perf_counter()
     for job in jobs:
-        build_simulator(job, model=models.model(job))
+        build_simulator(job, model=kept.for_run(job))
     shared_ms = (time.perf_counter() - start) / n_jobs * 1e3
     return {
         "fanout_setup_plain_ms": plain_ms,

@@ -9,12 +9,12 @@ The layers, from cheapest to heaviest:
   the RHS columns independently, so the fields are bitwise identical
   to point-by-point :meth:`CompactThermalModel.steady_state` calls.
 * One job engine for independent work items:
-  :func:`resilient_fan_out` runs them serially or each in a worker
-  process of its own, with retries, per-job timeouts and crash
-  isolation; :func:`fan_out` is its strict form, which raises on the
-  first failure.  Its workers, deadlines and backoffs are the
-  :class:`repro.workers.AttemptTable` the job service drives too; the
-  engine adds serial mode, checkpoints, strict mode and model sharing.
+  :func:`resilient_fan_out` runs them serially or in worker processes,
+  with retries, per-job timeouts and crash isolation; :func:`fan_out`
+  is its strict form, which raises on the first failure.  Its workers,
+  deadlines and backoffs are the :class:`repro.workers.AttemptTable`
+  the job service drives too; the engine adds serial mode,
+  checkpoints, strict mode and the order in which jobs run.
 * :func:`run_simulations` / :func:`run_simulations_resilient` —
   closed-loop runs as jobs of that engine.  A job is a declarative
   :class:`~repro.scenario.Scenario`, keyed by its ``label``.  Every
@@ -23,22 +23,21 @@ The layers, from cheapest to heaviest:
   served from the hash-keyed on-disk result cache (``cache_dir=...``)
   so repeated sweep points are never recomputed.
 
-A worker process costs a fork per job, so processes only win when each
-job runs for seconds (closed-loop simulations, fine-grid steady maps)
-— the benchmark harness keeps them opt-in via ``REPRO_BENCH_PROCESSES``.
-Under the fork start method workers inherit the job list, so nothing
-is pickled on the way in, and a simulation sweep assembles each
-thermal model that two or more jobs need (one
-:meth:`~repro.scenario.Scenario.model_hash`) once, in the parent, for
-every worker to share copy-on-write.
+As in the job service, a worker parks after a job that succeeds and
+takes the next job of its group; a job that fails retires it.  A
+simulation sweep groups its jobs by
+:meth:`~repro.scenario.Scenario.model_hash` and runs each group on a
+:class:`~repro.scenario.runner.KeptModel`, the sweep's own when serial
+and each worker's own in processes.  Processes only win when each job
+runs for seconds (closed-loop simulations, fine-grid steady maps) —
+the benchmark harness keeps them opt-in via ``REPRO_BENCH_PROCESSES``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import time as _time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -46,6 +45,7 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Mapping,
@@ -63,7 +63,7 @@ from ..obs import capture_telemetry, is_obs_payload
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
-from ..scenario.runner import build_model, run_scenario
+from ..scenario.runner import KeptModel, run_scenario
 from ..scenario.spec import Scenario
 from ..thermal.field import TemperatureField
 from ..thermal.model import BlockRef, CompactThermalModel
@@ -156,11 +156,13 @@ def fan_out(
         A module-level callable when ``processes`` is used, so that a
         spawn worker can import it by name.
     items:
-        The independent work items.
+        The independent work items; picklable when ``processes`` is
+        used, since a parked worker is handed its next item through a
+        pipe.
     processes:
         ``None``, 0 or 1 run serially in-process; larger values run
-        each item in a worker process of its own, at most
-        ``processes`` at a time.
+        the items in at most ``processes`` worker processes, each of
+        which runs items until the sweep ends or one fails.
 
     Results are returned in item order either way, so callers can
     toggle parallelism without touching downstream code.
@@ -169,77 +171,42 @@ def fan_out(
     return [value for _, value in outcome.results]
 
 
-class _SweepModels:
-    """The thermal models one simulation sweep shares between its jobs.
-
-    Jobs need the same model when they share a
-    :meth:`Scenario.model_hash`.  Only a hash that two or more jobs use
-    is shared: any other job assembles its own model where it runs, as
-    a plain run does, and a serial sweep drops a shared model after its
-    hash's last job.  A reused model is reset to a fresh one's run state
-    (:meth:`CompactThermalModel.reset_run_state`) and keeps its factors,
-    so every run equals a fresh run bitwise.
-    """
-
-    def __init__(self, jobs: Sequence[Scenario], cache_dir: Optional[str]) -> None:
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.uses = Counter(self.key(job) for job in jobs)
-        self.models: Dict[str, CompactThermalModel] = {}
-
-    def key(self, job: Scenario) -> Optional[str]:
-        """``job``'s model hash; ``None`` when the result cache already
-        holds its result, so that it needs no model."""
-        if self.cache is not None and self.cache.path(job).exists():
-            return None
-        return job.model_hash()
-
-    def model(self, job: Scenario) -> Optional[CompactThermalModel]:
-        """The shared model for ``job``, or ``None`` for its own."""
-        key = self.key(job)
-        if key is None:
-            return None
-        left = self.uses[key]  # jobs of this key yet to start, this one too
-        self.uses[key] -= 1
-        model = self.models.get(key) if left > 1 else self.models.pop(key, None)
-        if model is not None:
-            model.reset_run_state()
-        elif left > 1:
-            model = self.models[key] = build_model(job)
-        return model
-
-    def prewarm(self, jobs: Sequence[Scenario]) -> None:
-        """Assemble and prewarm every shared model
-        (:meth:`CompactThermalModel.prewarm`), for fork workers to
-        inherit copy-on-write; a spawn worker assembles its own."""
-        for job in jobs:
-            key = self.key(job)
-            if key is not None and self.uses[key] > 1 and key not in self.models:
-                model = self.models[key] = build_model(job)
-                model.prewarm()
-
-    def run(self, job: Scenario, capture: bool = False) -> object:
-        if not capture:
-            return run_scenario(job, model=self.model(job), cache=self.cache)
-        payload: Dict[str, object] = {}
-        with capture_telemetry(payload):
-            result = self.run(job)
-        return result, payload
+def _run_job(
+    job: Scenario,
+    *,
+    kept: KeptModel,
+    cache: Optional[ResultCache],
+    capture: bool,
+) -> object:
+    """One job of a simulation sweep, on its process's ``kept`` model;
+    ``capture`` adds its spans and metric delta to the value."""
+    if not capture:
+        return run_scenario(job, model=kept.for_run(job, cache), cache=cache)
+    payload: Dict[str, object] = {}
+    with capture_telemetry(payload):
+        result = _run_job(job, kept=kept, cache=cache, capture=False)
+    return result, payload
 
 
-def _job_runner(
-    jobs: Sequence[Scenario],
+def _simulate(
+    jobs: List[Scenario],
     processes: Optional[int],
     cache_dir: Optional[Union[str, Path]],
-) -> Callable[[Scenario], object]:
-    """The per-job function of one simulation sweep."""
-    models = _SweepModels(jobs, None if cache_dir is None else str(cache_dir))
-    parallel = processes is not None and processes > 1
-    if parallel and multiprocessing.get_start_method() == "fork":
-        models.prewarm(jobs)
+    **options,
+) -> SweepOutcome:
+    """Run ``jobs`` as one sweep of the job engine, grouped by model
+    hash, each on a kept model; ``options`` go to :class:`_Sweep`."""
     # Serial jobs emit straight into the parent's sinks.  A worker has
     # none, so it captures its spans and metric delta into the value it
     # returns, but only when someone is recording.
-    return partial(models.run, capture=parallel and get_tracer().has_sinks)
+    run = partial(
+        _run_job,
+        kept=KeptModel(),
+        cache=None if cache_dir is None else ResultCache(cache_dir),
+        capture=processes is not None and processes > 1 and get_tracer().has_sinks,
+    )
+    groups = [job.model_hash() for job in jobs]
+    return _Sweep(run, jobs, groups=groups, **options).run(processes)
 
 
 def run_simulations(
@@ -253,8 +220,9 @@ def run_simulations(
     The strict form of :func:`run_simulations_resilient`, as
     :func:`fan_out` is of :func:`resilient_fan_out`: the first failed
     job raises.  Jobs that share a thermal model (one
-    :meth:`Scenario.model_hash`) assemble it once per sweep; results
-    equal fresh :func:`~repro.scenario.run_scenario` runs.  With
+    :meth:`Scenario.model_hash`) run back to back on one kept model
+    per process; results equal fresh
+    :func:`~repro.scenario.run_scenario` runs.  With
     ``cache_dir`` set, jobs are served from (and written to) the
     on-disk result cache keyed by scenario content hash + code version,
     so a repeated sweep point costs a pickle load instead of a solve.
@@ -266,10 +234,10 @@ def run_simulations(
     with tracer.span(
         "sweep.run_simulations", jobs=len(jobs), processes=processes or 1
     ):
-        values = fan_out(_job_runner(jobs, processes, cache_dir), jobs, processes)
+        outcome = _simulate(jobs, processes, cache_dir, strict=True)
         return [
             (job.label, _merge_worker_value(tracer, job.label, value))
-            for job, value in zip(jobs, values)
+            for job, (_, value) in zip(jobs, outcome.results)
         ]
 
 
@@ -458,12 +426,13 @@ def _job_error(exc: BaseException, start: Optional[float]) -> Dict[str, object]:
     }
 
 
-def _run_in_worker(conn, fn: Callable, item: object) -> None:
-    """Worker-process entry: run one job, send its outcome, exit.
+def _run_in_worker(conn, item: object, *, fn: Callable) -> None:
+    """Worker-process entry: run one job and send its outcome.
 
     The outcome is ``{"kind": "done", "value": ...}`` or the job's
     error; an exception that does not pickle travels without itself,
-    a value that does not pickle as the error of pickling it.
+    a value that does not pickle as the error of pickling it.  The
+    pipe stays open: the worker parks on it after a ``done``.
     """
     start = _time.perf_counter()
     try:
@@ -477,7 +446,6 @@ def _run_in_worker(conn, fn: Callable, item: object) -> None:
             message = _job_error(exc, None)
         del message["exception"]
         conn.send(message)
-    conn.close()
 
 
 _PHASES = {"error": "exception", "crash": "worker-crash", "timeout": "timeout"}
@@ -490,11 +458,14 @@ class _Sweep:
 
     ``strict`` turns the first failure that has no attempts left into
     an exception (the :func:`fan_out` contract) instead of a record.
+    ``groups`` names each item's group (default: one): a group's items
+    run back to back, in one group's workers only.
     """
 
     fn: Callable
     work: list
     keys: Optional[Sequence[object]] = None
+    groups: Optional[Sequence[Hashable]] = None
     timeout_s: Optional[float] = None
     retry: RetryPolicy = RetryPolicy(retries=0, backoff_s=0.0)
     checkpoint_path: Optional[Path] = None
@@ -506,6 +477,8 @@ class _Sweep:
         self.keys = list(range(total)) if self.keys is None else list(self.keys)
         if len(self.keys) != total:
             raise ValueError("keys must match items one-to-one")
+        if self.groups is None:
+            self.groups = [None] * total
         if self.retry.retries < 0:
             raise ValueError("retries must be non-negative")
         self.results = _load_checkpoint(self.checkpoint_path, total)
@@ -514,7 +487,11 @@ class _Sweep:
         self._unsaved = 0
 
     def run(self, processes: Optional[int]) -> SweepOutcome:
+        first: Dict[Hashable, int] = {}  # groups run in order of appearance
+        for index, group in enumerate(self.groups):
+            first.setdefault(group, index)
         pending = [i for i in range(len(self.work)) if i not in self.results]
+        pending.sort(key=lambda i: first[self.groups[i]])
         try:
             if processes is None or processes <= 1:
                 self._run_serial(pending)
@@ -581,13 +558,16 @@ class _Sweep:
                     break
 
     def _run_workers(self, pending: List[int], processes: int) -> None:
-        """Each attempt in a worker of its own, at most ``processes`` alive.
+        """The jobs in at most ``processes`` workers.
 
-        Jobs start in submission order; a failed one goes to the back
-        and starts once its backoff has ended.  The shared
-        :class:`AttemptTable` keeps the workers, deadlines and backoffs.
+        Jobs start in ``pending`` order; a failed one goes to the back
+        and starts once its backoff has ended.  ``fn`` is bound into each
+        worker at its start, so its state (a kept model) outlives a job.
+        The shared :class:`AttemptTable` keeps the workers, deadlines
+        and backoffs.
         """
         table = AttemptTable(retry=self.retry, timeout_s=self.timeout_s)
+        target = partial(_run_in_worker, fn=self.fn)
         waiting = deque(pending)
         try:
             while waiting or table.running:
@@ -595,8 +575,10 @@ class _Sweep:
                 for index in list(islice(filter(table.ready, waiting), free)):
                     waiting.remove(index)
                     self.attempts[index] += 1
-                    args = (self.fn, self.work[index])
-                    table.start(index, _run_in_worker, args, daemon=False)
+                    args, group = (self.work[index],), self.groups[index]
+                    table.dispatch(
+                        index, target, args, group=group, slots=processes, daemon=False
+                    )
                 table.wait()
                 for attempt in table.poll():
                     index, outcome = attempt.key, attempt.outcome
@@ -631,11 +613,11 @@ def resilient_fan_out(
 ) -> SweepOutcome:
     """Fan out with per-job isolation: one bad job cannot sink the grid.
 
-    With ``processes > 1`` every attempt runs in a worker process of
-    its own (:class:`repro.workers.AttemptTable`, which the job
-    service drives too), at most ``processes`` at a time, and reports
-    its outcome over a one-way pipe.  Guarantees, relative to plain
-    :func:`fan_out`:
+    With ``processes > 1`` the attempts run in at most ``processes``
+    worker processes (:class:`repro.workers.AttemptTable`, which the
+    job service drives too), and each reports its outcome over a
+    one-way pipe.  A worker runs attempts until one fails.  Guarantees,
+    relative to plain :func:`fan_out`:
 
     * a job that **raises** is retried ``retries`` times with
       exponential backoff spread by ``backoff_jitter`` (a ±fraction of
@@ -696,7 +678,7 @@ def run_simulations_resilient(
     jobs that completed and whose ``failures`` carry a structured
     :class:`JobFailure` per job that could not be salvaged.  See
     :func:`resilient_fan_out` for the retry/timeout/crash semantics.
-    Models are shared and ``cache_dir`` honoured exactly as in
+    Models are kept and ``cache_dir`` honoured exactly as in
     :func:`run_simulations`.
     """
     jobs = list(jobs)
@@ -706,15 +688,13 @@ def run_simulations_resilient(
         jobs=len(jobs),
         processes=processes or 1,
     ):
-        outcome = resilient_fan_out(
-            _job_runner(jobs, processes, cache_dir),
+        outcome = _simulate(
             jobs,
             processes,
+            cache_dir,
             keys=[job.label for job in jobs],
             timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            backoff_jitter=backoff_jitter,
+            retry=RetryPolicy(retries, backoff_s, jitter=backoff_jitter),
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
         )

@@ -546,9 +546,11 @@ def cmd_top(args: argparse.Namespace) -> int:
             f"(uptime {snap['uptime_s']:.0f}s)"
         )
         print(f"jobs: {counts or 'none yet'}")
+        workers = snap["workers"]
         print(
-            f"workers {snap['workers']['busy']}/{snap['workers']['max']} "
-            f"busy | queue depth {value('service.queue.depth'):.0f} | "
+            f"workers {workers['busy']}/{workers['max']} busy, "
+            f"{workers['parked']} parked | "
+            f"queue depth {value('service.queue.depth'):.0f} | "
             f"wal {value('service.wal.bytes') / 1024:.1f} KiB | "
             f"breakers open {value('service.breaker.open'):.0f}"
         )

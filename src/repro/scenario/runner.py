@@ -245,6 +245,34 @@ def build_model(
     )
 
 
+class KeptModel:
+    """The thermal model a process keeps between its jobs: a serial
+    sweep, a sweep worker or a service worker."""
+
+    def __init__(self) -> None:
+        self.key: Optional[str] = None
+        self.model: Optional[CompactThermalModel] = None
+
+    def for_run(
+        self, scenario: Scenario, cache: Optional[ResultCache] = None
+    ) -> Optional[CompactThermalModel]:
+        """The model ``scenario`` runs on: built on the first job of its
+        model hash, and reset to a fresh model's run state
+        (:meth:`CompactThermalModel.reset_run_state`) for every later
+        one, so each run equals a run on a model of its own, bitwise.
+        ``None`` when the result cache already holds the result, which
+        needs no model."""
+        if cache is not None and cache.path(scenario).exists():
+            return None
+        key = scenario.model_hash()
+        if key != self.key or self.model is None:
+            self.key, self.model = key, None  # free the old model first
+            self.model = build_model(scenario)
+        else:
+            self.model.reset_run_state()
+        return self.model
+
+
 def build_simulator(
     scenario: Scenario,
     *,
@@ -252,7 +280,7 @@ def build_simulator(
 ) -> SystemSimulator:
     """Wire a scenario into a ready-to-run :class:`SystemSimulator`.
 
-    A pre-assembled ``model`` (simulation sweeps share one per
+    A pre-assembled ``model`` (a :class:`KeptModel` keeps one per
     :meth:`Scenario.model_hash`) supplies the stack as well — the hash
     guarantees it was built from an identical stack spec.
     """
@@ -287,8 +315,9 @@ class Runner:
         The experiment spec (validated on construction).
     model:
         Optional pre-assembled thermal model to reuse (must match the
-        scenario's :meth:`~Scenario.model_hash`; simulation sweeps use
-        this to share assembly across jobs).
+        scenario's :meth:`~Scenario.model_hash`; sweeps and service
+        workers pass their :class:`KeptModel`'s to share assembly
+        across jobs).
     cache:
         Optional :class:`~repro.scenario.cache.ResultCache`.  When set,
         :meth:`run` first looks the scenario's content hash up on disk

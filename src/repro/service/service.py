@@ -283,10 +283,7 @@ class ScenarioJobService:
             "pid": os.getpid(),
             "uptime_s": time.time() - self.started_at,
             "counts": self.store.counts(),
-            "workers": {
-                "busy": self.supervisor.busy,
-                "max": self.supervisor.max_workers,
-            },
+            "workers": self.supervisor.worker_status(),
             "breaker": self.supervisor.breaker.snapshot(),
             "recovery": {
                 "jobs": recovery.jobs,
@@ -315,10 +312,7 @@ class ScenarioJobService:
             },
             "watchdog": watchdog.snapshot() if watchdog else {},
             "counts": self.store.counts(),
-            "workers": {
-                "busy": self.supervisor.busy,
-                "max": self.supervisor.max_workers,
-            },
+            "workers": self.supervisor.worker_status(),
             "breaker": self.supervisor.breaker.snapshot(),
         }
 

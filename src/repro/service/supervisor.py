@@ -56,9 +56,8 @@ from ..obs.live import (
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
-from ..scenario.runner import Runner, build_model
+from ..scenario.runner import KeptModel, Runner
 from ..scenario.spec import Scenario
-from ..thermal.model import CompactThermalModel
 from ..workers import (
     EXIT_GRACE_S,  # noqa: F401 - part of this module's API
     Attempt,
@@ -104,33 +103,6 @@ def _append_run_log(path: str, payload: dict) -> None:
         os.close(fd)
 
 
-class KeptModel:
-    """The thermal model one worker keeps between its jobs."""
-
-    def __init__(self) -> None:
-        self.key: Optional[str] = None
-        self.model: Optional[CompactThermalModel] = None
-
-    def for_run(
-        self, scenario: Scenario, cache: ResultCache
-    ) -> Optional[CompactThermalModel]:
-        """The model ``scenario`` runs on: built on the first job of its
-        model hash, and reset to a fresh model's run state
-        (:meth:`CompactThermalModel.reset_run_state`) for every later
-        one, so each run equals a run on a model of its own, bitwise.
-        ``None`` when the result cache already holds the result, which
-        needs no model."""
-        if cache.path(scenario).exists():
-            return None
-        key = scenario.model_hash()
-        if key != self.key or self.model is None:
-            self.key, self.model = key, None  # free the old model first
-            self.model = build_model(scenario)
-        else:
-            self.model.reset_run_state()
-        return self.model
-
-
 def worker_main(
     conn,
     job_id: str,
@@ -140,7 +112,7 @@ def worker_main(
     trace_id: Optional[str] = None,
     profile_path: Optional[str] = None,
     *,
-    kept: Optional[KeptModel] = None,
+    kept: KeptModel,
 ) -> None:
     """Process-worker entry: solve one scenario and report.
 
@@ -191,8 +163,7 @@ def worker_main(
             profiler = SamplingProfiler()
         telemetry: Dict[str, object] = {}
         with capture_telemetry(telemetry):
-            model = None if kept is None else kept.for_run(scenario, cache)
-            runner = Runner(scenario, model=model, cache=cache)
+            runner = Runner(scenario, model=kept.for_run(scenario, cache), cache=cache)
             if profiler is not None:
                 with profiler:
                     runner.run()
@@ -368,23 +339,17 @@ class Supervisor:
     def busy(self) -> int:
         return len(self.workers.running)
 
-    def _start(self, job: Job, args: tuple) -> Attempt:
-        """Run ``job``'s attempt in a parked worker of its model hash, or
-        in a new worker, reaping the least recently used parked worker
-        first when every slot holds one.  A parked worker found dead
-        costs the job nothing: it is reaped and the next option taken."""
-        group = job.scenario.model_hash()
-        table = self.workers
-        for worker in [w for w in reversed(table.parked) if w.group == group]:
-            attempt = table.hand_over(worker, job.job_id, args)
-            if attempt is not None:
-                self._c_handovers.inc()
-                return attempt
-        if table.parked and len(table.running) + len(table.parked) >= self.max_workers:
-            table.reap(table.parked[0])
-        self._c_forked.inc()
-        target = functools.partial(worker_main, kept=KeptModel())
-        return table.start(job.job_id, target, args, daemon=True, group=group)
+    def worker_status(self) -> Dict[str, object]:
+        """The workers the supervisor holds: ``busy`` running an
+        attempt, ``parked`` waiting for a job of the model hash listed
+        in ``parked_models`` (least recently used first), and ``max``."""
+        parked = self.workers.parked
+        return {
+            "busy": self.busy,
+            "parked": len(parked),
+            "max": self.max_workers,
+            "parked_models": [worker.group for worker in parked],
+        }
 
     def _dispatch(self, job: Job) -> None:
         profile_path: Optional[str] = None
@@ -395,8 +360,10 @@ class Supervisor:
         self.store.transition(
             job.job_id, JobState.RUNNING, attempts=job.attempts + 1
         )
-        attempt = self._start(
-            job,
+        # A new worker keeps the model of its jobs' hash.
+        attempt = self.workers.dispatch(
+            job.job_id,
+            functools.partial(worker_main, kept=KeptModel()),
             (
                 job.job_id,
                 job.scenario.to_dict(),
@@ -405,7 +372,11 @@ class Supervisor:
                 job.trace_id,
                 profile_path,
             ),
+            group=job.scenario.model_hash(),
+            slots=self.max_workers,
+            daemon=True,
         )
+        (self._c_handovers if attempt.handed_over else self._c_forked).inc()
         pid = attempt.process.pid
         self.store.jobs[job.job_id].worker_pid = pid
         self._c_dispatched.inc()

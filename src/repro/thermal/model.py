@@ -1076,15 +1076,6 @@ class CompactThermalModel:
         self.clear_warm_starts()
         self.reset_cooling_state()
 
-    def prewarm(self) -> None:
-        """Build the set-up every run of this model needs first: the block
-        masks with the power-injection operator, and the steady chain's
-        first-rung operator (LU factor or AMG hierarchy) at the current
-        flow.  Forked workers inherit a prewarmed model copy-on-write; a
-        run on it equals a run on a fresh model bitwise."""
-        self.injection_operator()
-        self.steady_operator()
-
     def transient_factor(self, dt: float) -> FactorEntry:
         """Cached ``(LU factor, boundary rhs, matrix)`` of ``C/dt + A(f)``
         at the current flow state (see :class:`TransientStepper`).

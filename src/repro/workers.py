@@ -11,15 +11,14 @@ when the worker exits without one, as a timeout when it is overdue),
 reaps workers, and schedules a failed job's retry after a jittered
 backoff.
 
-A worker runs attempts until it is handed none.  One started without
-a ``group`` (every sweep worker) is handed none after its first and
-exits.  One started with a group parks after an attempt that ends
-``done`` and waits on a second pipe: the parent may hand it the next
-attempt of that group (:meth:`AttemptTable.hand_over`), so the state
-the worker keeps between attempts (a service worker's thermal model)
-is reused, or reap it.  A parked worker exits on EOF from its parent,
-so it never outlives the parent.  A caller decides what to run, how
-many workers may be alive and what an outcome means.
+A worker runs the attempts of one ``group`` until it is handed none:
+after an attempt that ends ``done`` it parks on a second pipe, and the
+parent hands it the next attempt of its group
+(:meth:`AttemptTable.dispatch`), so the state it keeps between
+attempts (a thermal model) is reused, or reaps it.  A parked worker
+exits on EOF from its parent, so it never outlives the parent.  A
+caller decides what to run, how many workers may be alive and what an
+outcome means.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ before it is killed."""
 def _child_main(
     target: Callable[..., None],
     conn: Connection,
-    inbox: Optional[Connection],
+    inbox: Connection,
     inherited: Sequence[Connection],
     *args,
 ) -> None:
@@ -71,8 +70,6 @@ def _child_main(
         end.close()
     while True:
         target(conn, *args)
-        if inbox is None:
-            return
         try:
             conn.send({"kind": "parked"})
             args = inbox.recv()
@@ -161,11 +158,12 @@ class Attempt:
     last_heartbeat: float
     last_heartbeat_wall: float
     outcome: Optional[dict] = None  # the one outcome, once settled
-    # Write end of the worker's work pipe; None for a one-attempt worker
-    # and once the worker may take no further attempt.
+    # Write end of the worker's work pipe; None once the worker may take
+    # no further attempt.
     inbox: Optional[Connection] = None
-    group: Optional[Hashable] = None  # the attempts the worker may take
+    group: Hashable = None  # the attempts the worker may take
     parked: bool = False  # the worker reported that it waits for work
+    handed_over: bool = False  # a parked worker took this attempt
 
 
 def _ignore(_value: float) -> None:
@@ -219,6 +217,29 @@ class AttemptTable:
         workers = [*self.running.values(), *self.parked]
         return [end for w in workers for end in (w.conn, w.inbox) if end]
 
+    def dispatch(
+        self,
+        key: Hashable,
+        target: Callable[..., None],
+        args: Sequence[object],
+        *,
+        group: Hashable,
+        slots: int,
+        daemon: bool,
+    ) -> Attempt:
+        """Run ``key``'s attempt in a parked worker of ``group``, else in
+        a new one running ``target`` (:meth:`start`), after reaping the
+        least recently used parked worker when all ``slots`` are taken.
+        A parked worker found dead is reaped and costs the attempt
+        nothing."""
+        for worker in [w for w in reversed(self.parked) if w.group == group]:
+            attempt = self.hand_over(worker, key, args)
+            if attempt is not None:
+                return attempt
+        if self.parked and len(self.running) + len(self.parked) >= slots:
+            self.reap(self.parked[0])
+        return self.start(key, target, args, daemon=daemon, group=group)
+
     def start(
         self,
         key: Hashable,
@@ -226,7 +247,7 @@ class AttemptTable:
         args: Sequence[object],
         *,
         daemon: bool,
-        group: Optional[Hashable] = None,
+        group: Hashable = None,
     ) -> Attempt:
         """Run ``target(conn, *args)`` in a new worker for ``key``.
 
@@ -234,13 +255,13 @@ class AttemptTable:
         no copy of it, so the read end reports EOF once the worker has
         exited, with or without sending anything.  The process uses the
         default start method: under fork, ``target`` and ``args`` are
-        inherited, not pickled.  With a ``group`` the worker parks after
-        a ``done`` attempt instead of exiting (see :meth:`hand_over`).
+        inherited, not pickled.  After a ``done`` attempt the worker
+        parks instead of exiting (see :meth:`hand_over`).
         """
         context = multiprocessing.get_context()
         reader, writer = context.Pipe(duplex=False)
-        work, inbox = context.Pipe(duplex=False) if group is not None else (None, None)
-        inherited = [reader, *([inbox] if inbox else []), *self._ends()]
+        work, inbox = context.Pipe(duplex=False)
+        inherited = [reader, inbox, *self._ends()]
         if context.get_start_method() != "fork":
             inherited = []  # nothing is inherited, and a pickled copy would be
         process = context.Process(
@@ -252,8 +273,7 @@ class AttemptTable:
             process.start()
         finally:
             writer.close()
-            if work is not None:
-                work.close()
+            work.close()
         now, wall = time.monotonic(), time.time()
         attempt = self.running[key] = Attempt(
             key, process, reader, now, wall, now, wall, inbox=inbox, group=group
@@ -290,6 +310,7 @@ class AttemptTable:
             wall,
             inbox=worker.inbox,
             group=worker.group,
+            handed_over=True,
         )
         self.not_before.pop(key, None)
         return attempt

@@ -2,12 +2,14 @@
 
 The sweep and service suites run it end to end; these tests pin the
 parts they do not reach: an outcome that does not unpickle, the stale
-heartbeat check, the order of reaping, and the retry schedule.
+heartbeat check, the order of reaping, the retry schedule, and where
+:meth:`AttemptTable.dispatch` runs an attempt.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 
 from repro.workers import AttemptTable, RetryPolicy
@@ -31,6 +33,10 @@ def _send_bomb(conn) -> None:
 
 def _silent(conn) -> None:
     time.sleep(30.0)
+
+
+def _done(conn) -> None:
+    conn.send({"kind": "done", "value": os.getpid()})
 
 
 def _settle_one(table: AttemptTable, timeout: float = 10.0):
@@ -95,3 +101,36 @@ def test_retry_schedule_waits_out_the_backoff_and_stops_when_exhausted():
     table.wait()  # nothing runs: sleeps until the backoff ends
     assert table.ready("job")
     assert not table.retry_later("job", attempts=2)
+
+
+def _park(table: AttemptTable, timeout: float = 10.0) -> None:
+    """Poll until every running attempt has settled and parked."""
+    deadline = time.monotonic() + timeout
+    while table.running:
+        assert time.monotonic() < deadline, "no worker parked"
+        table.wait(deadline - time.monotonic())
+        for attempt in table.poll():
+            assert attempt.outcome["kind"] == "done"
+
+
+def test_dispatch_hands_over_in_the_group_and_reaps_the_least_recently_used():
+    table = AttemptTable()
+    try:
+        first = table.dispatch("a", _done, (), group="x", slots=2, daemon=False)
+        _park(table)
+        again = table.dispatch("b", _done, (), group="x", slots=2, daemon=False)
+        assert again.handed_over and again.process is first.process
+        _park(table)
+        # A free slot: a job of another group starts a second worker.
+        other = table.dispatch("c", _done, (), group="y", slots=2, daemon=False)
+        assert not other.handed_over and other.process is not first.process
+        _park(table)
+        assert [worker.group for worker in table.parked] == ["x", "y"]
+        # Every slot holds a parked worker: the least recently used goes.
+        table.dispatch("d", _done, (), group="z", slots=2, daemon=False)
+        assert [worker.group for worker in table.parked] == ["y"]
+        _park(table)
+        assert [worker.group for worker in table.parked] == ["y", "z"]
+    finally:
+        table.close()
+    assert multiprocessing.active_children() == []

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import run_simulations, run_simulations_resilient
-from repro.analysis.sweep import _SweepModels
 from repro.core import SystemSimulator, paper_policies
 from repro.faults import FaultScenario, run_fault_campaign
 from repro.geometry import build_3d_mpsoc
@@ -19,7 +18,7 @@ from repro.scenario import (
     WorkloadSpec,
     run_scenario,
 )
-from repro.scenario.runner import build_trace
+from repro.scenario.runner import KeptModel, build_trace
 from repro.scenario.spec import SUITE_WORKLOADS
 from repro.workload import paper_workload_suite
 
@@ -191,19 +190,19 @@ def test_shared_payload_dedupes_scenarios_and_models():
     a = _scenario(workload="web")
     b = _scenario(workload="database")
     jobs = [a, a, b]
-    models = _SweepModels(jobs, None)
-    # same stack + solver spec -> one shared thermal model for all jobs
-    assert list(models.uses) == [a.model_hash()]
-    shared = [models.model(job) for job in jobs]
+    # same stack + solver spec -> one kept thermal model for all jobs
+    assert {job.model_hash() for job in jobs} == {a.model_hash()}
+    kept = KeptModel()
+    shared = [kept.for_run(job) for job in jobs]
     assert shared[0] is not None
     assert all(model is shared[0] for model in shared)
 
 
 def test_shared_model_reused_across_scenario_jobs():
     jobs = [_scenario(workload="web"), _scenario(workload="database")]
-    models = _SweepModels(jobs, None)
-    first = models.model(jobs[0])
-    second = models.model(jobs[1])
+    kept = KeptModel()
+    first = kept.for_run(jobs[0])
+    second = kept.for_run(jobs[1])
     assert first is not None and second is first
 
 

@@ -417,12 +417,47 @@ def _pid(_item) -> int:
     return os.getpid()
 
 
-def test_a_sweep_worker_runs_one_attempt():
+def test_a_sweep_worker_parks_and_takes_the_next_attempt():
     from repro.analysis import resilient_fan_out
 
-    outcome = resilient_fan_out(_pid, range(3), processes=2)
+    outcome = resilient_fan_out(_pid, range(6), processes=2)
     pids = [pid for _, pid in outcome.results]
-    assert outcome.complete and len(set(pids)) == 3
+    # The first two items start the two workers; each later item is
+    # handed to whichever worker parked first.
+    assert outcome.complete and len(set(pids)) == 2
+
+
+def test_health_metrics_and_top_show_the_parked_worker(tmp_path, capsys):
+    from repro.cli import main
+
+    service = ScenarioJobService(
+        tmp_path / "svc",
+        max_workers=2,
+        fsync=False,
+        poll_interval_s=0.02,
+        drain_timeout_s=10.0,
+    )
+    service.start_background()
+    try:
+        client = ServiceClient(service.address)
+        scenario = _small(1)
+        job_id = client.submit(scenario.to_dict())["job_id"]
+        assert client.wait_for(job_id, timeout=120.0)["state"] == "DONE"
+        parked = {
+            "busy": 0,
+            "parked": 1,
+            "max": 2,
+            "parked_models": [scenario.model_hash()],
+        }
+        deadline = time.monotonic() + 10.0
+        while client.health()["workers"] != parked:  # it parks after DONE
+            assert time.monotonic() < deadline, client.health()["workers"]
+            time.sleep(0.02)
+        assert client.metrics()["workers"] == parked
+        assert main(["top", "--once", "--root", str(service.root)]) == 0
+        assert "workers 0/2 busy, 1 parked |" in capsys.readouterr().out
+    finally:
+        service.stop_background()
 
 
 # ---------------------------------------------------------------------------

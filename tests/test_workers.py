@@ -1,10 +1,12 @@
-"""The sweep engine's executor: one worker process per job attempt.
+"""The sweep engine's executor: job attempts in worker processes.
 
-Each attempt runs in a process of its own, started and reaped by
-``repro.workers``, so a crash or a timeout fails that job alone, a
-deadline counts from the job's own start, and no worker outlives the
-sweep.  Every job appends one character to a marker file per run, so
-the tests can count how often each job ran.
+Each attempt runs in a worker process started and reaped by
+``repro.workers``.  A worker parks after a job that succeeded and takes
+the next one, while a job that fails retires its worker.  So a crash or
+a timeout fails that job alone, a deadline counts from the job's own
+start, and no worker outlives the sweep.  Every job appends one
+character to a marker file per run, so the tests can count how often
+each job ran.
 """
 
 from __future__ import annotations
@@ -74,6 +76,31 @@ def test_crash_retries_only_the_crashed_job(tmp_path):
     assert failure.attempts == 2
     assert "exit code 13" in failure.message
     assert _runs(tmp_path, actions) == {"a": 1, "b": 1, "crash": 2, "d": 1}
+
+
+def _pid_job(arg):
+    directory, name, _action = arg
+    (Path(directory) / f"pid-{name}").write_text(str(os.getpid()))
+    _job(arg)
+    return os.getpid()
+
+
+@pytest.mark.parametrize("action", ["raise", "exit", "hang"])
+def test_a_failed_job_retires_its_worker(tmp_path, action):
+    names = ["a", "bad", "c", "d", "e"]
+    jobs = [
+        (str(tmp_path), name, action if name == "bad" else 0.0) for name in names
+    ]
+    outcome = resilient_fan_out(
+        _pid_job, jobs, processes=2, timeout_s=1.0, retries=0
+    )
+    (failure,) = outcome.failures
+    assert failure.key == 1
+    # The jobs after it ran, but none in the worker the bad job had.
+    bad = int((tmp_path / "pid-bad").read_text())
+    later = [pid for key, pid in outcome.results if key > 1]
+    assert len(later) == 3 and bad not in later
+    assert multiprocessing.active_children() == []
 
 
 def test_no_worker_outlives_an_interrupted_sweep(tmp_path):
