@@ -40,7 +40,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.thermal.krylov import direct_node_limit
+from repro.thermal.krylov import DIRECT_NODE_LIMIT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_thermal.json"
@@ -215,7 +215,7 @@ def sweep(sizes=SIZES, timeout=TIMEOUT_S, verbose=False):
         "sizes": list(f"{s}x{s}" for s in sizes),
         "crossover_nodes": crossover_nodes,
         "amg_crossover_nodes": amg_crossover_nodes,
-        "direct_node_limit": direct_node_limit(),
+        "direct_node_limit": DIRECT_NODE_LIMIT,
         "curves": curves,
     }
 
@@ -238,7 +238,7 @@ def test_crossover_iterative_beats_direct_at_large_grids():
     assert small["direct"]["status"] == "ok"
     # 150x150 per level (~270k nodes) is beyond the limit: the
     # iterative backend must finish and beat (or outlive) direct LU.
-    assert large["nodes"] > direct_node_limit()
+    assert large["nodes"] > DIRECT_NODE_LIMIT
     assert iterative_wins(large["direct"], large["iterative"])
     # The iterative path must stay in the 2 GB class at this size.
     assert large["iterative"]["peak_rss_mb"] < 2048.0

@@ -56,8 +56,8 @@ def bench_fanout_setup(n_jobs: int = 6) -> Dict[str, float]:
     pickle round-trip of the job plus building its simulator, a full
     thermal-model assembly included.  "shared" is what a later job of
     a model hash pays in a sweep or a warm service worker: its
-    simulator reuses the process's ``KeptModel``, reset to a fresh
-    model's run state.  Either way the job builds its policy, trace and
+    simulator reuses the process's ``KeptModel``, whose run state the
+    run itself resets.  Either way the job builds its policy, trace and
     faults from the spec.  Measured in-process over 2-tier LC_LB jobs
     at the default grid resolution.
     """

@@ -32,14 +32,14 @@ solver-error taxonomy — instead of a raw traceback.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..geometry.stack import Cavity, TwoPhaseCavity
 from ..heat_transfer.convection import cavity_effective_htc
+from ..keyed_cache import CacheInfo, KeyedCache
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..twophase.evaporator import DryoutError, MicroEvaporator
@@ -57,6 +57,14 @@ convective cell conductance, making the cells effectively Dirichlet
 nodes without harming the matrix conditioning.  Re-exported by
 :mod:`repro.thermal.model` for backwards compatibility.
 """
+
+MARCH_CACHE_SIZE = 32
+"""Marches each two-phase backend caches (least recently used first)."""
+
+FLOW_QUANTUM_ML_MIN = 1e-3
+FLUX_QUANTUM_W_M2 = 100.0
+"""Quantisation of the march cache key: a command within one flow and
+flux quantum of a cached one reuses its march."""
 
 
 @dataclass(frozen=True)
@@ -102,8 +110,8 @@ class HydraulicState:
         Row-averaged axial profiles of the last two-phase march
         (``None`` for static/single-phase backends).
     dryout_margin:
-        ``1 - max outlet quality`` seen since the last reset; the
-        headroom to dry-out (``None`` when never marched).
+        ``1 - max outlet quality`` seen by this backend; the headroom
+        to dry-out (``None`` when never marched).
     cache:
         ``(hits, misses, currsize, maxsize)`` of the march cache.
     """
@@ -116,7 +124,7 @@ class HydraulicState:
     htc_w_m2k: Optional[np.ndarray] = None
     quality: Optional[np.ndarray] = None
     dryout_margin: Optional[float] = None
-    cache: Optional[Tuple[int, int, int, int]] = None
+    cache: Optional[CacheInfo] = None
 
 
 @dataclass(frozen=True)
@@ -134,33 +142,26 @@ class CoolingConfig:
     segments_per_row:
         Marching segments per grid column (axial resolution of the
         quasi-static coupling).
-    cache_size:
-        LRU capacity of the (flow, flux pattern, quality) march cache.
-    flow_quantum_ml_min, flux_quantum_w_m2:
-        Quantisation of the cache key; commands within one quantum
-        reuse the cached march.
     """
 
     dynamic: bool = False
     inlet_quality: float = 0.03
     segments_per_row: int = 4
-    cache_size: int = 32
-    flow_quantum_ml_min: float = 1e-3
-    flux_quantum_w_m2: float = 100.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.inlet_quality < 1.0:
             raise ValueError("inlet quality must be in [0, 1)")
         if self.segments_per_row < 1:
             raise ValueError("need at least one segment per row")
-        if self.cache_size < 1:
-            raise ValueError("cache must hold at least one march")
-        if self.flow_quantum_ml_min <= 0.0 or self.flux_quantum_w_m2 <= 0.0:
-            raise ValueError("cache quanta must be positive")
 
 
 class CoolingBackend:
-    """Base cooling backend: static, flow-insensitive coupling."""
+    """Base cooling backend: static, flow-insensitive coupling.
+
+    A backend holds the run state of its cavity and nothing else a run
+    changes: the thermal model builds new backends for every run (see
+    :class:`repro.thermal.model.RunState`).
+    """
 
     #: Backend name, reported in :class:`HydraulicState`; subclasses
     #: override.
@@ -212,10 +213,6 @@ class CoolingBackend:
             dynamic=self.dynamic,
         )
 
-    def reset(self) -> None:
-        """Clear run-state between simulation runs."""
-        self._flow_ml_min = None
-
 
 class SinglePhaseLiquidBackend(CoolingBackend):
     """Single-phase liquid micro-channel cooling (Section II-A).
@@ -248,7 +245,10 @@ class TwoPhaseBackend(CoolingBackend):
     the row-averaged saturation profile replaces the static anchor
     temperature (quasi-static coupling).  Marches are LRU-cached on the
     quantised (flow, flux pattern, inlet quality) key, so a settled
-    control loop pays one march per distinct operating point.
+    control loop pays one march per distinct operating point.  A cached
+    march is the march of the first flux that landed in its key, not a
+    function of the key, so the cache is run state: it goes with the
+    backend when the model starts the next run.
     """
 
     name = "two_phase"
@@ -270,15 +270,12 @@ class TwoPhaseBackend(CoolingBackend):
             length=geometry.length,
             channels=geometry.channel_count,
         )
-        self._cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._cache_hits = 0
-        self._cache_misses = 0
+        self._cache = KeyedCache(MARCH_CACHE_SIZE, hits="cooling.march_cache_hits")
         self._last_solution = None
         self._last_rows: Optional[int] = None
         self._min_dryout_margin: Optional[float] = None
         registry = get_registry()
         self._c_marches = registry.counter("cooling.march_calls")
-        self._c_cache_hits = registry.counter("cooling.march_cache_hits")
         self._c_dryouts = registry.counter("cooling.dryout_events")
 
     @property
@@ -314,11 +311,9 @@ class TwoPhaseBackend(CoolingBackend):
     def _march_key(
         self, flow_ml_min: float, flux: np.ndarray, inlet_quality: float
     ) -> tuple:
-        quantum_f = self.config.flow_quantum_ml_min
-        quantum_q = self.config.flux_quantum_w_m2
         return (
-            int(round(flow_ml_min / quantum_f)),
-            tuple(np.rint(flux / quantum_q).astype(np.int64).tolist()),
+            int(round(flow_ml_min / FLOW_QUANTUM_ML_MIN)),
+            tuple(np.rint(flux / FLUX_QUANTUM_W_M2).astype(np.int64).tolist()),
             round(float(inlet_quality), 6),
         )
 
@@ -362,23 +357,10 @@ class TwoPhaseBackend(CoolingBackend):
             if inlet_quality is None
             else float(inlet_quality)
         )
-        key = self._march_key(flow_ml_min, flux, quality)
-        entry = self._cache.get(key)
-        if entry is not None:
-            self._cache.move_to_end(key)
-            self._cache_hits += 1
-            self._c_cache_hits.inc()
-        else:
-            self._cache_misses += 1
-            solution = self._march(flow_ml_min, flux, quality, rows)
-            # Every hit returns the row-averaged saturation profile, so
-            # it is folded once, with the march (the key fixes rows).
-            profile = solution.row_means(rows).saturation_k
-            profile.flags.writeable = False
-            entry = self._cache[key] = (solution, profile)
-            if len(self._cache) > self.config.cache_size:
-                self._cache.popitem(last=False)
-        solution, profile = entry
+        solution, profile = self._cache.get(
+            self._march_key(flow_ml_min, flux, quality),
+            lambda: self._march(flow_ml_min, flux, quality, rows),
+        )
         self._last_solution = solution
         self._last_rows = rows
         margin = 1.0 - float(solution.quality[-1])
@@ -388,7 +370,12 @@ class TwoPhaseBackend(CoolingBackend):
 
     def _march(
         self, flow_ml_min: float, flux: np.ndarray, quality: float, rows: int
-    ):
+    ) -> tuple:
+        """``(solution, row-averaged saturation profile)`` of one march.
+
+        Every cache hit returns the profile, so it is folded once, with
+        the march (the cache key fixes ``rows``), and made read-only.
+        """
         cavity = self.cavity
         assert isinstance(cavity, TwoPhaseCavity)
         segments = rows * self.config.segments_per_row
@@ -402,7 +389,7 @@ class TwoPhaseBackend(CoolingBackend):
             segments=segments,
         ):
             try:
-                return self.evaporator.march(
+                solution = self.evaporator.march(
                     profile,
                     self.mass_flow_kg_s(flow_ml_min),
                     cavity.saturation_k,
@@ -426,6 +413,9 @@ class TwoPhaseBackend(CoolingBackend):
                     f"{flow_ml_min:.1f} ml/min",
                     cavity=cavity.name,
                 ) from exc
+        saturation = solution.row_means(rows).saturation_k
+        saturation.flags.writeable = False
+        return solution, saturation
 
     def hydraulic_state(self) -> HydraulicState:
         saturation = htc = quality = None
@@ -444,26 +434,8 @@ class TwoPhaseBackend(CoolingBackend):
             htc_w_m2k=htc,
             quality=quality,
             dryout_margin=self._min_dryout_margin,
-            cache=(
-                self._cache_hits,
-                self._cache_misses,
-                len(self._cache),
-                self.config.cache_size,
-            ),
+            cache=self._cache.info(),
         )
-
-    def reset(self) -> None:
-        """Clear run-state: the margin tracker, the last march and the
-        march cache with its statistics.  A cached march is the march of
-        the exact flux of the first command in its quantised key, not a
-        function of the key, so it must not outlive the run."""
-        super().reset()
-        self._cache.clear()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._last_solution = None
-        self._last_rows = None
-        self._min_dryout_margin = None
 
 
 def backend_for_cavity(

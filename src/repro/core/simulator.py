@@ -126,7 +126,9 @@ class SystemSimulator:
         :meth:`~repro.scenario.Scenario.model_hash` share, so repeated
         short jobs skip the assembly cost entirely — warm factor caches
         carry over and stay valid because they are keyed by flow
-        signature.
+        signature.  Every :meth:`run` starts from a fresh run state
+        (:meth:`CompactThermalModel.reset_run_state`), on a reused
+        model as on a new one.
     """
 
     def __init__(
@@ -183,11 +185,6 @@ class SystemSimulator:
         self._cavity_names = list(self.model.cooled_cavity_names)
         if faults is not None:
             faults.install_sensor_faults(self.sensors)
-            self.model.install_cooling_faults(faults.flow_faults)
-        else:
-            # A pre-assembled model may be shared across runs; clear any
-            # cooling faults a previous (faulted) run installed.
-            self.model.install_cooling_faults([])
         if trace.threads < len(self.core_refs):
             raise ValueError(
                 f"trace provides {trace.threads} threads for "
@@ -244,7 +241,12 @@ class SystemSimulator:
         flow_hist = registry.histogram("sim.flow_ml_min")
         power_hist = registry.histogram("sim.chip_power_w")
         self.policy.reset()
-        self.model.reset_cooling_state()
+        # The one place a run's state is reset: the model may come from
+        # an earlier run, whose flows, warm starts, cooling backends and
+        # faults must not reach this one.
+        self.model.reset_run_state()
+        if self.faults is not None:
+            self.model.install_cooling_faults(self.faults.flow_faults)
         stepper = self._initial_state()
         energy = EnergyAccount()
         hotspots = HotSpotStats()

@@ -257,19 +257,17 @@ class KeptModel:
         self, scenario: Scenario, cache: Optional[ResultCache] = None
     ) -> Optional[CompactThermalModel]:
         """The model ``scenario`` runs on: built on the first job of its
-        model hash, and reset to a fresh model's run state
-        (:meth:`CompactThermalModel.reset_run_state`) for every later
-        one, so each run equals a run on a model of its own, bitwise.
-        ``None`` when the result cache already holds the result, which
-        needs no model."""
+        model hash and kept for every later one.  Each run starts from a
+        fresh run state (see :meth:`SystemSimulator.run
+        <repro.core.simulator.SystemSimulator.run>`), so it equals a run
+        on a model of its own, bitwise.  ``None`` when the result cache
+        already holds the result, which needs no model."""
         if cache is not None and cache.path(scenario).exists():
             return None
         key = scenario.model_hash()
         if key != self.key or self.model is None:
             self.key, self.model = key, None  # free the old model first
             self.model = build_model(scenario)
-        else:
-            self.model.reset_run_state()
         return self.model
 
 

@@ -29,10 +29,8 @@ stepper catch to fall back to the next rung.
 
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -41,8 +39,6 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, spilu
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .diagnostics import FactorizationError, IterativeConvergenceError
-
-logger = logging.getLogger(__name__)
 
 DIRECT_NODE_LIMIT = 75_000
 """Node count above which ``"auto"`` leaves the direct path for AMG.
@@ -54,8 +50,7 @@ many times faster at 100x100 (120k nodes) with a fraction of the
 memory.  The limit is deliberately higher than that cold crossover
 because the closed-loop and sweep paths amortise one cached LU over
 many repeated solves, where direct stays ahead until fill-in memory
-dominates.  Override with the ``REPRO_DIRECT_NODE_LIMIT`` environment
-variable.
+dominates.
 """
 
 SOLVER_CHOICES = ("auto", "direct", "iterative", "amg")
@@ -68,40 +63,6 @@ direct.  ``"iterative"`` runs ILU-preconditioned BiCGSTAB (guarded by
 the direct LU); ``"auto"`` resolves by size in :func:`choose_backend`.
 """
 
-_ENV_WARNED: Set[str] = set()
-
-
-def direct_node_limit() -> int:
-    """The direct-tier threshold, honouring ``REPRO_DIRECT_NODE_LIMIT``.
-
-    A malformed value must not silently vanish into the default: it is
-    counted (``solver.env.invalid``), traced and logged once per
-    process so a typo in a job script shows up in telemetry instead of
-    quietly mis-tiering every solve.
-    """
-    name = "REPRO_DIRECT_NODE_LIMIT"
-    raw = os.environ.get(name)
-    if raw is None:
-        return DIRECT_NODE_LIMIT
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        get_registry().counter("solver.env.invalid").inc()
-        if name not in _ENV_WARNED:
-            _ENV_WARNED.add(name)
-            logger.warning(
-                "ignoring malformed %s=%r (not an integer); using the "
-                "default %d",
-                name,
-                raw,
-                DIRECT_NODE_LIMIT,
-            )
-            get_tracer().event(
-                "solver.env.invalid", variable=name, value=raw
-            )
-        return DIRECT_NODE_LIMIT
-
-
 def choose_backend(requested: str, n_nodes: int) -> str:
     """Resolve a solver request to a concrete backend tier.
 
@@ -110,7 +71,7 @@ def choose_backend(requested: str, n_nodes: int) -> str:
     requested:
         ``"auto"``, ``"direct"``, ``"iterative"`` or ``"amg"``.
         Explicit requests pass through; ``"auto"`` picks by problem
-        size: direct at or below :func:`direct_node_limit`, AMG above
+        size: direct at or below :data:`DIRECT_NODE_LIMIT`, AMG above
         it (AMG beats ILU at every measured size, so plain ILU serves
         only as the AMG tier's guarded fallback).
     n_nodes:
@@ -122,7 +83,7 @@ def choose_backend(requested: str, n_nodes: int) -> str:
         )
     if requested != "auto":
         resolved = requested
-    elif n_nodes <= direct_node_limit():
+    elif n_nodes <= DIRECT_NODE_LIMIT:
         resolved = "direct"
     else:
         resolved = "amg"

@@ -45,7 +45,6 @@ equivalence tests assert both paths agree bit for bit.  Phase order
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -61,7 +60,8 @@ from ..cooling import (
     backend_for_cavity,
 )
 from ..geometry.stack import Cavity, CoolingMode, Layer, StackDesign, TwoPhaseCavity
-from ..obs.metrics import Counter, get_registry
+from ..keyed_cache import CacheInfo, KeyedCache
+from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..units import celsius_to_kelvin, ml_per_min_to_m3_per_s
 from .assembly import ConductanceBuilder
@@ -106,14 +106,24 @@ FlowSignature = Tuple[Tuple[str, float], ...]
 """Hashable description of the per-cavity flow state (see
 :meth:`CompactThermalModel.flow_signature`)."""
 
-CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "currsize", "maxsize"])
-"""``functools.lru_cache``-style cache statistics."""
-
 FactorKey = Tuple[FlowSignature, float]
 """Cache key of one transient factorisation: ``(flow signature, dt)``."""
 
 FactorEntry = Tuple[object, np.ndarray, csr_matrix]
 """One transient cache entry: ``(LU factor, boundary rhs, system matrix)``."""
+
+KrylovEntry = Tuple[KrylovSolver, np.ndarray]
+"""One transient iterative-path entry: ``(ILU-preconditioned solver,
+boundary rhs)``."""
+
+MAX_STEADY_FACTORS = 8
+"""Steady-solve operators a model caches per tier (LRU): LU
+factorisations, ILU preconditioners and AMG hierarchies."""
+
+MAX_TRANSIENT_FACTORS = 16
+"""LU factorisations, and ILU operators, of the transient system
+``C/dt + A(f)`` a model caches (LRU), shared by every stepper and run
+of the model."""
 
 SPLU_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A",
@@ -168,6 +178,51 @@ _RUNG_METHODS = {"amg": AmgSolver.method, "iterative": KrylovSolver.method}
 # tests/reference_assembly.py.
 
 
+def _cooling_backends(
+    stack: StackDesign, config: CoolingConfig
+) -> Dict[str, CoolingBackend]:
+    """A new cooling backend per cavity, dispatched on the cavity type."""
+    return {
+        element.name: backend_for_cavity(element, config)
+        for element in stack.elements
+        if isinstance(element, Cavity)
+    }
+
+
+class RunState:
+    """Everything a run on a :class:`CompactThermalModel` changes.
+
+    The per-cavity flows and two-phase flow commands, the Krylov warm
+    starts, the dynamic cooling rhs delta and its power hand-over, the
+    installed cooling faults, the steady-solve statistics and the
+    cooling backends, with their evaporator march caches.  The model's
+    ``__init__`` and :meth:`~CompactThermalModel.reset_run_state` both
+    build a new one, so a reset model runs as a fresh one does.  The
+    model keeps the rest: its set-up (grid, matrices, masks, injection
+    operator) and the caches whose entries are functions of their key.
+    """
+
+    def __init__(self, model: "CompactThermalModel") -> None:
+        flow = constants.FLOW_RATE_MAX_ML_MIN
+        self.flow_ml_min = flow
+        self.flows: Dict[str, float] = dict.fromkeys(model._cavity_levels, flow)
+        self.cooling_flows: Dict[str, float] = dict.fromkeys(
+            model._dynamic_levels, flow
+        )
+        self.backends = _cooling_backends(model.stack, model.cooling_config)
+        # The last steady solution at each flow state, shared by the
+        # Krylov rungs as their initial guess.
+        self.warm: Dict[object, np.ndarray] = {}
+        self.b_cooling: Optional[np.ndarray] = None
+        # (packed powers, nodal vector) of the last update_cooling():
+        # the thermal step of the same control period injects the same
+        # powers, so power_vector_packed hands the vector over once.
+        self.flux_power: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.cooling_faults: List[object] = []
+        self.steady_stats = SolverStats()
+        self.last_steady_diagnostics: Optional[SolverDiagnostics] = None
+
+
 class CompactThermalModel:
     """Compact transient/steady thermal model of a :class:`StackDesign`.
 
@@ -181,13 +236,6 @@ class CompactThermalModel:
         Air ambient temperature [K] (air-cooled mode).
     inlet_temperature:
         Coolant inlet temperature [K] (liquid mode).
-    max_steady_factors:
-        Upper bound on cached steady-solve operators per tier (LRU):
-        LU factorisations, ILU preconditioners and AMG hierarchies.
-    max_transient_factors:
-        Upper bound on cached LU factorisations of the transient
-        system ``C/dt + A(f)`` (LRU), shared by every stepper and run
-        of this model.
     solver:
         Steady-solve backend: ``"direct"`` (sparse LU), ``"iterative"``
         (ILU-preconditioned BiCGSTAB with warm starts and a guarded
@@ -207,6 +255,9 @@ class CompactThermalModel:
         ``CoolingConfig(dynamic=True)`` lets flow commands re-march the
         two-phase evaporator and move the saturation anchors at run
         time (see :meth:`update_cooling`).
+
+    What a run changes lives in one :class:`RunState`,
+    ``run_state``, which :meth:`reset_run_state` replaces whole.
     """
 
     def __init__(
@@ -216,15 +267,11 @@ class CompactThermalModel:
         ny: int = 20,
         ambient: float = DEFAULT_AMBIENT_K,
         inlet_temperature: float = DEFAULT_INLET_K,
-        max_steady_factors: int = 8,
-        max_transient_factors: int = 16,
         guard: Optional[SolverGuard] = None,
         solver: str = "auto",
         krylov: Optional[KrylovOptions] = None,
         cooling: Optional[CoolingConfig] = None,
     ) -> None:
-        if max_steady_factors < 1 or max_transient_factors < 1:
-            raise ValueError("cache must hold at least one factorisation")
         self.guard = guard if guard is not None else SolverGuard()
         if solver not in SOLVER_CHOICES:
             raise ValueError(
@@ -232,74 +279,48 @@ class CompactThermalModel:
             )
         self.solver = solver
         self.krylov_options = krylov if krylov is not None else KrylovOptions()
-        self.steady_stats = SolverStats()
-        self.last_steady_diagnostics: Optional[SolverDiagnostics] = None
         self.stack = stack
         self.grid = ThermalGrid(stack, nx=nx, ny=ny)
         self.ambient = float(ambient)
         self.inlet_temperature = float(inlet_temperature)
-        self._flow_ml_min = constants.FLOW_RATE_MAX_ML_MIN
         self._masks: Optional[Dict[BlockRef, np.ndarray]] = None
         self._cells_per_block: Optional[Dict[BlockRef, int]] = None
         self._block_order: Optional[List[BlockRef]] = None
         self._block_index: Optional[Dict[BlockRef, int]] = None
         self._injection: Optional[csr_matrix] = None
-        # Steady-solve LU factors, keyed by flow state.  Keys fully
-        # describe the matrix they were factorised from, so a flow
-        # change via set_flow/set_cavity_flow "invalidates" the cache by
-        # construction: the new state simply looks up a different key,
-        # and stale entries can never be served.
-        self._steady_factors: "OrderedDict[object, object]" = OrderedDict()
-        self._max_steady_factors = int(max_steady_factors)
-        # Per-model cache counters (reset by clear_steady_cache), each
-        # mirrored into the process-global metrics registry so whole-run
-        # rollups see every model's cache behaviour in one place.
-        self._steady_hits = Counter("steady_cache.hits")
-        self._steady_misses = Counter("steady_cache.misses")
-        registry = get_registry()
-        self._g_steady_hits = registry.counter("thermal.steady_cache.hits")
-        self._g_steady_misses = registry.counter("thermal.steady_cache.misses")
-        # Cache capacity/occupancy surfaced as gauges (last writer wins
-        # across models — a per-process observability rollup, not a
-        # per-model ledger; per-model numbers come from
-        # :meth:`steady_cache_info`).
-        self._g_steady_maxsize = registry.gauge("thermal.steady_cache.maxsize")
-        self._g_steady_currsize = registry.gauge(
-            "thermal.steady_cache.currsize"
-        )
-        self._g_steady_maxsize.set(self._max_steady_factors)
-        self._g_steady_currsize.set(0)
-        # Transient LU factors of C/dt + A(f), keyed by (flow signature,
-        # dt) and counted the same way.  Each entry also holds the
-        # boundary rhs b(f) and the matrix, so a cached step costs one
-        # spmv and one triangular solve pair.  They outlive every
-        # stepper, so runs on one model factorise each pump level once.
-        self._transient_factors: "OrderedDict[FactorKey, FactorEntry]" = (
-            OrderedDict()
-        )
-        self._max_transient_factors = int(max_transient_factors)
-        self._transient_hits = Counter("transient_cache.hits")
-        self._transient_misses = Counter("transient_cache.misses")
-        self._g_transient_hits = registry.counter("thermal.transient_cache.hits")
-        self._g_transient_misses = registry.counter(
-            "thermal.transient_cache.misses"
-        )
-        registry.gauge("thermal.transient_cache.maxsize").set(
-            float(self._max_transient_factors)
-        )
-        self._g_transient_currsize = registry.gauge(
-            "thermal.transient_cache.currsize"
-        )
-        # Krylov-rung state, keyed like the LU cache: one
-        # preconditioned operator per (tier, flow state) — ILU
-        # preconditioners and AMG hierarchies in one LRU per tier —
-        # plus the last solution at each flow state as the warm-start
-        # guess, shared by both tiers.
-        self._steady_ops: Dict[str, "OrderedDict[object, object]"] = {
-            "amg": OrderedDict(),
-            "iterative": OrderedDict(),
+        # Solve operators, each keyed by the flow state (and dt) that
+        # fully describes the matrix it came from: a flow change looks
+        # up another key, so no stale entry can be served, and every
+        # run on the model may share them.  Hits and misses of every
+        # steady tier count in thermal.steady_cache.*, of both
+        # transient paths in thermal.transient_cache.*; the occupancy
+        # gauges follow the LU caches (last writer wins across models).
+        steady = {
+            "hits": "thermal.steady_cache.hits",
+            "misses": "thermal.steady_cache.misses",
         }
-        self._steady_warm: Dict[object, np.ndarray] = {}
+        transient = {
+            "hits": "thermal.transient_cache.hits",
+            "misses": "thermal.transient_cache.misses",
+        }
+        self._steady_factors = KeyedCache(
+            MAX_STEADY_FACTORS, gauges="thermal.steady_cache", **steady
+        )
+        # One ILU or AMG operator per flow state and Krylov tier.
+        self._steady_ops: Dict[str, KeyedCache] = {
+            tier: KeyedCache(MAX_STEADY_FACTORS, **steady)
+            for tier in ("amg", "iterative")
+        }
+        # Transient LU factors of C/dt + A(f), keyed by (flow signature,
+        # dt).  Each entry also holds the boundary rhs b(f) and the
+        # matrix, so a cached step costs one spmv and one triangular
+        # solve pair.  The iterative path keeps its ILU operators beside
+        # them.
+        self._transient_factors = KeyedCache(
+            MAX_TRANSIENT_FACTORS, gauges="thermal.transient_cache", **transient
+        )
+        self._transient_krylov = KeyedCache(MAX_TRANSIENT_FACTORS, **transient)
+        registry = get_registry()
         # Counted and traced when a Krylov rung hands over to the next.
         self._rung_fallbacks = {
             "amg": (
@@ -311,24 +332,12 @@ class CompactThermalModel:
                 "krylov.fallback",
             ),
         }
-        # Cooling backends: one per cavity, dispatched on the cavity
-        # type.  Dynamic two-phase backends (and their grid levels) are
-        # collected during assembly; their moving saturation anchors
-        # enter the solves through cooling_rhs(), never the matrix.
+        # Cooling backends live in the run state.  The grid levels of
+        # dynamic two-phase cavities are collected during assembly:
+        # their moving saturation anchors enter the solves through
+        # cooling_rhs(), never the matrix.
         self.cooling_config = cooling if cooling is not None else CoolingConfig()
-        self._cooling_backends: Dict[str, CoolingBackend] = {
-            element.name: backend_for_cavity(element, self.cooling_config)
-            for element in stack.elements
-            if isinstance(element, Cavity)
-        }
-        self._dynamic_cooling: Dict[str, Tuple[CoolingBackend, int]] = {}
-        self._cooling_flows: Dict[str, float] = {}
-        self._cooling_faults: List[object] = []
-        self._b_cooling: Optional[np.ndarray] = None
-        # (packed powers, nodal vector) of the last update_cooling():
-        # the thermal step of the same control period injects the same
-        # powers, so power_vector_packed hands the vector over once.
-        self._flux_power: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._dynamic_levels: Dict[str, int] = {}
         self._c_cooling_updates = registry.counter("cooling.updates")
         with get_tracer().span(
             "thermal.assembly",
@@ -338,6 +347,7 @@ class CompactThermalModel:
             cooling=stack.cooling_mode.value,
         ):
             self._assemble()
+        self.run_state = RunState(self)
         registry.counter("thermal.models_assembled").inc()
 
     # ------------------------------------------------------------------
@@ -359,9 +369,9 @@ class CompactThermalModel:
         # Per-cavity fluid couplings from the backend layer: the
         # effective HTC and the coupling kind (advection stencil,
         # saturation anchor) each cavity level contributes.
+        backends = _cooling_backends(self.stack, self.cooling_config)
         couplings = {
-            name: backend.fluid_coupling()
-            for name, backend in self._cooling_backends.items()
+            name: backend.fluid_coupling() for name, backend in backends.items()
         }
 
         def vertical_half_resistance(element, a: float) -> float:
@@ -475,9 +485,8 @@ class CompactThermalModel:
             b_base[grid.level_slice(level)] += (
                 coupling.anchor_w_per_k * coupling.anchor_temperature_k
             )
-            backend = self._cooling_backends[element.name]
-            if backend.dynamic:
-                self._dynamic_cooling[element.name] = (backend, level)
+            if backends[element.name].dynamic:
+                self._dynamic_levels[element.name] = level
 
         # Advective transport in single-phase cavities (unit
         # capacity-rate pattern).  The actual contribution is
@@ -529,12 +538,6 @@ class CompactThermalModel:
         self._b_base = b_base
         self._b_adv = b_adv
         self._capacitance = capacitance
-        self._flows: Dict[str, float] = {
-            name: self._flow_ml_min for name in cavity_levels
-        }
-        self._cooling_flows = {
-            name: self._flow_ml_min for name in self._dynamic_cooling
-        }
 
     # ------------------------------------------------------------------
     # flow handling
@@ -547,14 +550,13 @@ class CompactThermalModel:
         When cavities run at *different* flows (see
         :meth:`set_cavity_flow`), the maximum is reported.
         """
-        if self._flows:
-            return max(self._flows.values())
-        return self._flow_ml_min
+        state = self.run_state
+        return max(state.flows.values()) if state.flows else state.flow_ml_min
 
     @property
     def cavity_flows(self) -> Dict[str, float]:
         """Current flow rate per single-phase cavity [ml/min]."""
-        return dict(self._flows)
+        return dict(self.run_state.flows)
 
     def flow_signature(self) -> FlowSignature:
         """Hashable description of the current flow state.
@@ -562,7 +564,9 @@ class CompactThermalModel:
         Transient steppers and the steady-factor cache key their cached
         LU factorisations on this.
         """
-        return tuple(sorted((n, round(f, 6)) for n, f in self._flows.items()))
+        return tuple(
+            sorted((n, round(f, 6)) for n, f in self.run_state.flows.items())
+        )
 
     def set_flow(self, flow_ml_min: float) -> None:
         """Set one common per-cavity coolant flow rate [ml/min].
@@ -573,12 +577,11 @@ class CompactThermalModel:
         signature, so the change takes effect immediately — no stale
         factorisation can be served.
         """
-        flow_ml_min = validate_positive_scalar(flow_ml_min, "flow rate")
-        self._flow_ml_min = float(flow_ml_min)
-        self._flows = {name: float(flow_ml_min) for name in self._flows}
-        self._cooling_flows = {
-            name: float(flow_ml_min) for name in self._cooling_flows
-        }
+        flow = float(validate_positive_scalar(flow_ml_min, "flow rate"))
+        state = self.run_state
+        state.flow_ml_min = flow
+        state.flows = dict.fromkeys(state.flows, flow)
+        state.cooling_flows = dict.fromkeys(state.cooling_flows, flow)
 
     def set_cavity_flow(self, cavity_name: str, flow_ml_min: float) -> None:
         """Set one cavity's flow rate independently [ml/min].
@@ -589,17 +592,18 @@ class CompactThermalModel:
         ``benchmarks/bench_ablation_percavity.py`` for the pay-off.
         """
         flow_ml_min = validate_positive_scalar(flow_ml_min, "flow rate")
-        if cavity_name in self._flows:
-            self._flows[cavity_name] = float(flow_ml_min)
+        state = self.run_state
+        if cavity_name in state.flows:
+            state.flows[cavity_name] = float(flow_ml_min)
             return
-        if cavity_name in self._dynamic_cooling:
+        if cavity_name in self._dynamic_levels:
             # Dynamic two-phase cavity: the command feeds the next
             # update_cooling() march instead of the advection terms.
-            self._cooling_flows[cavity_name] = float(flow_ml_min)
+            state.cooling_flows[cavity_name] = float(flow_ml_min)
             return
         raise KeyError(
             f"no single-phase cavity named {cavity_name!r} "
-            f"(have {sorted(self._flows)})"
+            f"(have {sorted(state.flows)})"
         )
 
     def _capacity_rate_per_row(self, flow_ml_min: float) -> float:
@@ -618,7 +622,7 @@ class CompactThermalModel:
         position is touched by at most one cavity, so both forms reduce
         to the same two-operand sums.
         """
-        flows = set(self._flows.values())
+        flows = set(self.run_state.flows.values())
         if len(flows) == 1:
             return next(iter(flows))
         return None
@@ -658,7 +662,8 @@ class CompactThermalModel:
             Optional uniform flow override; the stored (possibly
             per-cavity) flow state applies when omitted.
         """
-        if not self._flows:
+        flows = self.run_state.flows
+        if not flows:
             return self._a_base
         if flow_ml_min is None:
             flow_ml_min = self._uniform_flow()
@@ -666,15 +671,16 @@ class CompactThermalModel:
             c = self._capacity_rate_per_row(flow_ml_min)
             return self._a_base + c * self._a_adv
         matrix = self._a_base
-        for name in self._flows:
+        for name in flows:
             matrix = matrix + self._capacity_rate_per_row(
-                self._flows[name]
+                flows[name]
             ) * self.cavity_advection_matrix(name)
         return matrix
 
     def boundary_rhs(self, flow_ml_min: Optional[float] = None) -> np.ndarray:
         """The boundary source vector ``b(f)`` (ambient + inlet terms)."""
-        if not self._flows:
+        flows = self.run_state.flows
+        if not flows:
             return self._b_base
         if flow_ml_min is None:
             flow_ml_min = self._uniform_flow()
@@ -683,7 +689,7 @@ class CompactThermalModel:
             return self._b_base + c * self.inlet_temperature * self._b_adv
         rhs = self._b_base.copy()
         for name, b in self._per_cavity_b.items():
-            c = self._capacity_rate_per_row(self._flows[name])
+            c = self._capacity_rate_per_row(flows[name])
             rhs += c * self.inlet_temperature * b
         return rhs
 
@@ -703,36 +709,35 @@ class CompactThermalModel:
         Single-phase cavities (advective flow terms) plus dynamic
         two-phase cavities (moving saturation anchors).
         """
-        names = list(self._flows)
-        names.extend(n for n in self._dynamic_cooling if n not in self._flows)
+        names = list(self._cavity_levels)
+        names.extend(n for n in self._dynamic_levels if n not in names)
         return names
 
     def cooling_backend(self, cavity_name: str) -> CoolingBackend:
-        """The cooling backend serving one cavity."""
-        backend = self._cooling_backends.get(cavity_name)
-        if backend is None:
+        """The cooling backend serving one cavity in this run."""
+        backends = self.run_state.backends
+        if cavity_name not in backends:
             raise KeyError(
-                f"no cavity named {cavity_name!r} "
-                f"(have {sorted(self._cooling_backends)})"
+                f"no cavity named {cavity_name!r} (have {sorted(backends)})"
             )
-        return backend
+        return backends[cavity_name]
 
     def hydraulic_states(self) -> Dict[str, HydraulicState]:
         """Run-time hydraulic snapshot of every cavity backend."""
         return {
             name: backend.hydraulic_state()
-            for name, backend in self._cooling_backends.items()
+            for name, backend in self.run_state.backends.items()
         }
 
     def dryout_margin(self) -> Optional[float]:
-        """Smallest dry-out margin seen since the last cooling reset.
+        """Smallest dry-out margin seen in this run.
 
         ``1 - max outlet quality`` across all dynamic two-phase
         cavities; ``None`` when no dynamic backend has marched yet.
         """
         margins = [
-            backend.hydraulic_state().dryout_margin
-            for backend, _level in self._dynamic_cooling.values()
+            self.run_state.backends[name].hydraulic_state().dryout_margin
+            for name in self._dynamic_levels
         ]
         margins = [m for m in margins if m is not None]
         return min(margins) if margins else None
@@ -746,8 +751,9 @@ class CompactThermalModel:
         dry-out margin the way a starved or vapour-locked feed line
         would.  Flow faults without an ``inlet_quality`` (pump wear,
         clogs) act on the delivered flow instead and are ignored here.
+        They stay installed for the rest of the run.
         """
-        self._cooling_faults = [
+        self.run_state.cooling_faults = [
             fault for fault in faults
             if getattr(fault, "inlet_quality", None) is not None
         ]
@@ -755,7 +761,7 @@ class CompactThermalModel:
     def _inlet_quality_at(self, cavity_name: str, time: float) -> Optional[float]:
         """Resolve the (possibly fault-elevated) inlet quality."""
         quality = None
-        for fault in self._cooling_faults:
+        for fault in self.run_state.cooling_faults:
             if fault.cavity is not None and fault.cavity != cavity_name:
                 continue
             if not fault.active(time):
@@ -777,12 +783,12 @@ class CompactThermalModel:
         if packed is None:
             return np.zeros(grid.nx)
         nodal = self.power_vector_packed(packed)
-        self._flux_power = (packed.copy(), nodal)
+        self.run_state.flux_power = (packed.copy(), nodal)
         levels = nodal[: grid.levels * grid.ny * grid.nx]
         per_column = levels.reshape(grid.levels, grid.ny, grid.nx).sum(
             axis=(0, 1)
         )
-        share = max(1, len(self._dynamic_cooling))
+        share = max(1, len(self._dynamic_levels))
         return per_column / (share * strip_area)
 
     def update_cooling(
@@ -805,15 +811,17 @@ class CompactThermalModel:
             :class:`~repro.thermal.diagnostics.ThermalSolveError`
             taxonomy, so guarded callers report it instead of crashing.
         """
-        if not self._dynamic_cooling:
+        if not self._dynamic_levels:
             return False
+        state = self.run_state
         flux = self._column_heat_flux(packed)
         delta = np.zeros(self.grid.size)
         with get_tracer().span(
-            "cooling.update", cavities=len(self._dynamic_cooling)
+            "cooling.update", cavities=len(self._dynamic_levels)
         ):
-            for name, (backend, level) in self._dynamic_cooling.items():
-                flow = self._cooling_flows.get(name, self._flow_ml_min)
+            for name, level in self._dynamic_levels.items():
+                backend = state.backends[name]
+                flow = state.cooling_flows.get(name, state.flow_ml_min)
                 profile = backend.respond_to_flow(
                     flow,
                     flux,
@@ -824,7 +832,7 @@ class CompactThermalModel:
                 self.grid.level_view(delta, level)[:] = TWO_PHASE_ANCHOR_W_PER_K * (
                     profile - backend.cavity.saturation_k
                 )
-        self._b_cooling = delta
+        state.b_cooling = delta
         self._c_cooling_updates.inc()
         return True
 
@@ -837,25 +845,7 @@ class CompactThermalModel:
         time — the assembled matrices and every cached factorisation
         stay valid while the saturation field moves.
         """
-        return self._b_cooling
-
-    def reset_cooling_state(self) -> None:
-        """Clear run-time cooling state between simulation runs.
-
-        Resets the dynamic anchor deltas, re-aims every dynamic cavity
-        at the shared pump flow and resets the backends: their dry-out
-        margin trackers and their march caches, whose marches hold the
-        flux of an earlier command of this run.  Models are shared
-        across runs by sweeps and service workers, so per-run state
-        must not leak.
-        """
-        self._b_cooling = None
-        self._flux_power = None
-        self._cooling_flows = {
-            name: self._flow_ml_min for name in self._dynamic_cooling
-        }
-        for backend, _level in self._dynamic_cooling.values():
-            backend.reset()
+        return self.run_state.b_cooling
 
     # ------------------------------------------------------------------
     # power injection
@@ -956,7 +946,8 @@ class CompactThermalModel:
 
     def power_vector_packed(self, packed: np.ndarray) -> np.ndarray:
         """Nodal power vector from a packed per-block power array [W]."""
-        handed, self._flux_power = self._flux_power, None
+        state = self.run_state
+        handed, state.flux_power = state.flux_power, None
         if handed is not None and np.array_equal(handed[0], packed):
             return handed[1]
         operator = self.injection_operator()
@@ -991,22 +982,12 @@ class CompactThermalModel:
         stale factor behind.
         """
         key = self._steady_key(flow_ml_min)
-        factor = self._steady_factors.get(key)
-        if factor is not None:
-            self._steady_factors.move_to_end(key)
-            self._steady_hits.inc()
-            self._g_steady_hits.inc()
-            return factor
-        self._steady_misses.inc()
-        self._g_steady_misses.inc()
-        factor = factorize(
-            self.system_matrix(flow_ml_min), "steady", f"flow state {key!r}"
+        return self._steady_factors.get(
+            key,
+            lambda: factorize(
+                self.system_matrix(flow_ml_min), "steady", f"flow state {key!r}"
+            ),
         )
-        self._steady_factors[key] = factor
-        if len(self._steady_factors) > self._max_steady_factors:
-            self._steady_factors.popitem(last=False)
-        self._g_steady_currsize.set(len(self._steady_factors))
-        return factor
 
     def _steady_key(self, flow_ml_min: Optional[float]) -> object:
         if flow_ml_min is not None:
@@ -1024,22 +1005,18 @@ class CompactThermalModel:
         same key.
         """
         key = self._steady_key(flow_ml_min)
-        dropped = [self._steady_factors.pop(key, None) is not None]
-        dropped += [
-            cache.pop(key, None) is not None
-            for cache in self._steady_ops.values()
-        ]
-        self._steady_warm.pop(key, None)
-        self._g_steady_currsize.set(len(self._steady_factors))
+        caches = (self._steady_factors, *self._steady_ops.values())
+        dropped = [cache.pop(key) for cache in caches]
+        self.run_state.warm.pop(key, None)
         return any(dropped)
 
     def steady_cache_info(self) -> CacheInfo:
-        """Hit/miss statistics of the steady-factor cache."""
-        return CacheInfo(
-            hits=self._steady_hits.value,
-            misses=self._steady_misses.value,
-            currsize=len(self._steady_factors),
-            maxsize=self._max_steady_factors,
+        """Hit/miss statistics of the steady caches of every tier; the
+        size is the LU cache's."""
+        caches = (self._steady_factors, *self._steady_ops.values())
+        return self._steady_factors.info()._replace(
+            hits=sum(cache.hits for cache in caches),
+            misses=sum(cache.misses for cache in caches),
         )
 
     def clear_steady_cache(self) -> None:
@@ -1049,76 +1026,69 @@ class CompactThermalModel:
         ILU preconditioners, the AMG hierarchies and the shared
         warm-start guesses.
         """
-        self._steady_factors.clear()
-        for cache in self._steady_ops.values():
+        for cache in (self._steady_factors, *self._steady_ops.values()):
             cache.clear()
-        self._steady_warm.clear()
-        self._steady_hits.reset()
-        self._steady_misses.reset()
-        self._g_steady_currsize.set(0)
-
-    def clear_warm_starts(self) -> None:
-        """Start every Krylov steady rung cold again, as on a fresh model."""
-        self._steady_warm.clear()
+        self.run_state.warm.clear()
 
     def reset_run_state(self) -> None:
-        """Return to a fresh model's run state before reusing it for a run.
+        """Start the next run where a fresh model starts.
 
-        The flow goes back to the shared 32.3 ml/min pump setting, the
-        Krylov steady rungs start cold and the cooling state is cleared
-        (:meth:`reset_cooling_state`).  What stays is keyed by the full
-        matrix it came from: steady and transient LU factors, ILU
-        preconditioners, AMG hierarchies, the block masks and the
-        injection operator.  So a run on a reused model equals a run on
-        a fresh one bitwise.
+        Replaces :attr:`run_state` with a new :class:`RunState`: the
+        flows go back to the shared 32.3 ml/min pump setting, the Krylov
+        steady rungs start cold, and the cooling backends, faults and
+        steady statistics start anew.  What stays is the set-up and
+        every cache keyed by the full matrix it came from: steady and
+        transient LU factors, ILU preconditioners, AMG hierarchies, the
+        block masks and the injection operator.  So a run on a reused
+        model equals a run on a fresh one bitwise.
         """
-        self.set_flow(constants.FLOW_RATE_MAX_ML_MIN)
-        self.clear_warm_starts()
-        self.reset_cooling_state()
+        self.run_state = RunState(self)
+
+    def _transient_matrix(self, dt: float) -> csr_matrix:
+        return self.system_matrix() + diags(self._capacitance / dt)
 
     def transient_factor(self, dt: float) -> FactorEntry:
         """Cached ``(LU factor, boundary rhs, matrix)`` of ``C/dt + A(f)``
         at the current flow state (see :class:`TransientStepper`).
 
         Keyed by ``(flow signature, dt)`` and bounded by
-        ``max_transient_factors`` (LRU); the boundary rhs is taken at
+        :data:`MAX_TRANSIENT_FACTORS` (LRU); the boundary rhs is taken at
         the model's fixed ``inlet_temperature`` and ``ambient``.
         """
         key: FactorKey = (self.flow_signature(), dt)
-        entry = self._transient_factors.get(key)
-        if entry is not None:
-            self._transient_factors.move_to_end(key)
-            self._transient_hits.inc()
-            self._g_transient_hits.inc()
-            return entry
-        self._transient_misses.inc()
-        self._g_transient_misses.inc()
-        matrix = self.system_matrix() + diags(self._capacitance / dt)
-        factor = factorize(matrix, "transient", f"key {key!r}")
-        entry = (factor, self.boundary_rhs(), matrix)
-        self._transient_factors[key] = entry
-        if len(self._transient_factors) > self._max_transient_factors:
-            self._transient_factors.popitem(last=False)
-        self._g_transient_currsize.set(float(len(self._transient_factors)))
-        return entry
+
+        def build() -> FactorEntry:
+            matrix = self._transient_matrix(dt)
+            factor = factorize(matrix, "transient", f"key {key!r}")
+            return factor, self.boundary_rhs(), matrix
+
+        return self._transient_factors.get(key, build)
+
+    def transient_krylov(self, dt: float) -> KrylovEntry:
+        """Cached ``(ILU-preconditioned solver, boundary rhs)`` of
+        ``C/dt + A(f)``, the iterative twin of :meth:`transient_factor`."""
+        return self._transient_krylov.get(
+            (self.flow_signature(), dt),
+            lambda: (
+                KrylovSolver(self._transient_matrix(dt), self.krylov_options),
+                self.boundary_rhs(),
+            ),
+        )
 
     def evict_transient_factor(self, dt: float) -> bool:
-        """Drop the transient factor of the current flow state at ``dt``;
-        returns whether one was cached (a poisoned-factor escape hatch)."""
-        key: FactorKey = (self.flow_signature(), dt)
-        if self._transient_factors.pop(key, None) is None:
-            return False
-        self._g_transient_currsize.set(float(len(self._transient_factors)))
-        return True
+        """Drop the transient LU factor of the current flow state at
+        ``dt``; returns whether one was cached (a poisoned-factor escape
+        hatch)."""
+        return self._transient_factors.pop((self.flow_signature(), dt))
+
+    def evict_transient_krylov(self, dt: float) -> bool:
+        """Drop the transient ILU operator of the current flow state at
+        ``dt``; returns whether one was cached."""
+        return self._transient_krylov.pop((self.flow_signature(), dt))
 
     def transient_cache_info(self) -> CacheInfo:
-        """Hit/miss statistics of the transient-factor cache."""
-        return CacheInfo(
-            hits=self._transient_hits.value,
-            misses=self._transient_misses.value,
-            currsize=len(self._transient_factors),
-            maxsize=self._max_transient_factors,
-        )
+        """Hit/miss statistics of the transient LU cache."""
+        return self._transient_factors.info()
 
     def steady_backend(self) -> str:
         """The resolved steady-solve backend for this model's grid.
@@ -1151,31 +1121,24 @@ class CompactThermalModel:
             tier = self.steady_backend()
         if tier == "direct":
             return self.steady_factor(flow_ml_min)
-        key = self._steady_key(flow_ml_min)
-        cache = self._steady_ops[tier]
-        solver = cache.get(key)
-        if solver is not None:
-            cache.move_to_end(key)
-            self._steady_hits.inc()
-            self._g_steady_hits.inc()
-            return solver
-        self._steady_misses.inc()
-        self._g_steady_misses.inc()
-        matrix = self.system_matrix(flow_ml_min)
-        if tier == "amg":
-            solver = AmgSolver(
-                matrix,
-                self.krylov_options,
-                grid_shape=(self.grid.levels, self.grid.ny, self.grid.nx),
-                n_extra=1 if self.grid.has_sink_node else 0,
-            )
-        else:
-            solver = KrylovSolver(matrix, self.krylov_options)
-        cache[key] = solver
-        if len(cache) > self._max_steady_factors:
-            evicted, _ = cache.popitem(last=False)
-            self._steady_warm.pop(evicted, None)
-        return solver
+
+        def build():
+            matrix = self.system_matrix(flow_ml_min)
+            if tier == "amg":
+                return AmgSolver(
+                    matrix,
+                    self.krylov_options,
+                    grid_shape=(self.grid.levels, self.grid.ny, self.grid.nx),
+                    n_extra=1 if self.grid.has_sink_node else 0,
+                )
+            return KrylovSolver(matrix, self.krylov_options)
+
+        warm = self.run_state.warm
+        return self._steady_ops[tier].get(
+            self._steady_key(flow_ml_min),
+            build,
+            on_evict=lambda evicted: warm.pop(evicted, None),
+        )
 
     def _krylov_rung(
         self, tier: str, q: np.ndarray, flow_ml_min: Optional[float]
@@ -1194,9 +1157,10 @@ class CompactThermalModel:
             solver = self.steady_operator(tier, flow_ml_min)
         except FactorizationError:
             return None, None, None
+        warm = self.run_state.warm
         before = solver.iterations_total
         try:
-            values, iterations = solver.solve(q, x0=self._steady_warm.get(key))
+            values, iterations = solver.solve(q, x0=warm.get(key))
         except IterativeConvergenceError:
             values, iterations = None, solver.iterations_total - before
         residual = None
@@ -1205,11 +1169,21 @@ class CompactThermalModel:
             if residual > self.guard.residual_tolerance:
                 values = None
         if values is None:
-            self._steady_ops[tier].pop(key, None)
-            self._steady_warm.pop(key, None)
+            self._steady_ops[tier].pop(key)
+            warm.pop(key, None)
             return None, iterations, residual
-        self._steady_warm[key] = values
+        warm[key] = values
         return values, iterations, residual
+
+    @property
+    def steady_stats(self) -> SolverStats:
+        """Running counters over this run's steady solves."""
+        return self.run_state.steady_stats
+
+    @property
+    def last_steady_diagnostics(self) -> Optional[SolverDiagnostics]:
+        """The health record of this run's last steady solve."""
+        return self.run_state.last_steady_diagnostics
 
     def steady_state(
         self,
@@ -1235,6 +1209,7 @@ class CompactThermalModel:
         ``last_steady_diagnostics``; running counters in
         ``steady_stats``.
         """
+        state = self.run_state
         tracer = get_tracer()
         backend = self.steady_backend()
         with tracer.span(
@@ -1265,8 +1240,8 @@ class CompactThermalModel:
                         iterations=iterations,
                         fallback_to_iterative=amg_fallback,
                     )
-                    self.last_steady_diagnostics = diagnostics
-                    self.steady_stats.record(diagnostics)
+                    state.last_steady_diagnostics = diagnostics
+                    state.steady_stats.record(diagnostics)
                     return TemperatureField(self.grid, values)
                 counter, event = self._rung_fallbacks[tier]
                 counter.inc()
@@ -1289,6 +1264,7 @@ class CompactThermalModel:
         amg_fallback: bool = False,
     ) -> TemperatureField:
         """The guarded direct-LU steady solve (the chain's last rung)."""
+        state = self.run_state
         factor = self.steady_factor(flow_ml_min)
         values = factor.solve(q)
         evictions = 0
@@ -1308,7 +1284,7 @@ class CompactThermalModel:
                     fallback_to_direct=fallback,
                     fallback_to_iterative=amg_fallback,
                 )
-                self.last_steady_diagnostics = diagnostics
+                state.last_steady_diagnostics = diagnostics
                 raise NonFiniteFieldError(
                     "steady solve produced non-finite temperatures even "
                     "after refactorisation; the system matrix is singular "
@@ -1333,7 +1309,7 @@ class CompactThermalModel:
                     fallback_to_direct=fallback,
                     fallback_to_iterative=amg_fallback,
                 )
-                self.last_steady_diagnostics = diagnostics
+                state.last_steady_diagnostics = diagnostics
                 self.evict_steady_factor(flow_ml_min)
                 raise NonFiniteFieldError(
                     f"steady solve residual {residual:.3e} exceeds the "
@@ -1351,8 +1327,8 @@ class CompactThermalModel:
             fallback_to_direct=fallback,
             fallback_to_iterative=amg_fallback,
         )
-        self.last_steady_diagnostics = diagnostics
-        self.steady_stats.record(diagnostics)
+        state.last_steady_diagnostics = diagnostics
+        state.steady_stats.record(diagnostics)
         return TemperatureField(self.grid, values)
 
     def uniform_field(self, temperature_k: float) -> TemperatureField:
@@ -1391,9 +1367,12 @@ class CompactThermalModel:
             view = self.grid.level_view(field.values, level)
             if isinstance(element, TwoPhaseCavity):
                 anchor = element.saturation_k
-                entry = self._dynamic_cooling.get(element.name)
-                if entry is not None and self._b_cooling is not None:
-                    state = entry[0].hydraulic_state()
+                if (
+                    element.name in self._dynamic_levels
+                    and self.run_state.b_cooling is not None
+                ):
+                    backend = self.run_state.backends[element.name]
+                    state = backend.hydraulic_state()
                     if state.saturation_k is not None:
                         # Marched per-row anchors (broadcast across y).
                         anchor = state.saturation_k[None, :]
@@ -1402,7 +1381,7 @@ class CompactThermalModel:
                 )
             else:
                 c = self._capacity_rate_per_row(
-                    self._flows[element.name]
+                    self.run_state.flows[element.name]
                     if flow_ml_min is None
                     else flow_ml_min
                 )

@@ -10,7 +10,9 @@ LRU cache of LU factors makes every step after the first a pair of
 triangular solves — this is what makes minutes-long closed-loop
 simulations with 100 ms control periods cheap.  The cache lives on the
 model (:meth:`CompactThermalModel.transient_factor`), next to its steady
-factors, so every run on one model shares it.  The boundary vector
+factors and the iterative path's ILU operators
+(:meth:`CompactThermalModel.transient_krylov`), so every run on one
+model shares them.  The boundary vector
 ``b(f)`` depends on the same signature and is cached alongside the
 factor, so a cached step performs exactly one spmv (power injection),
 one triangular solve pair, and one vector add.
@@ -25,11 +27,9 @@ health record of the last step is kept in ``last_diagnostics``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import diags
 
 from .diagnostics import (
     FactorizationError,
@@ -47,11 +47,7 @@ from .diagnostics import (
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .field import TemperatureField
-from .krylov import KrylovOptions, KrylovSolver, choose_backend
-from .model import BlockRef, CompactThermalModel, FactorEntry, FactorKey
-
-KrylovEntry = Tuple[KrylovSolver, np.ndarray]
-"""One iterative-path cache entry: ``(preconditioned solver, boundary rhs)``."""
+from .model import BlockRef, CompactThermalModel, FactorEntry
 
 AttemptOutcome = Tuple[
     np.ndarray, bool, Optional[float], str, Optional[int], bool
@@ -75,28 +71,20 @@ class TransientStepper:
         ``model.steady_state(...)``.
     guard:
         Numerical-guard configuration; defaults to the model's.
-    solver:
-        Backend selection (``"auto"`` / ``"direct"`` / ``"iterative"``
-        / ``"amg"``); defaults to the model's.  The ``"amg"`` steady
-        tier shares the iterative transient path (the ``C/dt`` shift
-        already makes ILU-BiCGSTAB converge in a few iterations, so a
-        per-``(flow, dt)`` hierarchy would be wasted setup).  The
-        iterative path solves ``(C/dt + A(f))`` with ILU-preconditioned
-        BiCGSTAB warm-started from the previous state — the
-        dominant-diagonal ``C/dt`` makes these systems converge in a
-        handful of iterations — and falls back to the guarded direct LU
-        on non-convergence.
-    krylov:
-        Iterative-path tuning; defaults to the model's.
 
     Notes
     -----
-    The LU factors live in the model's transient cache, which every
-    stepper of the model shares; the ILU operators of the iterative
-    path depend on this stepper's ``krylov`` options and stay here,
-    bounded like the model's cache.  Cached boundary vectors are taken
-    at the model's ``inlet_temperature``/``ambient``, which no run
-    changes.
+    The stepper runs the model's backend.  The ``"amg"`` steady tier
+    shares the iterative transient path (the ``C/dt`` shift already
+    makes ILU-BiCGSTAB converge in a few iterations, so a per-``(flow,
+    dt)`` hierarchy would be wasted setup).  The iterative path solves
+    ``(C/dt + A(f))`` with ILU-preconditioned BiCGSTAB warm-started from
+    the previous state — the dominant-diagonal ``C/dt`` makes these
+    systems converge in a handful of iterations — and falls back to the
+    guarded direct LU on non-convergence.  The LU factors and ILU
+    operators live in the model's transient caches, which every stepper
+    of the model shares.  Cached boundary vectors are taken at the
+    model's ``inlet_temperature``/``ambient``, which no run changes.
     """
 
     def __init__(
@@ -105,8 +93,6 @@ class TransientStepper:
         dt: float,
         initial: TemperatureField,
         guard: Optional[SolverGuard] = None,
-        solver: Optional[str] = None,
-        krylov: Optional[KrylovOptions] = None,
     ) -> None:
         dt = validate_positive_scalar(dt, "dt")
         self.model = model
@@ -116,21 +102,8 @@ class TransientStepper:
         self.time = initial.time
         self.last_diagnostics: Optional[SolverDiagnostics] = None
         self.stats = SolverStats()
-        self._backend = choose_backend(
-            solver if solver is not None else model.solver, model.grid.size
-        )
-        self.krylov_options = (
-            krylov if krylov is not None else model.krylov_options
-        )
-        # Iterative-path twin of the model's LU cache: one
-        # ILU-preconditioned operator plus its boundary rhs per (flow
-        # signature, dt), counted in the same registry counters.
-        self._krylov: "OrderedDict[FactorKey, KrylovEntry]" = OrderedDict()
-        self._max_krylov = model.transient_cache_info().maxsize
-        registry = get_registry()
-        self._g_hits = registry.counter("thermal.transient_cache.hits")
-        self._g_misses = registry.counter("thermal.transient_cache.misses")
-        self._c_steps = registry.counter("thermal.transient_steps")
+        self._backend = model.steady_backend()
+        self._c_steps = get_registry().counter("thermal.transient_steps")
         self._c_over_dt = model.capacitance / self.dt
         # The health record of every step that the first direct solve
         # settles with no residual check: frozen, so one instance
@@ -152,28 +125,6 @@ class TransientStepper:
         """The resolved backend (``"direct"``/``"iterative"``/``"amg"``)."""
         return self._backend
 
-    def _krylov_factor(self, dt: Optional[float] = None) -> KrylovEntry:
-        """Cached ILU-preconditioned operator of ``C/dt + A(f)``."""
-        dt = self.dt if dt is None else dt
-        key: FactorKey = (self.model.flow_signature(), dt)
-        entry = self._krylov.get(key)
-        if entry is not None:
-            self._krylov.move_to_end(key)
-            self._g_hits.inc()
-            return entry
-        self._g_misses.inc()
-        matrix = self.model.system_matrix() + diags(self._c_over(dt))
-        solver = KrylovSolver(matrix, self.krylov_options)
-        entry = (solver, self.model.boundary_rhs())
-        self._krylov[key] = entry
-        if len(self._krylov) > self._max_krylov:
-            self._krylov.popitem(last=False)
-        return entry
-
-    def _evict_krylov(self, dt: float) -> bool:
-        key: FactorKey = (self.model.flow_signature(), dt)
-        return self._krylov.pop(key, None) is not None
-
     def evict_factor(self, dt: Optional[float] = None) -> bool:
         """Drop the cached factor of the current flow state at ``dt``.
 
@@ -184,7 +135,7 @@ class TransientStepper:
         """
         dt = self.dt if dt is None else dt
         dropped_lu = self.model.evict_transient_factor(dt)
-        dropped_ilu = self._evict_krylov(dt)
+        dropped_ilu = self.model.evict_transient_krylov(dt)
         return dropped_lu or dropped_ilu
 
     def step(self, block_powers: Dict[BlockRef, float]) -> TemperatureField:
@@ -229,20 +180,20 @@ class TransientStepper:
             # would cost more setup than it could save.  The amg
             # backend therefore shares the iterative transient tier.
             try:
-                solver, boundary = self._krylov_factor(dt)
+                solver, boundary = self.model.transient_krylov(dt)
                 rhs = self._c_over(dt) * values + power + boundary
                 if cooling is not None:
                     rhs = rhs + cooling
                 before = solver.iterations_total
                 solution, iterations = solver.solve(rhs, x0=values)
             except FactorizationError:
-                self._evict_krylov(dt)
+                self.model.evict_transient_krylov(dt)
                 fell_back = True
             except IterativeConvergenceError:
                 # The failed rung's own work counts, as in the steady
                 # chain's Krylov rung.
                 iterations = solver.iterations_total - before
-                self._evict_krylov(dt)
+                self.model.evict_transient_krylov(dt)
                 fell_back = True
             else:
                 residual: Optional[float] = None
@@ -258,7 +209,7 @@ class TransientStepper:
                         solution, True, residual, "bicgstab", iterations,
                         False,
                     )
-                self._evict_krylov(dt)
+                self.model.evict_transient_krylov(dt)
                 fell_back = True
         factor, boundary, matrix = self._factor(dt)
         rhs = np.multiply(self._c_over(dt), values)

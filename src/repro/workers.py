@@ -60,9 +60,12 @@ def _child_main(
     # service loop that is a no-op SIGTERM handler and the wakeup fd
     # through which the loop learns of signals.  Undo both, so
     # terminate() ends the worker and a signal sent to the worker never
-    # reaches the parent.
+    # reaches the parent.  A forked child starts with SIGTERM blocked
+    # (see AttemptTable.start): one sent before this point waits, and
+    # ends the worker here.
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     # It also inherits the parent's ends of every worker pipe, its own
     # included.  Close them: a work pipe reports EOF only once no
     # process but the parent holds its write end.
@@ -259,19 +262,29 @@ class AttemptTable:
         parks instead of exiting (see :meth:`hand_over`).
         """
         context = multiprocessing.get_context()
+        fork = context.get_start_method() == "fork"
         reader, writer = context.Pipe(duplex=False)
         work, inbox = context.Pipe(duplex=False)
         inherited = [reader, inbox, *self._ends()]
-        if context.get_start_method() != "fork":
+        if not fork:
             inherited = []  # nothing is inherited, and a pickled copy would be
         process = context.Process(
             target=_child_main,
             args=(target, writer, work, inherited, *args),
             daemon=daemon,
         )
+        # A forked child runs the parent's SIGTERM handler until
+        # _child_main resets it, so a terminate() landing first would be
+        # swallowed.  The child inherits this mask and holds the signal
+        # until the reset.  Exec resets the handlers under spawn.
+        mask = None
+        if fork:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
         try:
             process.start()
         finally:
+            if mask is not None:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             writer.close()
             work.close()
         now, wall = time.monotonic(), time.time()

@@ -284,15 +284,14 @@ def test_amg_solver_cache_and_eviction(liquid_stack_2tier):
 
 
 def test_amg_eviction_drops_the_warm_start(liquid_stack_2tier):
-    model = CompactThermalModel(
-        liquid_stack_2tier, nx=12, ny=10, solver="amg", max_steady_factors=8
-    )
+    model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10, solver="amg")
     powers = {ref: 2.0 for ref in model.block_order}
     for flow in range(10, 22):  # 12 distinct flow states
         model.steady_state(powers, float(flow))
-    assert len(model._steady_ops["amg"]) == 8
+    hierarchies = model._steady_ops["amg"].entries
+    assert len(hierarchies) == 8
     # One warm-start vector per cached hierarchy, none for evicted ones.
-    assert model._steady_warm.keys() == model._steady_ops["amg"].keys()
+    assert model.run_state.warm.keys() == hierarchies.keys()
 
 
 def test_amg_setup_telemetry(liquid_stack_2tier):

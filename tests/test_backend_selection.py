@@ -1,4 +1,4 @@
-"""Backend tiering pinned at the limits, env overrides, fallback chain."""
+"""Backend tiering pinned at the limits, and the fallback chain."""
 
 import numpy as np
 import pytest
@@ -16,13 +16,7 @@ from repro.thermal.krylov import (
     AmgSolver,
     KrylovOptions,
     choose_backend,
-    direct_node_limit,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_DIRECT_NODE_LIMIT", raising=False)
 
 
 @pytest.mark.parametrize(
@@ -46,46 +40,6 @@ def test_auto_tier_pinned_at_the_node_limit(n_nodes, expected):
 def test_explicit_requests_pass_through(backend, n_nodes):
     assert backend in SOLVER_CHOICES
     assert choose_backend(backend, n_nodes) == backend
-
-
-@pytest.mark.parametrize(
-    "override,n_nodes,expected",
-    [
-        ("100", 100, "direct"),
-        # Above the lowered direct limit auto goes straight to AMG.
-        ("100", 101, "amg"),
-        ("0", 1, "amg"),
-        ("0", 0, "direct"),
-        ("-5", 1, "amg"),  # negative clamps to 0
-        ("junk", DIRECT_NODE_LIMIT, "direct"),  # malformed -> default
-        ("junk", DIRECT_NODE_LIMIT + 1, "amg"),
-    ],
-)
-def test_env_override_pins_the_auto_tier(
-    monkeypatch, override, n_nodes, expected
-):
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", override)
-    assert choose_backend("auto", n_nodes) == expected
-
-
-def test_direct_node_limit_reads_env(monkeypatch):
-    assert direct_node_limit() == DIRECT_NODE_LIMIT
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "42")
-    assert direct_node_limit() == 42
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "not-a-number")
-    assert direct_node_limit() == DIRECT_NODE_LIMIT
-
-
-def test_malformed_env_limit_is_counted(monkeypatch):
-    registry = get_registry()
-    start = registry.snapshot()
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "seventy-five-thousand")
-    assert direct_node_limit() == DIRECT_NODE_LIMIT
-    assert direct_node_limit() == DIRECT_NODE_LIMIT
-    delta = registry.delta_since(start)
-    # Counted per parse (telemetry sees the ongoing mis-tiering risk);
-    # the log/trace warning itself fires once per variable per process.
-    assert delta["solver.env.invalid"]["value"] >= 2
 
 
 def test_unknown_backend_rejected():

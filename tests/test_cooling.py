@@ -132,12 +132,14 @@ def test_two_phase_static_coupling_exposes_anchor():
     assert not backend.dynamic  # default config is static
 
 
-def test_base_backend_records_flow_and_resets():
-    backend = CoolingBackend()
-    assert backend.respond_to_flow(42.0) is None
-    assert backend.hydraulic_state().flow_ml_min == 42.0
-    backend.reset()
-    assert backend.hydraulic_state().flow_ml_min is None
+def test_base_backend_records_flow_and_resets(liquid_stack_2tier):
+    assert CoolingBackend().hydraulic_state().flow_ml_min is None
+    model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
+    name = model.cooled_cavity_names[0]
+    assert model.cooling_backend(name).respond_to_flow(42.0) is None
+    assert model.cooling_backend(name).hydraulic_state().flow_ml_min == 42.0
+    model.reset_run_state()
+    assert model.cooling_backend(name).hydraulic_state().flow_ml_min is None
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +268,7 @@ def test_dynamic_anchor_moves_the_steady_state():
     state = model.hydraulic_states()["cavity0"]
     assert state.dynamic and state.flow_ml_min == 15.0
     assert model.dryout_margin() is not None
-    model.reset_cooling_state()
+    model.reset_run_state()
     assert model.cooling_rhs() is None
 
 

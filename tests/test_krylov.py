@@ -9,7 +9,6 @@ from repro.thermal.krylov import (
     DIRECT_NODE_LIMIT,
     KrylovOptions,
     choose_backend,
-    direct_node_limit,
 )
 
 
@@ -24,22 +23,14 @@ def _powers(model, seed=7):
     }
 
 
-def test_choose_backend_auto_threshold(monkeypatch):
-    monkeypatch.delenv("REPRO_DIRECT_NODE_LIMIT", raising=False)
+def test_choose_backend_auto_threshold():
     assert choose_backend("auto", DIRECT_NODE_LIMIT) == "direct"
-    # Auto jumps straight to the raw-speed tier above the direct limit.
+    # Auto jumps straight to the raw-speed tier above the direct limit;
+    # plain ILU is never an auto tier.
     assert choose_backend("auto", DIRECT_NODE_LIMIT + 1) == "amg"
     # Explicit requests are never overridden by the size heuristic.
     assert choose_backend("direct", 10**9) == "direct"
     assert choose_backend("iterative", 10) == "iterative"
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "100")
-    assert direct_node_limit() == 100
-    # Lowering the direct limit moves the AMG tier down with it; plain
-    # ILU is never an auto tier.
-    assert choose_backend("auto", 101) == "amg"
-    # A malformed override falls back to the compiled-in limit.
-    monkeypatch.setenv("REPRO_DIRECT_NODE_LIMIT", "junk")
-    assert direct_node_limit() == DIRECT_NODE_LIMIT
 
 
 def test_choose_backend_rejects_unknown():
@@ -82,14 +73,19 @@ def test_steady_warm_start_cuts_iterations():
 
 @pytest.mark.parametrize("tiers", [2, 4])
 def test_transient_iterative_matches_direct(tiers):
-    model = CompactThermalModel(build_3d_mpsoc(tiers), nx=12, ny=10)
+    stack = build_3d_mpsoc(tiers)
+    model = CompactThermalModel(stack, nx=12, ny=10, solver="direct")
     powers = _powers(model)
     initial = model.steady_state(powers)
     packed = model.pack_powers(
         {ref: p * 1.3 for ref, p in powers.items()}
     )
-    direct = TransientStepper(model, 0.1, initial, solver="direct")
-    iterative = TransientStepper(model, 0.1, initial, solver="iterative")
+    direct = TransientStepper(model, 0.1, initial)
+    iterative = TransientStepper(
+        CompactThermalModel(stack, nx=12, ny=10, solver="iterative"),
+        0.1,
+        initial,
+    )
     for _ in range(5):
         direct.step_packed(packed)
         iterative.step_packed(packed)
@@ -125,17 +121,22 @@ def test_steady_nonconvergence_falls_back_to_direct():
 
 
 def test_transient_nonconvergence_falls_back_to_direct():
-    model = CompactThermalModel(build_3d_mpsoc(2), nx=12, ny=10)
+    stack = build_3d_mpsoc(2)
+    model = CompactThermalModel(stack, nx=12, ny=10)
     powers = _powers(model)
     initial = model.steady_state(powers)
     packed = model.pack_powers({ref: p * 2.0 for ref, p in powers.items()})
-    reference = TransientStepper(model, 0.1, initial, solver="direct")
+    reference = TransientStepper(model, 0.1, initial)
     starved = TransientStepper(
-        model,
+        CompactThermalModel(
+            stack,
+            nx=12,
+            ny=10,
+            solver="iterative",
+            krylov=KrylovOptions(maxiter=1, rtol=1e-16, atol=0.0),
+        ),
         0.1,
         initial,
-        solver="iterative",
-        krylov=KrylovOptions(maxiter=1, rtol=1e-16, atol=0.0),
     )
     reference.step_packed(packed)
     starved.step_packed(packed)
@@ -144,18 +145,20 @@ def test_transient_nonconvergence_falls_back_to_direct():
 
 
 def test_failed_transient_rung_reports_its_own_iterations():
-    model = CompactThermalModel(build_3d_mpsoc(2), nx=12, ny=10)
+    model = CompactThermalModel(
+        build_3d_mpsoc(2), nx=12, ny=10, solver="iterative"
+    )
     powers = _powers(model)
     initial = model.steady_state(powers)
     packed = model.pack_powers({ref: p * 2.0 for ref, p in powers.items()})
-    stepper = TransientStepper(model, 0.1, initial, solver="iterative")
+    stepper = TransientStepper(model, 0.1, initial)
     stepper.step_packed(packed)
     first = stepper.last_diagnostics.iterations
     assert first > 1
     assert stepper.stats.krylov_iterations == first
     # Starve the cached operator: one sweep cannot reach rtol=1e-14, so
     # the step falls back to LU after exactly one iteration of its own.
-    ((solver, _),) = stepper._krylov.values()
+    ((solver, _),) = model._transient_krylov.entries.values()
     solver.options = KrylovOptions(maxiter=1, rtol=1e-14)
     stepper.step_packed(packed)
     diagnostics = stepper.last_diagnostics

@@ -10,7 +10,8 @@ workloads; pump-wear, dry-out and sensor faults; actuator lag and
 sensor noise), some of which end in ``CoolingDryoutError``.  Every job
 run on the kept model must equal a fresh :func:`run_scenario` in the
 ``float.hex`` of every scalar field and every series, or fail with the
-same error.
+same error.  After a run, a reset leaves every field of the kept
+model's run state equal to a fresh model's.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 import multiprocessing
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +38,7 @@ from repro.scenario import (
     WorkloadSpec,
     run_scenario,
 )
-from repro.scenario.runner import KeptModel
+from repro.scenario.runner import KeptModel, build_model
 from repro.thermal import CoolingDryoutError
 from repro.workers import AttemptTable
 
@@ -194,3 +196,75 @@ def test_the_stale_march_pair_on_one_parked_sweep_worker(monkeypatch):
     for job, (label, result) in zip(jobs, results):
         assert label == job.label
         assert _fields(result) == _fields(run_scenario(job))
+
+
+def _differences(kept, fresh, path="run_state"):
+    """The paths at which two objects differ, walked field by field:
+    arrays by ``np.array_equal``, caches by their contents (entries in
+    order, and the counts), objects by their attributes."""
+    if type(kept) is not type(fresh):
+        return [f"{path}: {type(kept).__name__} != {type(fresh).__name__}"]
+    if isinstance(kept, np.ndarray):
+        return [] if np.array_equal(kept, fresh) else [path]
+    if isinstance(kept, dict):
+        if list(kept) != list(fresh):
+            return [f"{path}: keys {list(kept)} != {list(fresh)}"]
+        pairs = [(f"{path}[{key!r}]", kept[key], fresh[key]) for key in kept]
+    elif isinstance(kept, (list, tuple)):
+        if len(kept) != len(fresh):
+            return [f"{path}: {len(kept)} != {len(fresh)} items"]
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(kept, fresh))]
+    elif dataclasses.is_dataclass(kept):
+        names = [field.name for field in dataclasses.fields(kept)]
+        pairs = [(f"{path}.{n}", getattr(kept, n), getattr(fresh, n)) for n in names]
+    elif hasattr(kept, "__dict__"):
+        return _differences(vars(kept), vars(fresh), path)
+    elif hasattr(type(kept), "__slots__"):
+        names = type(kept).__slots__
+        pairs = [(f"{path}.{n}", getattr(kept, n), getattr(fresh, n)) for n in names]
+    else:
+        return [] if kept == fresh else [f"{path}: {kept!r} != {fresh!r}"]
+    return [diff for p, a, b in pairs for diff in _differences(a, b, p)]
+
+
+DRYOUT_RUN = _job(
+    TWO_PHASE,
+    PolicySpec(name="LC_FUZZY"),
+    faults=FaultSpec(
+        flows=(FlowFaultSpec(kind="dryout", inlet_quality=0.7, start=0.5),)
+    ),
+)
+"""A dynamic two-phase run that marches, installs a dry-out fault and
+ends in ``CoolingDryoutError``."""
+
+WORN_PUMP_RUN = dataclasses.replace(
+    _job(
+        SINGLE_PHASE,
+        PolicySpec(name="LC_FUZZY"),
+        faults=FaultSpec(
+            flows=(FlowFaultSpec(kind="pump-degradation", remaining_fraction=0.5),),
+            actuator_lag_periods=1,
+        ),
+        noise=0.5,
+    ),
+    solver=SolverSpec(nx=12, ny=10, backend="iterative"),
+)
+"""A single-phase run on the iterative backend, so its steady solves
+leave Krylov warm starts, with pump wear, sensor noise and actuator
+lag."""
+
+
+@pytest.mark.parametrize("job", [DRYOUT_RUN, WORN_PUMP_RUN], ids=["dryout", "pump"])
+def test_a_reset_leaves_the_run_state_of_a_fresh_model(job):
+    model = build_model(job)
+    try:
+        run_scenario(job, model=model)
+    except CoolingDryoutError:
+        assert job is DRYOUT_RUN
+    else:
+        assert job is not DRYOUT_RUN
+    fresh = build_model(job, stack=model.stack).run_state
+    # The run left state behind: the walk has something to find.
+    assert _differences(model.run_state, fresh)
+    model.reset_run_state()
+    assert _differences(model.run_state, fresh) == []

@@ -10,6 +10,7 @@ capacitance-fill regression with equal-comparing stack elements.
 import numpy as np
 import pytest
 
+import repro.thermal.model as model_module
 from repro.geometry import build_3d_mpsoc
 from repro.geometry.stack import Layer
 from repro.thermal import CompactThermalModel, TransientStepper
@@ -105,8 +106,9 @@ def test_uniform_override_and_signature_keys_coexist():
     assert model.steady_cache_info().misses == 2
 
 
-def test_steady_cache_lru_eviction():
-    model = _model(max_steady_factors=2)
+def test_steady_cache_lru_eviction(monkeypatch):
+    monkeypatch.setattr(model_module, "MAX_STEADY_FACTORS", 2)
+    model = _model()
     powers = _powers(model)
     for flow in (20.0, 40.0, 60.0):
         model.steady_state(powers, flow_ml_min=flow)
@@ -165,8 +167,9 @@ def test_stepper_cache_info_counts():
     assert model.transient_cache_info()[:3] == (2, 2, 2)
 
 
-def test_stepper_cache_eviction_bound():
-    model = _model(max_transient_factors=1)
+def test_stepper_cache_eviction_bound(monkeypatch):
+    monkeypatch.setattr(model_module, "MAX_TRANSIENT_FACTORS", 1)
+    model = _model()
     powers = _powers(model)
     stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
     base_flow = model.flow_ml_min
@@ -208,26 +211,19 @@ def test_pack_powers_validates_and_accumulates():
 
 
 # ---------------------------------------------------------------------------
-# configurable LU cache sizes
+# LU cache gauges
 # ---------------------------------------------------------------------------
 
 
-def test_lu_cache_size_explicit_argument_wins():
-    from repro.obs.metrics import get_registry
-
-    model = _model(max_steady_factors=5, max_transient_factors=7)
-    assert model.steady_cache_info().maxsize == 5
-    assert model.transient_cache_info().maxsize == 7
-    registry = get_registry()
-    assert registry.gauge("thermal.steady_cache.maxsize").value == 5
-    assert registry.gauge("thermal.transient_cache.maxsize").value == 7
-
-
-def test_cache_occupancy_gauges_track_inserts_and_evictions():
+def test_cache_occupancy_gauges_track_inserts_and_evictions(monkeypatch):
     from repro.obs.metrics import get_registry
 
     registry = get_registry()
-    model = _model(max_steady_factors=1, max_transient_factors=2)
+    monkeypatch.setattr(model_module, "MAX_STEADY_FACTORS", 1)
+    monkeypatch.setattr(model_module, "MAX_TRANSIENT_FACTORS", 2)
+    model = _model()
+    assert registry.gauge("thermal.steady_cache.maxsize").value == 1
+    assert registry.gauge("thermal.transient_cache.maxsize").value == 2
     powers = _powers(model)
     model.steady_state(powers)
     assert registry.gauge("thermal.steady_cache.currsize").value == 1
@@ -318,7 +314,8 @@ def test_reset_drops_a_march_another_flux_put_in_the_cache():
     (name,) = model.cooled_cavity_names
     backend = model.cooling_backend(name)
     first = backend.respond_to_flow(20.0, np.full(model.grid.nx, 2.0e5))
-    model.reset_cooling_state()
+    model.reset_run_state()
+    backend = model.cooling_backend(name)
     nudged = np.full(model.grid.nx, 2.0e5 + 30.0)
     again = backend.respond_to_flow(20.0, nudged)
     fresh = _two_phase_model().cooling_backend(name).respond_to_flow(20.0, nudged)

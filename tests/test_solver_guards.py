@@ -112,7 +112,7 @@ def test_poisoned_steady_factor_evicted_and_retried(
 ):
     model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
     reference = model.steady_state(uniform_core_powers)
-    model._steady_factors[model._steady_key(None)] = _NaNFactor()
+    model._steady_factors.entries[model._steady_key(None)] = _NaNFactor()
 
     field = model.steady_state(uniform_core_powers)
 
@@ -178,7 +178,7 @@ def test_poisoned_transient_factor_refactorised(fresh_stepper):
     stepper, powers = fresh_stepper
     stepper.step(powers)  # primes the (signature, dt) cache entry
     key = (stepper.model.flow_signature(), stepper.dt)
-    factors = stepper.model._transient_factors
+    factors = stepper.model._transient_factors.entries
     factor, boundary, matrix = factors[key]
     factors[key] = (_NaNFactor(), boundary, matrix)
 

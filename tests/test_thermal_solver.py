@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.thermal.model as model_module
+from repro.keyed_cache import KeyedCache
 from repro.thermal import CompactThermalModel, TransientStepper
 from repro.thermal.reference import dense_transient
 
@@ -68,10 +70,9 @@ def test_lu_cache_one_factor_per_flow_setting(liquid_stack_2tier):
     assert model.transient_cache_info().currsize == 3
 
 
-def test_lru_eviction_bounds_cache(liquid_stack_2tier):
-    model = CompactThermalModel(
-        liquid_stack_2tier, nx=12, ny=10, max_transient_factors=2
-    )
+def test_lru_eviction_bounds_cache(liquid_stack_2tier, monkeypatch):
+    monkeypatch.setattr(model_module, "MAX_TRANSIENT_FACTORS", 2)
+    model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
     powers = core_powers(liquid_stack_2tier)
     stepper = TransientStepper(model, dt=0.1, initial=model.uniform_field(300.15))
     for flow in (10.0, 15.0, 20.0, 25.0):
@@ -94,7 +95,7 @@ def test_invalid_parameters_rejected(liquid_model_coarse):
             liquid_model_coarse, dt=0.0, initial=liquid_model_coarse.uniform_field(300.0)
         )
     with pytest.raises(ValueError):
-        CompactThermalModel(liquid_model_coarse.stack, max_transient_factors=0)
+        KeyedCache(0)
 
 
 def test_air_sink_time_constant_visible(air_model_coarse, air_stack_2tier):

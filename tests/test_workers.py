@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import fan_out, resilient_fan_out
+from repro.workers import EXIT_GRACE_S, AttemptTable
 
 
 def _job(arg):
@@ -124,4 +126,44 @@ def test_fan_out_raises_the_first_failure(tmp_path):
         fan_out(_job, [(str(tmp_path), "bad", "raise")], processes=2)
     with pytest.raises(RuntimeError, match="exit code 13"):
         fan_out(_job, [(str(tmp_path), "crash", "exit")], processes=2)
+    assert multiprocessing.active_children() == []
+
+
+def _sleep(_conn):
+    time.sleep(30.0)
+
+
+@pytest.mark.parametrize("start_method", ["fork"], indirect=True)
+def test_a_terminate_right_after_the_fork_ends_the_worker(start_method):
+    # The parent holds what the service loop holds: a no-op SIGTERM
+    # handler and a wakeup fd.  A forked worker inherits both until it
+    # resets them, so a terminate() landing first must wait for the
+    # reset, not be swallowed and written to the parent's fd.
+    reader, writer = socket.socketpair()
+    reader.setblocking(False)
+    writer.setblocking(False)
+    table = AttemptTable()
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    wakeup = signal.set_wakeup_fd(writer.fileno())
+    try:
+        attempts = []
+        for key in range(20):
+            attempts.append(table.start(key, _sleep, (), daemon=True))
+            attempts[-1].process.terminate()
+        deadline = time.monotonic() + EXIT_GRACE_S
+        for attempt in attempts:
+            attempt.process.join(max(0.0, deadline - time.monotonic()))
+        codes = [attempt.process.exitcode for attempt in attempts]
+    finally:
+        signal.set_wakeup_fd(wakeup)
+        signal.signal(signal.SIGTERM, previous)
+        table.close()
+    try:
+        leaked = reader.recv(64)
+    except BlockingIOError:
+        leaked = b""
+    reader.close()
+    writer.close()
+    assert codes == [-signal.SIGTERM] * 20
+    assert leaked == b""
     assert multiprocessing.active_children() == []
