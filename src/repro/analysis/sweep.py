@@ -65,6 +65,7 @@ from ..obs.trace import get_tracer
 from ..scenario.cache import ResultCache
 from ..scenario.runner import KeptModel, run_scenario
 from ..scenario.spec import Scenario
+from ..thermal import ladder
 from ..thermal.field import TemperatureField
 from ..thermal.model import BlockRef, CompactThermalModel
 from ..workers import AttemptTable, RetryPolicy, error_report
@@ -92,7 +93,8 @@ class SteadySweep:
     Parameters
     ----------
     model:
-        The model to sweep.  Its steady-factor cache is shared, so
+        The model to sweep.  Each flow state's solve runs on the
+        cached factor of the steady chain's direct rung, so
         interleaving sweeps with individual ``steady_state`` calls
         never refactorises needlessly.
     """
@@ -103,23 +105,20 @@ class SteadySweep:
     def solve(self, cases: Sequence[SteadyCase]) -> List[TemperatureField]:
         """Solve all cases, returned in input order.
 
-        Cases are grouped by flow override; each group is one
-        factorisation (cached) plus one multi-RHS solve.
+        Cases are grouped by the flow state they solve at; each group
+        is one factorisation (cached) plus one multi-RHS solve.
         """
         groups: Dict[object, List[int]] = {}
         for index, case in enumerate(cases):
-            key = (
-                None
-                if case.flow_ml_min is None
-                else round(float(case.flow_ml_min), 6)
-            )
+            key = (self.model.flow_signature(case.flow_ml_min), None)
             groups.setdefault(key, []).append(index)
 
         results: List[Optional[TemperatureField]] = [None] * len(cases)
         for key, indices in groups.items():
-            flow = None if key is None else cases[indices[0]].flow_ml_min
-            factor = self.model.steady_factor(flow)
-            boundary = self.model.boundary_rhs(flow)
+            flow = cases[indices[0]].flow_ml_min
+            factor, boundary, _ = ladder.operator(
+                self.model, "steady", "direct", key, flow
+            )
             rhs = np.empty((self.model.grid.size, len(indices)))
             for column, index in enumerate(indices):
                 rhs[:, column] = (

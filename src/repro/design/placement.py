@@ -11,7 +11,7 @@ coolest core slots.
 :func:`thermal_aware_assignment` solves the resulting assignment
 problem greedily with the compact grid model
 (:class:`~repro.thermal.model.CompactThermalModel`) as its oracle: slots
-rank by their block-mean steady temperature under a uniform probe.  The
+rank by their block-peak steady temperature under a uniform probe.  The
 :func:`placement_gain` helper quantifies the peak-temperature advantage
 over naive (queue-only) balancing for a given demand vector.  A coarse
 grid (12x10 cells) keeps each evaluation within milliseconds.
@@ -39,14 +39,17 @@ def core_coolness_ranking(
     """Core slots ordered from coolest to hottest.
 
     Probes the stack with uniform power and ranks slots by their
-    block-mean steady temperature — a pure function of geometry, cavity
-    layout and flow direction, independent of the workload.
+    block-peak steady temperature — a pure function of geometry, cavity
+    layout and flow direction, independent of the workload.  Peaks,
+    not block means, because the placer fights hot spots, and on the
+    4-tier stack the block-mean order moves with the grid resolution
+    where the block-peak order does not.
     """
     if probe_power <= 0.0:
         raise ValueError("probe power must be positive")
     refs = _core_refs(model.stack)
     field = model.steady_state({ref: probe_power for ref in refs})
-    temps = field.block_temperatures(model.block_masks(), reduce="mean")
+    temps = field.block_temperatures(model.block_masks(), reduce="max")
     # Normalise and round so that symmetric slots (equal up to float
     # noise) order deterministically by name regardless of probe power.
     t_min = min(temps.values())

@@ -1,8 +1,9 @@
 """The one bounded least-recently-used cache of the package.
 
 The thermal model keeps its steady and transient LU factors, ILU
-operators and AMG hierarchies in :class:`KeyedCache` instances, and
-each dynamic two-phase cooling backend its evaporator marches.
+operators and AMG hierarchies in :class:`KeyedCache` instances (see
+:mod:`repro.thermal.ladder`), and each dynamic two-phase cooling
+backend its evaporator marches.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ class KeyedCache:
     insert beyond that evicts the least recently used entry.
 
     ``hits`` and ``misses`` name registry counters that each lookup
-    moves besides the cache's own counts.  ``gauges`` names the prefix
-    of a ``.maxsize`` gauge, set once, and a ``.currsize`` gauge, set
-    whenever the number of entries may have changed.
+    moves besides the cache's own counts; ``gauge`` counts the cache's
+    entries, together with those of every other cache that shares it.
     """
 
     def __init__(
@@ -32,7 +32,7 @@ class KeyedCache:
         *,
         hits: Optional[str] = None,
         misses: Optional[str] = None,
-        gauges: Optional[str] = None,
+        gauge: Optional["SizeGauge"] = None,
     ) -> None:
         if maxsize < 1:
             raise ValueError("a cache must hold at least one entry")
@@ -43,11 +43,8 @@ class KeyedCache:
         self.misses = 0
         self._hit = registry.counter(hits) if hits else None
         self._miss = registry.counter(misses) if misses else None
-        self._currsize = None
-        if gauges:
-            registry.gauge(f"{gauges}.maxsize").set(maxsize)
-            self._currsize = registry.gauge(f"{gauges}.currsize")
-            self._currsize.set(0)
+        self._gauge = gauge
+        self._counted = 0
 
     def get(
         self,
@@ -92,5 +89,23 @@ class KeyedCache:
         return CacheInfo(self.hits, self.misses, len(self.entries), self.maxsize)
 
     def _resized(self) -> None:
-        if self._currsize is not None:
-            self._currsize.set(len(self.entries))
+        if self._gauge is not None:
+            self._gauge.add(len(self.entries) - self._counted)
+            self._counted = len(self.entries)
+
+
+class SizeGauge:
+    """A ``<prefix>.currsize`` gauge counting the entries of the caches
+    that share it, beside a ``<prefix>.maxsize`` gauge set once.  The
+    last set of caches to resize writes the gauge."""
+
+    def __init__(self, prefix: str, maxsize: int) -> None:
+        registry = get_registry()
+        registry.gauge(f"{prefix}.maxsize").set(maxsize)
+        self._currsize = registry.gauge(f"{prefix}.currsize")
+        self._currsize.set(0)
+        self.size = 0
+
+    def add(self, delta: int) -> None:
+        self.size += delta
+        self._currsize.set(self.size)

@@ -27,7 +27,8 @@ from .krylov import (
     KrylovSolver,
     choose_backend,
 )
-from .model import CacheInfo, CompactThermalModel, SPLU_OPTIONS
+from .ladder import SPLU_OPTIONS
+from .model import CacheInfo, CompactThermalModel
 from .solver import TransientStepper
 from .sensors import TemperatureSensors
 from .reference import dense_steady_state

@@ -54,7 +54,9 @@ class SolverDiagnostics:
         Whether every entry of the solution is finite.
     condition_estimate:
         Cheap order-of-magnitude condition estimate of the factorised
-        matrix, ``max|diag(U)| / min|diag(U)|`` from the LU factor.
+        matrix, ``max|diag(U)| / min|diag(U)|`` from the LU factor of
+        the last direct solve, when that solve checked a residual,
+        refactorised or failed.
     dt:
         Requested step length [s] (transient only).
     dt_effective:
@@ -62,7 +64,8 @@ class SolverDiagnostics:
     retries:
         Number of dt-halving retries consumed by the step.
     factor_evictions:
-        Poisoned LU factors evicted while handling this solve.
+        LU factors evicted and refactorised while handling this
+        solve.
     method:
         ``"direct"`` (sparse LU), ``"bicgstab"`` (ILU-preconditioned
         Krylov) or ``"bicgstab+amg"`` (AMG-preconditioned Krylov); the
@@ -107,11 +110,11 @@ class SolverDiagnostics:
 class SolverGuard:
     """Configuration of the numerical guards around solves.
 
+    Every solve rejects NaN/Inf solutions (one cheap ``isfinite`` scan
+    per solve).
+
     Attributes
     ----------
-    check_finite:
-        Reject NaN/Inf solutions (one cheap ``isfinite`` scan per
-        solve).  Disabling it removes every per-step guard.
     residual_tolerance:
         When set, compute the relative residual of each solve and treat
         anything above the tolerance as a divergence.  Costs one extra
@@ -123,7 +126,6 @@ class SolverGuard:
         before :class:`TransientDivergenceError` is raised.
     """
 
-    check_finite: bool = True
     residual_tolerance: Optional[float] = None
     max_dt_halvings: int = 6
 
@@ -146,13 +148,15 @@ class SolverStats:
     spent, and how often the iterative path had to hand a solve back to
     the direct factorisation.
 
-    Backed by :class:`repro.obs.metrics.Counter` instances: the four
+    Backed by :class:`repro.obs.metrics.Counter` instances: the
     per-instance counters keep the historical per-model/per-stepper
     attribute semantics (``stats.direct_solves`` etc. read through to
-    them), while every ``record`` also folds into the process-global
-    metrics registry under ``solver.*`` so a whole run's solver
-    behaviour rolls up into one place regardless of how many models and
-    steppers it created.
+    them), while every ``record`` also folds the solves and iterations
+    into the process-global metrics registry under ``solver.*`` so a
+    whole run's solver behaviour rolls up into one place regardless of
+    how many models and steppers it created.  The registry counts each
+    fallback hop once, where the solve ladder takes it
+    (``solver.fallback.*``, see :mod:`repro.thermal.ladder`).
     """
 
     _GLOBAL_NAMES = (
@@ -160,8 +164,6 @@ class SolverStats:
         "solver.iterative_solves",
         "solver.amg_solves",
         "solver.krylov_iterations",
-        "solver.fallbacks_to_direct",
-        "solver.fallbacks_to_iterative",
     )
 
     def __init__(self) -> None:
@@ -177,8 +179,6 @@ class SolverStats:
             self._g_iterative,
             self._g_amg,
             self._g_krylov,
-            self._g_fallbacks,
-            self._g_fallbacks_iterative,
         ) = (registry.counter(name) for name in self._GLOBAL_NAMES)
 
     @property
@@ -212,10 +212,8 @@ class SolverStats:
             self._g_krylov.inc(diagnostics.iterations)
         if diagnostics.fallback_to_iterative:
             self._fallbacks_iterative.inc()
-            self._g_fallbacks_iterative.inc()
         if diagnostics.fallback_to_direct:
             self._fallbacks.inc()
-            self._g_fallbacks.inc()
             self._direct.inc()
             self._g_direct.inc()
         elif diagnostics.method == "direct":

@@ -23,8 +23,8 @@ direct up to :data:`DIRECT_NODE_LIMIT` nodes and AMG above it.  Both
 solver classes package one preconditioned operator so the steady and
 transient paths cache them exactly like LU factors.  Non-convergence
 raises :class:`~repro.thermal.diagnostics.IterativeConvergenceError`,
-which the steady chain (amg -> iterative -> direct) and the transient
-stepper catch to fall back to the next rung.
+which the solve ladder (:mod:`repro.thermal.ladder`) catches to hand
+the solve to the next rung.
 """
 
 from __future__ import annotations

@@ -48,8 +48,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import splu
+from scipy.sparse import csr_matrix
 
 from .. import constants
 from ..cooling import (
@@ -60,33 +59,24 @@ from ..cooling import (
     backend_for_cavity,
 )
 from ..geometry.stack import Cavity, CoolingMode, Layer, StackDesign, TwoPhaseCavity
-from ..keyed_cache import CacheInfo, KeyedCache
+from ..keyed_cache import CacheInfo
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..units import celsius_to_kelvin, ml_per_min_to_m3_per_s
+from . import ladder
 from .assembly import ConductanceBuilder
 from .diagnostics import (
-    FactorizationError,
-    IterativeConvergenceError,
     NonFiniteFieldError,
     SolverDiagnostics,
     SolverGuard,
     SolverStats,
     ThermalInputError,
-    condition_estimate_from_factor,
-    relative_residual,
     validate_finite_array,
     validate_positive_scalar,
 )
 from .field import TemperatureField
 from .grid import ThermalGrid
-from .krylov import (
-    SOLVER_CHOICES,
-    AmgSolver,
-    KrylovOptions,
-    KrylovSolver,
-    choose_backend,
-)
+from .krylov import KrylovOptions, choose_backend
 
 DEFAULT_AMBIENT_K = celsius_to_kelvin(46.0)
 """Default air ambient [K].
@@ -105,73 +95,6 @@ BlockRef = Tuple[str, str]
 FlowSignature = Tuple[Tuple[str, float], ...]
 """Hashable description of the per-cavity flow state (see
 :meth:`CompactThermalModel.flow_signature`)."""
-
-FactorKey = Tuple[FlowSignature, float]
-"""Cache key of one transient factorisation: ``(flow signature, dt)``."""
-
-FactorEntry = Tuple[object, np.ndarray, csr_matrix]
-"""One transient cache entry: ``(LU factor, boundary rhs, system matrix)``."""
-
-KrylovEntry = Tuple[KrylovSolver, np.ndarray]
-"""One transient iterative-path entry: ``(ILU-preconditioned solver,
-boundary rhs)``."""
-
-MAX_STEADY_FACTORS = 8
-"""Steady-solve operators a model caches per tier (LRU): LU
-factorisations, ILU preconditioners and AMG hierarchies."""
-
-MAX_TRANSIENT_FACTORS = 16
-"""LU factorisations, and ILU operators, of the transient system
-``C/dt + A(f)`` a model caches (LRU), shared by every stepper and run
-of the model."""
-
-SPLU_OPTIONS = {
-    "permc_spec": "MMD_AT_PLUS_A",
-    "options": {"SymmetricMode": True},
-}
-"""SuperLU settings for factorising ``A(f)`` (and ``C/dt + A(f)``).
-
-The RC conductance matrix is structurally symmetric and diagonally
-dominant, so minimum-degree ordering on ``A^T + A`` with SuperLU's
-symmetric mode roughly halves the LU fill-in versus the default
-COLAMD ordering — measured ~1.7x faster factorisation and ~1.8x
-faster triangular solves on the 2-tier stack at the default grid.
-"""
-
-
-def factorize(matrix, kind: str, what: str):
-    """SuperLU factor of ``matrix`` in a ``thermal.factorize`` span.
-
-    The span carries ``kind``, the node count and nnz(L+U) when a sink
-    listens; a failure raises :class:`FactorizationError` naming
-    ``what`` was being factorised.
-    """
-    tracer = get_tracer()
-    with tracer.span("thermal.factorize") as span:
-        try:
-            factor = splu(matrix.tocsc(), **SPLU_OPTIONS)
-        except Exception as exc:
-            raise FactorizationError(
-                f"{kind} LU factorisation failed for {what}: {exc}"
-            ) from exc
-        if tracer.has_sinks:
-            span.set(kind=kind, nodes=factor.shape[0], nnz=factor.nnz)
-    return factor
-
-STEADY_CHAINS: Dict[str, Tuple[str, ...]] = {
-    "amg": ("amg", "iterative", "direct"),
-    "iterative": ("iterative", "direct"),
-    "direct": ("direct",),
-}
-"""The guarded steady-solve chain of each resolved backend.
-
-Every rung but the last is a warm-started Krylov solve; a rung that
-fails to set up, converge or meet the residual guard hands the same
-right-hand side to the next one, ending at the guarded direct LU.
-"""
-
-_RUNG_METHODS = {"amg": AmgSolver.method, "iterative": KrylovSolver.method}
-"""``SolverDiagnostics.method`` of a solve accepted on each Krylov rung."""
 
 # TWO_PHASE_ANCHOR_W_PER_K moved to repro.cooling with the backend
 # layer; the import above keeps this module's historical re-export for
@@ -242,7 +165,7 @@ class CompactThermalModel:
         direct fallback), ``"amg"`` (algebraic-multigrid-preconditioned
         BiCGSTAB — the raw-speed tier for large grids, guarded by the
         fallback chain amg -> iterative -> direct; see
-        :data:`STEADY_CHAINS`) or ``"auto"`` (direct up to
+        :data:`repro.thermal.ladder.CHAINS`) or ``"auto"`` (direct up to
         :data:`repro.thermal.krylov.DIRECT_NODE_LIMIT` nodes, AMG
         above — large grids stay out of LU fill-in memory).
     krylov:
@@ -273,10 +196,6 @@ class CompactThermalModel:
         cooling: Optional[CoolingConfig] = None,
     ) -> None:
         self.guard = guard if guard is not None else SolverGuard()
-        if solver not in SOLVER_CHOICES:
-            raise ValueError(
-                f"unknown solver {solver!r}; choose from {SOLVER_CHOICES}"
-            )
         self.solver = solver
         self.krylov_options = krylov if krylov is not None else KrylovOptions()
         self.stack = stack
@@ -288,50 +207,13 @@ class CompactThermalModel:
         self._block_order: Optional[List[BlockRef]] = None
         self._block_index: Optional[Dict[BlockRef, int]] = None
         self._injection: Optional[csr_matrix] = None
-        # Solve operators, each keyed by the flow state (and dt) that
-        # fully describes the matrix it came from: a flow change looks
-        # up another key, so no stale entry can be served, and every
-        # run on the model may share them.  Hits and misses of every
-        # steady tier count in thermal.steady_cache.*, of both
-        # transient paths in thermal.transient_cache.*; the occupancy
-        # gauges follow the LU caches (last writer wins across models).
-        steady = {
-            "hits": "thermal.steady_cache.hits",
-            "misses": "thermal.steady_cache.misses",
-        }
-        transient = {
-            "hits": "thermal.transient_cache.hits",
-            "misses": "thermal.transient_cache.misses",
-        }
-        self._steady_factors = KeyedCache(
-            MAX_STEADY_FACTORS, gauges="thermal.steady_cache", **steady
-        )
-        # One ILU or AMG operator per flow state and Krylov tier.
-        self._steady_ops: Dict[str, KeyedCache] = {
-            tier: KeyedCache(MAX_STEADY_FACTORS, **steady)
-            for tier in ("amg", "iterative")
-        }
-        # Transient LU factors of C/dt + A(f), keyed by (flow signature,
-        # dt).  Each entry also holds the boundary rhs b(f) and the
-        # matrix, so a cached step costs one spmv and one triangular
-        # solve pair.  The iterative path keeps its ILU operators beside
-        # them.
-        self._transient_factors = KeyedCache(
-            MAX_TRANSIENT_FACTORS, gauges="thermal.transient_cache", **transient
-        )
-        self._transient_krylov = KeyedCache(MAX_TRANSIENT_FACTORS, **transient)
+        # The solve operators, each keyed by the flow state (and dt)
+        # that fully describes its matrix, so every run may share them,
+        # and the rung chains of the backend, resolved once.
+        self.caches = ladder.new_caches()
+        backend = choose_backend(solver, self.grid.size)
+        self.chains = {kind: chains[backend] for kind, chains in ladder.CHAINS.items()}
         registry = get_registry()
-        # Counted and traced when a Krylov rung hands over to the next.
-        self._rung_fallbacks = {
-            "amg": (
-                registry.counter("solver.fallback.amg_to_iterative"),
-                "amg.fallback",
-            ),
-            "iterative": (
-                registry.counter("solver.fallback.iterative_to_direct"),
-                "krylov.fallback",
-            ),
-        }
         # Cooling backends live in the run state.  The grid levels of
         # dynamic two-phase cavities are collected during assembly:
         # their moving saturation anchors enter the solves through
@@ -558,15 +440,18 @@ class CompactThermalModel:
         """Current flow rate per single-phase cavity [ml/min]."""
         return dict(self.run_state.flows)
 
-    def flow_signature(self) -> FlowSignature:
-        """Hashable description of the current flow state.
+    def flow_signature(self, flow_ml_min: Optional[float] = None) -> FlowSignature:
+        """Hashable description of the stored flow state, or of the one
+        a uniform override ``flow_ml_min`` implies.
 
-        Transient steppers and the steady-factor cache key their cached
-        LU factorisations on this.
+        The solve caches key their operators on it (see
+        :mod:`repro.thermal.ladder`), so an override and the stored
+        flow state it equals share one entry.
         """
-        return tuple(
-            sorted((n, round(f, 6)) for n, f in self.run_state.flows.items())
-        )
+        flows = self.run_state.flows
+        if flow_ml_min is not None:
+            flows = dict.fromkeys(flows, float(flow_ml_min))
+        return tuple(sorted((n, round(f, 6)) for n, f in flows.items()))
 
     def set_flow(self, flow_ml_min: float) -> None:
         """Set one common per-cavity coolant flow rate [ml/min].
@@ -972,61 +857,15 @@ class CompactThermalModel:
     # solving
     # ------------------------------------------------------------------
 
-    def steady_factor(self, flow_ml_min: Optional[float] = None):
-        """Cached sparse LU factorisation of ``A(f)`` for steady solves.
-
-        Repeated solves at the same flow state (sweeps, sensor
-        calibration) skip the CSC conversion and refactorisation.  Keys
-        are flow signatures (or the explicit uniform override), so
-        :meth:`set_flow` / :meth:`set_cavity_flow` can never leave a
-        stale factor behind.
-        """
-        key = self._steady_key(flow_ml_min)
-        return self._steady_factors.get(
-            key,
-            lambda: factorize(
-                self.system_matrix(flow_ml_min), "steady", f"flow state {key!r}"
-            ),
-        )
-
-    def _steady_key(self, flow_ml_min: Optional[float]) -> object:
-        if flow_ml_min is not None:
-            return ("uniform", round(float(flow_ml_min), 6))
-        return self.flow_signature()
-
-    def evict_steady_factor(self, flow_ml_min: Optional[float] = None) -> bool:
-        """Drop one cached steady factor (a poisoned-factor escape hatch).
-
-        Returns whether an entry was actually evicted.  Guarded solves
-        call this when a factor produces non-finite or out-of-tolerance
-        solutions, so a retry refactorises instead of reusing the bad
-        factor.  Covers every backend: the LU factor, the ILU
-        preconditioner/warm-start state and the AMG hierarchy of the
-        same key.
-        """
-        key = self._steady_key(flow_ml_min)
-        caches = (self._steady_factors, *self._steady_ops.values())
-        dropped = [cache.pop(key) for cache in caches]
-        self.run_state.warm.pop(key, None)
-        return any(dropped)
-
     def steady_cache_info(self) -> CacheInfo:
-        """Hit/miss statistics of the steady caches of every tier; the
-        size is the LU cache's."""
-        caches = (self._steady_factors, *self._steady_ops.values())
-        return self._steady_factors.info()._replace(
-            hits=sum(cache.hits for cache in caches),
-            misses=sum(cache.misses for cache in caches),
-        )
+        """Hits, misses and entries of the steady caches of every tier."""
+        return ladder.cache_info(self, "steady")
 
     def clear_steady_cache(self) -> None:
-        """Drop all cached steady factorisations (and their statistics).
-
-        Covers every backend: direct LU factors, the iterative path's
-        ILU preconditioners, the AMG hierarchies and the shared
-        warm-start guesses.
-        """
-        for cache in (self._steady_factors, *self._steady_ops.values()):
+        """Drop every cached steady operator (and their statistics):
+        LU factors, ILU preconditioners, AMG hierarchies and the warm
+        starts."""
+        for cache in self.caches["steady"].values():
             cache.clear()
         self.run_state.warm.clear()
 
@@ -1044,136 +883,20 @@ class CompactThermalModel:
         """
         self.run_state = RunState(self)
 
-    def _transient_matrix(self, dt: float) -> csr_matrix:
-        return self.system_matrix() + diags(self._capacitance / dt)
-
-    def transient_factor(self, dt: float) -> FactorEntry:
-        """Cached ``(LU factor, boundary rhs, matrix)`` of ``C/dt + A(f)``
-        at the current flow state (see :class:`TransientStepper`).
-
-        Keyed by ``(flow signature, dt)`` and bounded by
-        :data:`MAX_TRANSIENT_FACTORS` (LRU); the boundary rhs is taken at
-        the model's fixed ``inlet_temperature`` and ``ambient``.
-        """
-        key: FactorKey = (self.flow_signature(), dt)
-
-        def build() -> FactorEntry:
-            matrix = self._transient_matrix(dt)
-            factor = factorize(matrix, "transient", f"key {key!r}")
-            return factor, self.boundary_rhs(), matrix
-
-        return self._transient_factors.get(key, build)
-
-    def transient_krylov(self, dt: float) -> KrylovEntry:
-        """Cached ``(ILU-preconditioned solver, boundary rhs)`` of
-        ``C/dt + A(f)``, the iterative twin of :meth:`transient_factor`."""
-        return self._transient_krylov.get(
-            (self.flow_signature(), dt),
-            lambda: (
-                KrylovSolver(self._transient_matrix(dt), self.krylov_options),
-                self.boundary_rhs(),
-            ),
-        )
-
-    def evict_transient_factor(self, dt: float) -> bool:
-        """Drop the transient LU factor of the current flow state at
-        ``dt``; returns whether one was cached (a poisoned-factor escape
-        hatch)."""
-        return self._transient_factors.pop((self.flow_signature(), dt))
-
-    def evict_transient_krylov(self, dt: float) -> bool:
-        """Drop the transient ILU operator of the current flow state at
-        ``dt``; returns whether one was cached."""
-        return self._transient_krylov.pop((self.flow_signature(), dt))
-
     def transient_cache_info(self) -> CacheInfo:
-        """Hit/miss statistics of the transient LU cache."""
-        return self._transient_factors.info()
+        """Hits, misses and entries of the transient caches of every
+        tier."""
+        return ladder.cache_info(self, "transient")
 
     def steady_backend(self) -> str:
-        """The resolved steady-solve backend for this model's grid.
+        """The resolved backend, the first rung of the steady chain.
 
-        ``"auto"`` resolves by problem size (see
+        ``"auto"`` resolves by problem size once per model (see
         :func:`repro.thermal.krylov.choose_backend`); explicit
         ``"direct"`` / ``"iterative"`` / ``"amg"`` requests pass
-        through.  It names the first rung of the steady chain.
+        through.
         """
-        return choose_backend(self.solver, self.grid.size)
-
-    def steady_operator(
-        self, tier: Optional[str] = None, flow_ml_min: Optional[float] = None
-    ):
-        """Cached solve operator of one steady rung for ``A(f)``.
-
-        ``tier`` defaults to :meth:`steady_backend`, the first rung of
-        this model's chain, so one call warms whatever a steady solve
-        tries first.  ``"direct"`` returns :meth:`steady_factor`;
-        ``"iterative"`` an ILU-preconditioned
-        :class:`~repro.thermal.krylov.KrylovSolver`; ``"amg"`` an
-        :class:`~repro.thermal.krylov.AmgSolver` whose hierarchy setup
-        is handed the grid extents so the pure-scipy builder
-        aggregates geometrically (see :mod:`repro.thermal.amg`).
-        Krylov operators are keyed by the same flow signatures as the
-        LU factors and bounded per tier by the same LRU budget; an
-        evicted flow state also loses its warm-start guess.
-        """
-        if tier is None:
-            tier = self.steady_backend()
-        if tier == "direct":
-            return self.steady_factor(flow_ml_min)
-
-        def build():
-            matrix = self.system_matrix(flow_ml_min)
-            if tier == "amg":
-                return AmgSolver(
-                    matrix,
-                    self.krylov_options,
-                    grid_shape=(self.grid.levels, self.grid.ny, self.grid.nx),
-                    n_extra=1 if self.grid.has_sink_node else 0,
-                )
-            return KrylovSolver(matrix, self.krylov_options)
-
-        warm = self.run_state.warm
-        return self._steady_ops[tier].get(
-            self._steady_key(flow_ml_min),
-            build,
-            on_evict=lambda evicted: warm.pop(evicted, None),
-        )
-
-    def _krylov_rung(
-        self, tier: str, q: np.ndarray, flow_ml_min: Optional[float]
-    ) -> Tuple[Optional[np.ndarray], Optional[int], Optional[float]]:
-        """One warm-started Krylov solve of the steady chain.
-
-        Returns ``(values, iterations, residual)`` with ``values`` set
-        to ``None`` on failure; ``iterations`` counts this rung's own
-        solve only (``None`` when its operator could not be set up).
-        A non-convergent or out-of-tolerance solve evicts the operator
-        (it may have been built from a poisoned matrix) and its warm
-        start, so the next solve at that flow state starts clean.
-        """
-        key = self._steady_key(flow_ml_min)
-        try:
-            solver = self.steady_operator(tier, flow_ml_min)
-        except FactorizationError:
-            return None, None, None
-        warm = self.run_state.warm
-        before = solver.iterations_total
-        try:
-            values, iterations = solver.solve(q, x0=warm.get(key))
-        except IterativeConvergenceError:
-            values, iterations = None, solver.iterations_total - before
-        residual = None
-        if values is not None and self.guard.residual_tolerance is not None:
-            residual = relative_residual(solver.matrix, values, q)
-            if residual > self.guard.residual_tolerance:
-                values = None
-        if values is None:
-            self._steady_ops[tier].pop(key)
-            warm.pop(key, None)
-            return None, iterations, residual
-        warm[key] = values
-        return values, iterations, residual
+        return self.chains["steady"][0]
 
     @property
     def steady_stats(self) -> SolverStats:
@@ -1192,144 +915,54 @@ class CompactThermalModel:
     ) -> TemperatureField:
         """Steady-state temperature field for constant block powers.
 
-        Walks the chain :data:`STEADY_CHAINS` names for
-        :meth:`steady_backend`: large grids run AMG-preconditioned
-        BiCGSTAB (warm-started per flow state) and drop to ILU, then to
-        the direct LU, when a rung fails; small grids run the direct
-        LU outright.  Each hop is counted
-        (``solver.fallback.amg_to_iterative`` /
-        ``solver.fallback.iterative_to_direct``) and traced
-        (``amg.fallback`` / ``krylov.fallback``), and the accepted
-        solve's ``iterations`` sum the Krylov rungs it tried.  The
-        direct rung is guarded per ``self.guard``: non-finite solutions
-        evict the (poisoned) cached factor, one refactorised retry is
-        attempted, and a persistent failure raises
-        :class:`~repro.thermal.diagnostics.NonFiniteFieldError`.  The
+        Walks the model's steady chain (see :mod:`repro.thermal.ladder`):
+        large grids run AMG-preconditioned BiCGSTAB, warm-started per
+        flow state, and drop to ILU, then to the guarded direct LU,
+        when a rung fails; small grids run the direct LU outright.
+        ``flow_ml_min`` overrides the stored flow state with one flow
+        on every cavity, keyed like the flow state it implies.  The
         health record of the last solve is kept in
         ``last_steady_diagnostics``; running counters in
         ``steady_stats``.
+
+        Raises
+        ------
+        NonFiniteFieldError
+            When the direct rung's solution stays non-finite, or over
+            the guard's residual tolerance, after one refactorisation.
         """
         state = self.run_state
-        tracer = get_tracer()
-        backend = self.steady_backend()
-        with tracer.span(
-            "thermal.steady_solve", backend=backend, nodes=self.grid.size
+        with get_tracer().span(
+            "thermal.steady_solve",
+            backend=self.steady_backend(),
+            nodes=self.grid.size,
         ):
-            q = self.power_vector(block_powers) + self.boundary_rhs(flow_ml_min)
-            # Dynamic two-phase anchors enter as a pure rhs delta; the
-            # matrix (and every cached factor/preconditioner) is
-            # untouched, and the branch is never taken on legacy paths.
-            cooling = self.cooling_rhs()
-            if cooling is not None:
-                q = q + cooling
-            chain = STEADY_CHAINS[backend]
-            iterations: Optional[int] = None
-            amg_fallback = False
-            for tier in chain[:-1]:
-                values, rung_iterations, residual = self._krylov_rung(
-                    tier, q, flow_ml_min
-                )
-                if rung_iterations is not None:
-                    iterations = (iterations or 0) + rung_iterations
-                if values is not None:
-                    diagnostics = SolverDiagnostics(
-                        kind="steady",
-                        residual_norm=residual,
-                        finite=True,
-                        method=_RUNG_METHODS[tier],
-                        iterations=iterations,
-                        fallback_to_iterative=amg_fallback,
+            values, diagnostics = ladder.solve(
+                self,
+                "steady",
+                (self.flow_signature(flow_ml_min), None),
+                self.power_vector(block_powers),
+                flow=flow_ml_min,
+            )
+            if diagnostics is None:
+                diagnostics = SolverDiagnostics(kind="steady")
+            state.last_steady_diagnostics = diagnostics
+            if values is None:
+                if diagnostics.finite:
+                    message = (
+                        f"steady solve residual {diagnostics.residual_norm:.3e} "
+                        f"exceeds the configured tolerance "
+                        f"{self.guard.residual_tolerance:.3e}"
                     )
-                    state.last_steady_diagnostics = diagnostics
-                    state.steady_stats.record(diagnostics)
-                    return TemperatureField(self.grid, values)
-                counter, event = self._rung_fallbacks[tier]
-                counter.inc()
-                tracer.event(event, kind="steady", iterations=rung_iterations)
-                amg_fallback = amg_fallback or tier == "amg"
-            return self._steady_direct(
-                q,
-                flow_ml_min,
-                fallback=len(chain) > 1,
-                iterations=iterations,
-                amg_fallback=amg_fallback,
-            )
-
-    def _steady_direct(
-        self,
-        q: np.ndarray,
-        flow_ml_min: Optional[float],
-        fallback: bool = False,
-        iterations: Optional[int] = None,
-        amg_fallback: bool = False,
-    ) -> TemperatureField:
-        """The guarded direct-LU steady solve (the chain's last rung)."""
-        state = self.run_state
-        factor = self.steady_factor(flow_ml_min)
-        values = factor.solve(q)
-        evictions = 0
-        if self.guard.check_finite and not np.all(np.isfinite(values)):
-            # Poisoned or broken factor: evict, refactorise, retry once.
-            self.evict_steady_factor(flow_ml_min)
-            evictions = 1
-            factor = self.steady_factor(flow_ml_min)
-            values = factor.solve(q)
-            if not np.all(np.isfinite(values)):
-                diagnostics = SolverDiagnostics(
-                    kind="steady",
-                    finite=False,
-                    condition_estimate=condition_estimate_from_factor(factor),
-                    factor_evictions=evictions,
-                    iterations=iterations,
-                    fallback_to_direct=fallback,
-                    fallback_to_iterative=amg_fallback,
-                )
-                state.last_steady_diagnostics = diagnostics
-                raise NonFiniteFieldError(
-                    "steady solve produced non-finite temperatures even "
-                    "after refactorisation; the system matrix is singular "
-                    "or badly scaled",
-                    diagnostics,
-                )
-        residual = None
-        condition = None
-        if self.guard.residual_tolerance is not None:
-            residual = relative_residual(
-                self.system_matrix(flow_ml_min), values, q
-            )
-            condition = condition_estimate_from_factor(factor)
-            if residual > self.guard.residual_tolerance:
-                diagnostics = SolverDiagnostics(
-                    kind="steady",
-                    residual_norm=residual,
-                    finite=True,
-                    condition_estimate=condition,
-                    factor_evictions=evictions,
-                    iterations=iterations,
-                    fallback_to_direct=fallback,
-                    fallback_to_iterative=amg_fallback,
-                )
-                state.last_steady_diagnostics = diagnostics
-                self.evict_steady_factor(flow_ml_min)
-                raise NonFiniteFieldError(
-                    f"steady solve residual {residual:.3e} exceeds the "
-                    f"configured tolerance "
-                    f"{self.guard.residual_tolerance:.3e}",
-                    diagnostics,
-                )
-        diagnostics = SolverDiagnostics(
-            kind="steady",
-            residual_norm=residual,
-            finite=True,
-            condition_estimate=condition,
-            factor_evictions=evictions,
-            iterations=iterations,
-            fallback_to_direct=fallback,
-            fallback_to_iterative=amg_fallback,
-        )
-        state.last_steady_diagnostics = diagnostics
-        state.steady_stats.record(diagnostics)
-        return TemperatureField(self.grid, values)
+                else:
+                    message = (
+                        "steady solve produced non-finite temperatures even "
+                        "after refactorisation; the system matrix is singular "
+                        "or badly scaled"
+                    )
+                raise NonFiniteFieldError(message, diagnostics)
+            state.steady_stats.record(diagnostics)
+            return TemperatureField(self.grid, values)
 
     def uniform_field(self, temperature_k: float) -> TemperatureField:
         """A field with every node at the same temperature."""

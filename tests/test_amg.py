@@ -6,7 +6,7 @@ from scipy import sparse
 
 from repro.geometry import Cavity, CoolingMode, build_3d_mpsoc
 from repro.obs.metrics import get_registry
-from repro.thermal import CompactThermalModel
+from repro.thermal import CompactThermalModel, ladder
 from repro.thermal.amg import (
     AmgOptions,
     AmgPreconditioner,
@@ -279,8 +279,9 @@ def test_amg_solver_cache_and_eviction(liquid_stack_2tier):
     assert after.hits == before.hits + 1
     # Warm start: the repeated identical solve converges immediately.
     assert model.last_steady_diagnostics.iterations == 0
-    assert model.evict_steady_factor()  # drops the cached hierarchy
-    assert not model.evict_steady_factor()
+    key = (model.flow_signature(), None)
+    assert ladder.evict(model, "steady", "amg", key)  # drops the hierarchy
+    assert not ladder.evict(model, "steady", "amg", key)
 
 
 def test_amg_eviction_drops_the_warm_start(liquid_stack_2tier):
@@ -288,7 +289,7 @@ def test_amg_eviction_drops_the_warm_start(liquid_stack_2tier):
     powers = {ref: 2.0 for ref in model.block_order}
     for flow in range(10, 22):  # 12 distinct flow states
         model.steady_state(powers, float(flow))
-    hierarchies = model._steady_ops["amg"].entries
+    hierarchies = model.caches["steady"]["amg"].entries
     assert len(hierarchies) == 8
     # One warm-start vector per cached hierarchy, none for evicted ones.
     assert model.run_state.warm.keys() == hierarchies.keys()

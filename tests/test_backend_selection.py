@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry import CoolingMode, build_3d_mpsoc
 from repro.obs.metrics import get_registry
-from repro.thermal import CompactThermalModel
+from repro.thermal import CompactThermalModel, TransientStepper, ladder
 from repro.thermal.diagnostics import (
     FactorizationError,
     IterativeConvergenceError,
@@ -99,8 +99,6 @@ def test_amg_chain_falls_back_to_iterative_then_direct(monkeypatch, failure):
     """amg -> iterative -> direct: with both Krylov tiers broken the
     guarded direct LU must produce the exact direct-model observables
     while both fallback hops are counted."""
-    import repro.thermal.model as model_module
-
     stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
     model = CompactThermalModel(stack, nx=12, ny=10, solver="amg")
     reference = CompactThermalModel(stack, nx=12, ny=10, solver="direct")
@@ -113,7 +111,7 @@ def test_amg_chain_falls_back_to_iterative_then_direct(monkeypatch, failure):
         def __init__(self, *args, **kwargs):
             raise FactorizationError("forced ILU setup failure")
 
-    monkeypatch.setattr(model_module, "KrylovSolver", BrokenKrylov)
+    monkeypatch.setattr(ladder, "KrylovSolver", BrokenKrylov)
     field = model.steady_state(powers)
     diagnostics = model.last_steady_diagnostics
     assert diagnostics.method == "direct"
@@ -129,6 +127,26 @@ def test_amg_chain_falls_back_to_iterative_then_direct(monkeypatch, failure):
     assert np.array_equal(field.values, expected.values)
 
 
+def test_a_transient_hop_lands_in_the_fallback_counter():
+    """A step that hands over to the direct rung counts its hop where a
+    steady solve counts it."""
+    stack = build_3d_mpsoc(2, CoolingMode.LIQUID)
+    model = CompactThermalModel(
+        stack,
+        nx=12,
+        ny=10,
+        solver="iterative",
+        krylov=KrylovOptions(maxiter=1, rtol=1e-16, atol=0.0),
+    )
+    stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
+    registry = get_registry()
+    start = registry.snapshot()
+    stepper.step({ref: 2.0 for ref in model.block_order})
+    delta = registry.delta_since(start)
+    assert delta["solver.fallback.iterative_to_direct"]["value"] == 1
+    assert stepper.last_diagnostics.fallback_to_direct
+
+
 # ---------------------------------------------------------------------------
 # iteration accounting across the rungs of one solve
 # ---------------------------------------------------------------------------
@@ -136,7 +154,9 @@ def test_amg_chain_falls_back_to_iterative_then_direct(monkeypatch, failure):
 
 def _starve(model, tier):
     """Give the cached operator of one rung a one-iteration budget."""
-    model.steady_operator(tier).options = KrylovOptions(maxiter=1)
+    key = (model.flow_signature(), None)
+    solver = ladder.operator(model, "steady", tier, key).solver
+    solver.options = KrylovOptions(maxiter=1)
 
 
 def test_failed_rung_reports_its_own_iterations():

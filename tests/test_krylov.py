@@ -158,7 +158,7 @@ def test_failed_transient_rung_reports_its_own_iterations():
     assert stepper.stats.krylov_iterations == first
     # Starve the cached operator: one sweep cannot reach rtol=1e-14, so
     # the step falls back to LU after exactly one iteration of its own.
-    ((solver, _),) = model._transient_krylov.entries.values()
+    ((solver, _, _),) = model.caches["transient"]["iterative"].entries.values()
     solver.options = KrylovOptions(maxiter=1, rtol=1e-14)
     stepper.step_packed(packed)
     diagnostics = stepper.last_diagnostics

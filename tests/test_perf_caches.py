@@ -10,10 +10,9 @@ capacitance-fill regression with equal-comparing stack elements.
 import numpy as np
 import pytest
 
-import repro.thermal.model as model_module
 from repro.geometry import build_3d_mpsoc
 from repro.geometry.stack import Layer
-from repro.thermal import CompactThermalModel, TransientStepper
+from repro.thermal import CompactThermalModel, TransientStepper, ladder
 
 
 def _model(tiers: int = 2, **kwargs) -> CompactThermalModel:
@@ -107,7 +106,7 @@ def test_uniform_override_and_signature_keys_coexist():
 
 
 def test_steady_cache_lru_eviction(monkeypatch):
-    monkeypatch.setattr(model_module, "MAX_STEADY_FACTORS", 2)
+    monkeypatch.setattr(ladder, "MAX_STEADY_FACTORS", 2)
     model = _model()
     powers = _powers(model)
     for flow in (20.0, 40.0, 60.0):
@@ -135,6 +134,18 @@ def test_per_cavity_flow_changes_cache_key():
     model.set_flow(max(model.cavity_flows.values()))
     assert np.array_equal(model.steady_state(powers).values, uniform)
     assert model.steady_cache_info().hits == 1
+
+
+def test_steady_cache_size_counts_every_tier():
+    from repro.obs.metrics import get_registry
+
+    model = _model(solver="amg")
+    powers = _powers(model)
+    for flow in (10.0, 20.0, 30.0):
+        model.set_flow(flow)
+        model.steady_state(powers)
+    assert model.steady_cache_info().currsize == 3
+    assert get_registry().gauge("thermal.steady_cache.currsize").value == 3
 
 
 def test_clear_steady_cache_resets_statistics():
@@ -168,7 +179,7 @@ def test_stepper_cache_info_counts():
 
 
 def test_stepper_cache_eviction_bound(monkeypatch):
-    monkeypatch.setattr(model_module, "MAX_TRANSIENT_FACTORS", 1)
+    monkeypatch.setattr(ladder, "MAX_TRANSIENT_FACTORS", 1)
     model = _model()
     powers = _powers(model)
     stepper = TransientStepper(model, 0.1, model.uniform_field(300.0))
@@ -219,8 +230,8 @@ def test_cache_occupancy_gauges_track_inserts_and_evictions(monkeypatch):
     from repro.obs.metrics import get_registry
 
     registry = get_registry()
-    monkeypatch.setattr(model_module, "MAX_STEADY_FACTORS", 1)
-    monkeypatch.setattr(model_module, "MAX_TRANSIENT_FACTORS", 2)
+    monkeypatch.setattr(ladder, "MAX_STEADY_FACTORS", 1)
+    monkeypatch.setattr(ladder, "MAX_TRANSIENT_FACTORS", 2)
     model = _model()
     assert registry.gauge("thermal.steady_cache.maxsize").value == 1
     assert registry.gauge("thermal.transient_cache.maxsize").value == 2

@@ -90,9 +90,9 @@ def test_validation(model):
 def test_four_tier_ranking_on_the_grid_model():
     """The 4-tier stack, where slot geography matters most.
 
-    Block means at 12x10 put the inlet-side tier-0 slots (core0/core4,
-    36.74 degC under the 5 W probe) ahead of the second-column tier-2
-    slots (core9/core13, 37.24 degC).
+    Block peaks at 12x10 put the inlet-side tier-0 slots (core0/core4,
+    38.39 degC under the 5 W probe) ahead of the second-column tier-2
+    slots (core9/core13, 39.45 degC).
     """
     model = CompactThermalModel(build_3d_mpsoc(4), nx=12, ny=10)
     ranking = core_coolness_ranking(model)
@@ -113,3 +113,12 @@ def test_four_tier_ranking_on_the_grid_model():
     # Two full-load threads on 14 idle cores: 2.83 K at 12x10.
     naive_peak, aware_peak = placement_gain(model, [1.0, 1.0] + [0.0] * 14)
     assert naive_peak - aware_peak > 1.0
+
+
+def test_four_tier_ranking_does_not_move_with_the_grid():
+    """Block peaks rank the 4-tier slots alike on the coarse grid and
+    at four times its resolution; block means do not."""
+    stack = build_3d_mpsoc(4)
+    coarse = core_coolness_ranking(CompactThermalModel(stack, nx=12, ny=10))
+    fine = core_coolness_ranking(CompactThermalModel(stack, nx=46, ny=40))
+    assert coarse == fine

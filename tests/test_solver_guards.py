@@ -20,6 +20,7 @@ from repro.thermal import (
     ThermalSolveError,
     TransientDivergenceError,
     TransientStepper,
+    ladder,
 )
 
 
@@ -112,7 +113,9 @@ def test_poisoned_steady_factor_evicted_and_retried(
 ):
     model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
     reference = model.steady_state(uniform_core_powers)
-    model._steady_factors.entries[model._steady_key(None)] = _NaNFactor()
+    factors = model.caches["steady"]["direct"].entries
+    key = (model.flow_signature(), None)
+    factors[key] = factors[key]._replace(solver=_NaNFactor())
 
     field = model.steady_state(uniform_core_powers)
 
@@ -130,8 +133,11 @@ def test_unrecoverable_steady_failure_carries_diagnostics(
     model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
     # Every (re)factorisation hands back a poisoned factor, so even the
     # post-eviction retry fails and the taxonomy error must surface.
+    real_operator = ladder.operator
     monkeypatch.setattr(
-        model, "steady_factor", lambda flow_ml_min=None: _NaNFactor()
+        ladder,
+        "operator",
+        lambda *args: real_operator(*args)._replace(solver=_NaNFactor()),
     )
     with pytest.raises(ThermalSolveError) as excinfo:
         model.steady_state(uniform_core_powers)
@@ -178,7 +184,7 @@ def test_poisoned_transient_factor_refactorised(fresh_stepper):
     stepper, powers = fresh_stepper
     stepper.step(powers)  # primes the (signature, dt) cache entry
     key = (stepper.model.flow_signature(), stepper.dt)
-    factors = stepper.model._transient_factors.entries
+    factors = stepper.model.caches["transient"]["direct"].entries
     factor, boundary, matrix = factors[key]
     factors[key] = (_NaNFactor(), boundary, matrix)
 
@@ -192,19 +198,19 @@ def test_poisoned_transient_factor_refactorised(fresh_stepper):
     assert diagnostics.dt_effective == stepper.dt
 
 
-def test_dt_backoff_converges_when_full_step_fails(fresh_stepper):
+def test_dt_backoff_converges_when_full_step_fails(fresh_stepper, monkeypatch):
     stepper, powers = fresh_stepper
     reference = stepper.state.values.copy()
     full_dt = stepper.dt
-    real_factor = stepper._factor
+    real_operator = ladder.operator
 
-    def poisoned_at_full_dt(dt=None):
-        entry = real_factor(dt)
-        if (full_dt if dt is None else dt) == full_dt:
+    def poisoned_at_full_dt(model, kind, tier, key, flow=None):
+        entry = real_operator(model, kind, tier, key, flow)
+        if key[1] == full_dt:
             return (_NaNFactor(), entry[1], entry[2])
         return entry
 
-    stepper._factor = poisoned_at_full_dt
+    monkeypatch.setattr(ladder, "operator", poisoned_at_full_dt)
     state = stepper.step(powers)
 
     assert np.all(np.isfinite(state.values))
@@ -219,16 +225,16 @@ def test_dt_backoff_converges_when_full_step_fails(fresh_stepper):
     assert np.max(np.abs(state.values - reference)) < 5.0
 
 
-def test_dt_backoff_exhaustion_raises_divergence_error(fresh_stepper):
+def test_dt_backoff_exhaustion_raises_divergence_error(fresh_stepper, monkeypatch):
     stepper, powers = fresh_stepper
-    stepper.guard = SolverGuard(max_dt_halvings=2)
-    real_factor = stepper._factor
+    stepper.model.guard = SolverGuard(max_dt_halvings=2)
+    real_operator = ladder.operator
 
-    def always_poisoned(dt=None):
-        entry = real_factor(dt)
+    def always_poisoned(model, kind, tier, key, flow=None):
+        entry = real_operator(model, kind, tier, key, flow)
         return (_NaNFactor(), entry[1], entry[2])
 
-    stepper._factor = always_poisoned
+    monkeypatch.setattr(ladder, "operator", always_poisoned)
     before = stepper.state.values.copy()
     with pytest.raises(TransientDivergenceError) as excinfo:
         stepper.step(powers)
@@ -244,7 +250,7 @@ def test_dt_backoff_exhaustion_raises_divergence_error(fresh_stepper):
 
 def test_transient_residual_check_records_diagnostics(fresh_stepper):
     stepper, powers = fresh_stepper
-    stepper.guard = SolverGuard(residual_tolerance=1e-6)
+    stepper.model.guard = SolverGuard(residual_tolerance=1e-6)
     stepper.step(powers)
     diagnostics = stepper.last_diagnostics
     assert diagnostics is not None

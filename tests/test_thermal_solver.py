@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-import repro.thermal.model as model_module
 from repro.keyed_cache import KeyedCache
-from repro.thermal import CompactThermalModel, TransientStepper
+from repro.thermal import CompactThermalModel, TransientStepper, ladder
 from repro.thermal.reference import dense_transient
 
 
@@ -71,7 +70,7 @@ def test_lu_cache_one_factor_per_flow_setting(liquid_stack_2tier):
 
 
 def test_lru_eviction_bounds_cache(liquid_stack_2tier, monkeypatch):
-    monkeypatch.setattr(model_module, "MAX_TRANSIENT_FACTORS", 2)
+    monkeypatch.setattr(ladder, "MAX_TRANSIENT_FACTORS", 2)
     model = CompactThermalModel(liquid_stack_2tier, nx=12, ny=10)
     powers = core_powers(liquid_stack_2tier)
     stepper = TransientStepper(model, dt=0.1, initial=model.uniform_field(300.15))
